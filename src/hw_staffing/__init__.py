@@ -17,6 +17,7 @@ from .erlang import (
     erlang_c_gamma,
     erlang_c_integer,
     erlang_c_real,
+    erlang_c_slack,
     min_servers,
     real_staffing_level,
 )
@@ -93,6 +94,7 @@ __all__ = [
     "erlang_c_gamma",
     "erlang_c_integer",
     "erlang_c_real",
+    "erlang_c_slack",
     "h",
     "h_series",
     "hw_limit",

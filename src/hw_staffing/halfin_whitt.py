@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .erlang import erlang_c_real
+from .erlang import erlang_c_real, erlang_c_slack
 from .errors import DomainError, NumericalError
 from .numerics import DEFAULT_QUADRATURE, QuadratureConfig, bisect_monotone, normal_cdf, normal_pdf
 
@@ -176,7 +176,9 @@ def hw_sweep(
     sweep. The result's flags report whether the successful values were
     strictly decreasing (successive decrements must exceed the summed error
     bounds, to separate real monotonicity from quadrature noise) and whether
-    every gap above the limit was positive.
+    every gap above the limit was positive. C is evaluated at the slack
+    beta*sqrt(a) itself (erlang_c_slack), so the rounding of the row's s
+    cannot make the curve jitter at large loads.
     """
     if not (beta > 0.0 and math.isfinite(beta)):
         raise DomainError(f"hw_sweep requires beta > 0, got beta={beta}")
@@ -189,7 +191,7 @@ def hw_sweep(
     for a in a_grid:
         s = staffing(a, beta)
         try:
-            c = erlang_c_real(s, a, cfg)
+            c = erlang_c_slack(beta * math.sqrt(a), a, cfg)
             rows.append(HwPoint(beta, a, s, c.value, c_star, c.error_bound))
         except NumericalError as exc:
             rows.append(HwPoint(beta, a, s, None, c_star, 0.0, str(exc)))

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,6 +65,12 @@ class SimConfig:
             raise DomainError(
                 f"unstable configuration: lambda={self.lam} >= n*mu={self.n * self.mu}"
             )
+        for name in ("measured_arrivals", "seed", "warmup_arrivals"):
+            value = getattr(self, name)
+            if name == "warmup_arrivals" and value is None:
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise DomainError(f"{name} must be an integer, got {value!r}")
         if self.measured_arrivals < _BATCHES:
             raise DomainError(
                 f"measured_arrivals must be >= {_BATCHES}, got {self.measured_arrivals}"

@@ -1,21 +1,30 @@
 """Foundation numerics: normal distribution, log-gamma, regularized upper
-incomplete gamma, adaptive semi-infinite quadrature in log space, and
-monotone bisection.
+incomplete gamma, a cancellation-free log1p(x) - x, trapezoid quadrature
+in log space, and monotone bisection.
 
 Everything here is a pure function of its arguments and safe to call
-concurrently. The quadrature engine is the workhorse behind the real-server
-delay probability: integrands arrive as *log* integrands so that peaks of
+concurrently. One quadrature engine serves every integral: a trapezoid
+rule whose step is halved until two successive sums agree, applied after
+an exp-sinh change of variables centred on the integrand's peak in log t
+(integrate_exp_sinh). The real-server delay probability supplies that peak
+in closed form; integrate_semi_infinite finds it for any integrand by a
+geometric scan. Integrands arrive as *log* integrands so that peaks of
 magnitude e**(+-600) can be handled by max-shifting before exponentiation.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
 from .errors import BracketError, DomainError, NumericalError
 
+# log1pmx and integrate_exp_sinh are building blocks of erlang_c_real:
+# importable, but outside the package API, so that profiles charge their
+# work to the public function that calls them.
 __all__ = [
     "QuadratureConfig",
     "DEFAULT_QUADRATURE",
@@ -34,13 +43,15 @@ _INV_SQRT_2 = 0.7071067811865476  # 1/sqrt(2)
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Tolerances and limits for the adaptive semi-infinite integrator.
+    """Tolerances and limits for the trapezoid quadrature.
 
-    rel_tol / abs_tol bound the accepted error estimate; max_refinements
-    caps the number of adaptive subdivision rounds; truncation_log_cutoff is
-    how far (in nats) below the running maximum of the log integrand the
-    tail may fall before it is discarded. The cutoff must stay >= 30 so the
-    discarded mass is below e**-30 of the peak contribution.
+    rel_tol / abs_tol bound the accepted error estimate, the gap between
+    two successive trapezoid sums; max_refinements caps the number of
+    step halvings; truncation_log_cutoff is how far (in nats) below the
+    running maximum of the log integrand a node must fall before the
+    outward walk stops there. The cutoff must stay >= 30 so the discarded
+    mass is below e**-30 of the peak contribution. Whatever the settings,
+    one integral stops after 4096 integrand evaluations.
     """
 
     rel_tol: float = 1e-12
@@ -53,6 +64,11 @@ class QuadratureConfig:
             raise DomainError(f"rel_tol must be > 0, got {self.rel_tol}")
         if not (self.abs_tol > 0.0):
             raise DomainError(f"abs_tol must be > 0, got {self.abs_tol}")
+        refinements = self.max_refinements
+        if isinstance(refinements, bool) or not isinstance(refinements, numbers.Integral):
+            raise DomainError(
+                f"max_refinements must be an integer, got {self.max_refinements!r}"
+            )
         if self.max_refinements < 1:
             raise DomainError(f"max_refinements must be >= 1, got {self.max_refinements}")
         if not (self.truncation_log_cutoff >= 30.0):
@@ -170,190 +186,241 @@ def upper_gamma_regularized(s: float, x: float) -> float:
     )
 
 
-# 15-point Kronrod extension of 7-point Gauss (nodes on [-1, 1]); the
-# embedded pair gives the per-panel error estimate.
-_GK_NODES = (
-    0.991455371120813,
-    0.949107912342759,
-    0.864864423359769,
-    0.741531185599394,
-    0.586087235467691,
-    0.405845151377397,
-    0.207784955007898,
-    0.0,
-)
-_GK_WK = (
-    0.022935322010529,
-    0.063092092629979,
-    0.104790010322250,
-    0.140653259715525,
-    0.169004726639267,
-    0.190350578064785,
-    0.204432940075298,
-    0.209482141084728,
-)
-_GK_WG = (
-    0.0,
-    0.129484966168870,
-    0.0,
-    0.279705391489277,
-    0.0,
-    0.381830050505119,
-    0.0,
-    0.417959183673469,
-)
+_EPS = 2.0**-52
+_LN2 = math.log(2.0)
+_LOG_MAX = math.log(sys.float_info.max)  # e**x overflows above this
 
-_SCAN_LO_EXP = -40  # scan starts at 2**-40
-_SCAN_HI_EXP = 10  # initial scan top 2**10
+# First trapezoid step in the exp-sinh variable v. The map gives the peak
+# about unit width in v, so h = 1 already samples it a few times.
+_FIRST_STEP = 1.0
+# One integral may evaluate its integrand at most this often: the node
+# count doubles with every halving, so a non-convergent input fails after
+# a few milliseconds instead of refining on.
+_MAX_EVALUATIONS = 4096
+# Relative rounding of a trapezoid sum of positive terms, each an ulp or
+# two off: the error estimate never claims less than this.
+_SUM_ROUNDING = 8 * _EPS
+# e**-v overflows below this; the map sends such nodes to w = -inf anyway.
+_V_MIN = -700.0
+
+# Geometric scan of a generic integrand over t = 2**k.
+_SCAN_LO_EXP = -40
+_SCAN_HI_EXP = 10
 _SCAN_MAX_DOUBLINGS = 500
-_MAX_PANELS = 20_000
+# Below t = 2**-52 a generic integrand counts as zero: 1 + t rounds to 1
+# there, and integrands written in 1 + t may reject it.
+_T_MIN_EXP = -52
+_W_MIN = _T_MIN_EXP * _LN2
+# Golden-section refinement of the scanned peak stops at this bracket
+# width in log t, a small fraction of any width the step halving can
+# resolve within the evaluation cap.
+_PEAK_TOL = 1e-5
+_INV_PHI = 0.6180339887498949  # 1/golden ratio
+# A flat scan can suggest any width; wider than this in log t, one step
+# of the map would jump over whole decades of t.
+_MAX_SCALE = 10.0
 
 
-def _gk_panel(log_f, lo: float, hi: float, shift: float):
-    """Gauss and Kronrod sums of exp(log_f - shift) over [lo, hi].
+def log1pmx(x: float) -> float:
+    """log1p(x) - x without cancellation, for x > -1.
 
-    Returns (gauss, kronrod, panel_log_max). Panel endpoints are never
-    evaluated, so log_f may be -inf at 0.
+    Near 0 both terms agree to many digits, so the difference is taken
+    from the atanh series of log1p in y = x/(2 + x), whose leading term
+    cancels x exactly: log1p(x) - x = -x*y + 2*(y**3/3 + y**5/5 + ...).
+    Ten terms reach double precision for -0.25 <= x <= 0.25; beyond that
+    the direct difference loses at most a few bits.
     """
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    gauss = 0.0
-    kronrod = 0.0
-    panel_max = -math.inf
-    for node, wk, wg in zip(_GK_NODES, _GK_WK, _GK_WG):
-        if node == 0.0:
-            v = log_f(mid)
-            if v > panel_max:
-                panel_max = v
-            y = math.exp(v - shift) if v > -math.inf else 0.0
-            kronrod += wk * y
-            gauss += wg * y
-            continue
-        for t in (mid - half * node, mid + half * node):
-            v = log_f(t)
-            if v > panel_max:
-                panel_max = v
-            y = math.exp(v - shift) if v > -math.inf else 0.0
-            kronrod += wk * y
-            gauss += wg * y
-    return gauss * half, kronrod * half, panel_max
+    if -0.25 <= x <= 0.25:
+        y = x / (2.0 + x)
+        y2 = y * y
+        return -x * y + y * y2 * (
+            2 / 3 + y2 * (2 / 5 + y2 * (2 / 7 + y2 * (2 / 9 + y2 * (2 / 11 + y2 * (
+                2 / 13 + y2 * (2 / 15 + y2 * (2 / 17 + y2 * (2 / 19 + y2 * (2 / 21)))))))))
+        )
+    return math.log1p(x) - x
 
 
-def _panel_error(gauss: float, kronrod: float) -> float:
-    diff = abs(kronrod - gauss)
-    if diff == 0.0:
-        return 0.0
-    return min(diff, (200.0 * diff) ** 1.5)
+def _unscale(x: float, shift: float) -> float:
+    """x * e**shift, or inf once the product leaves the double range."""
+    if x == 0.0 or math.isinf(x):
+        return x
+    log_value = shift + math.log(x)
+    if log_value > _LOG_MAX:
+        return math.inf
+    if shift < _LOG_MAX:
+        return x * math.exp(shift)
+    return math.exp(log_value)
 
 
-def _integrate_semi_infinite_core(
-    log_integrand: Callable[[float], float],
-    config: QuadratureConfig,
-) -> tuple[float, float]:
-    """Adaptive integral of exp(log_integrand) over [0, inf).
+def _trapezoid(log_term: Callable[[float], float], config: QuadratureConfig):
+    """Trapezoid rule for the integral of exp(log_term(v)) over the real line.
 
-    Returns (value, error_estimate). Strategy: geometric scan to bracket the
-    peak and find where the tail drops truncation_log_cutoff nats below the
-    running maximum, then adaptive Gauss-Kronrod on the truncated range with
-    all exponentials max-shifted by the running maximum M and the result
-    rescaled by e**M.
+    Sums the terms on the nodes v = k*h, max-shifted by the running
+    maximum of log_term, which starts at log_term(0). From v = 0 each side
+    is walked outward until a term falls truncation_log_cutoff nats below
+    the running maximum. Then h is halved, reusing every node, until two
+    successive sums agree to rel_tol (or to abs_tol absolutely). For an
+    integrand analytic in a strip around the real line and decaying
+    double-exponentially, the error falls like e**(-c/h), so each halving
+    roughly squares it (Trefethen & Weideman, SIAM Review 56, 2014).
+
+    Returns (shift, total, error, evaluations): the integral is
+    total * e**shift, with error * e**shift the gap between the last two
+    sums (never below _SUM_ROUNDING * total). Raises NumericalError, with
+    the last sum and its gap, when max_refinements halvings or
+    _MAX_EVALUATIONS evaluations are spent first.
     """
     cutoff = config.truncation_log_cutoff
+    h = _FIRST_STEP
+    shift = log_term(0.0)
+    if not (-math.inf < shift < math.inf):
+        raise NumericalError(
+            f"log integrand is {shift} at the centre of the quadrature map", iterations=1
+        )
+    acc = 1.0  # sum of exp(log_term(v) - shift) over every node so far
+    evaluations = 1
+    total, error = h, math.inf
 
-    # Geometric scan: find the peak region and a decayed tail.
-    ts = [0.0]
-    vs = [-math.inf]
-    t = 2.0 ** _SCAN_LO_EXP
-    while t <= 2.0 ** _SCAN_HI_EXP:
-        ts.append(t)
-        vs.append(log_integrand(t))
-        t *= 2.0
-    m = max(vs)
-    if m == -math.inf:  # integrand vanishes on the whole scan range
-        return 0.0, 0.0
+    def give_up(why):
+        return NumericalError(
+            f"quadrature did not reach tolerance: {why} "
+            f"({evaluations} integrand evaluations, step {h:g})",
+            estimate=_unscale(total, shift),
+            error_bound=_unscale(error, shift),
+            iterations=evaluations,
+        )
+
+    def visit(v):
+        nonlocal shift, acc, evaluations
+        f = log_term(v)
+        evaluations += 1
+        if f > shift:
+            acc = acc * math.exp(shift - f) + 1.0
+            shift = f
+        else:
+            acc += math.exp(f - shift)
+        return f
+
+    def walk(k, step, f):
+        # extend one side from node k (log term f) until it has decayed
+        while f >= shift - cutoff:
+            if evaluations >= _MAX_EVALUATIONS:
+                raise give_up("the integrand tail did not decay")
+            k += step
+            f = visit(k * h)
+        return k, f
+
+    right, f_right = walk(0, 1, shift)
+    left, f_left = walk(0, -1, shift)
+    total = h * acc
+    for _ in range(config.max_refinements):
+        if evaluations + right - left > _MAX_EVALUATIONS:
+            raise give_up("evaluation cap reached")
+        previous, previous_shift = total, shift
+        h *= 0.5
+        right *= 2
+        left *= 2
+        for k in range(left + 1, right, 2):
+            visit(k * h)
+        right, f_right = walk(right, 1, f_right)
+        left, f_left = walk(left, -1, f_left)
+        total = h * acc
+        error = max(abs(total - previous * math.exp(previous_shift - shift)),
+                    _SUM_ROUNDING * total)
+        tol = config.rel_tol * total
+        if -shift < 700.0:  # abs floor irrelevant (and exp overflows) below this
+            tol = max(tol, config.abs_tol * math.exp(-shift))
+        if error <= tol:
+            return shift, total, error, evaluations
+    raise give_up(f"{config.max_refinements} step halvings spent")
+
+
+def integrate_exp_sinh(
+    log_integrand: Callable[[float], float],
+    centre: float,
+    scale: float,
+    config: QuadratureConfig = DEFAULT_QUADRATURE,
+):
+    """Integral of exp(log_integrand(w)) dw over the real line.
+
+    The integrand should be unimodal with its peak near w = centre and a
+    width of about scale, decaying at least exponentially to the right and
+    at all to the left. The exp-sinh map w = centre + scale*(v + 1 - e**-v)
+    fixes v = 0 at the centre, stretches the right side linearly and
+    compresses the left side double-exponentially, and the trapezoid rule
+    in v does the rest (Takahasi & Mori, 1974). Nodes where e**w
+    overflows count as zero.
+
+    Returns (shift, total, error, evaluations) as the trapezoid core
+    does: the integral is total * e**shift within error * e**shift.
+    """
+    log_scale = math.log(scale)
+
+    def log_term(v: float) -> float:
+        if v < _V_MIN:
+            return -math.inf
+        ev = math.exp(-v)
+        w = centre + scale * (v + 1.0 - ev)
+        if w > _LOG_MAX:
+            return -math.inf
+        return log_integrand(w) + log_scale + math.log1p(ev)
+
+    return _trapezoid(log_term, config)
+
+
+def _golden_peak(f: Callable[[float], float], lo: float, hi: float) -> float:
+    """Maximiser of a unimodal f on [lo, hi] to within _PEAK_TOL."""
+    x1 = hi - _INV_PHI * (hi - lo)
+    x2 = lo + _INV_PHI * (hi - lo)
+    f1, f2 = f(x1), f(x2)
+    while hi - lo > _PEAK_TOL:
+        if f1 >= f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - _INV_PHI * (hi - lo)
+            f1 = f(x1)
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + _INV_PHI * (hi - lo)
+            f2 = f(x2)
+    return x1 if f1 >= f2 else x2
+
+
+def _peak_and_scale(log_mass: Callable[[float], float], cutoff: float):
+    """Centre and width, in w = log t, of the log-space integrand log_mass(w).
+
+    A geometric scan over t = 2**k brackets the peak and checks that the
+    right tail decays; golden-section search then refines the peak, and a
+    second difference around it, taken at a spacing where log_mass has
+    dropped by at most a few nats, gives the width. Returns None when the
+    integrand vanishes on the whole scan.
+    """
+    ws = [k * _LN2 for k in range(_SCAN_LO_EXP, _SCAN_HI_EXP + 1)]
+    ls = [log_mass(w) for w in ws]
+    if max(ls) == -math.inf:
+        return None
     doublings = 0
-    while vs[-1] > m - cutoff or vs[-1] == -math.inf:
-        if vs[-1] == -math.inf and m > -math.inf:
-            break  # tail already identically zero
-        t = ts[-1] * 2.0
-        ts.append(t)
-        vs.append(log_integrand(t))
-        m = max(m, vs[-1])
+    while ls[-1] > max(ls) - cutoff:
         doublings += 1
         if doublings > _SCAN_MAX_DOUBLINGS:
             raise NumericalError(
                 "semi-infinite integrand tail did not decay within the scan range"
             )
+        ws.append(ws[-1] + _LN2)
+        ls.append(log_mass(ws[-1]))
 
-    # Truncate: keep everything up to the first post-peak point that has
-    # fallen cutoff nats below the maximum.
-    i_peak = vs.index(m)
-    i_end = len(ts) - 1
-    for i in range(i_peak + 1, len(ts)):
-        if vs[i] < m - cutoff:
-            i_end = i
+    i = ls.index(max(ls))
+    centre = _golden_peak(log_mass, ws[i] - _LN2, ws[i] + _LN2)
+    top = log_mass(centre)
+    if not top > ls[i]:
+        centre, top = ws[i], ls[i]
+    delta = _LN2
+    while True:
+        drop = top - 0.5 * (log_mass(centre - delta) + log_mass(centre + delta))
+        if drop <= 4.0 or delta < _PEAK_TOL:
             break
-    breakpoints = ts[: i_end + 1]
-
-    shift = m
-    panels = []  # entries: [lo, hi, gauss, kronrod, error]
-
-    def add_panel(lo, hi):
-        nonlocal shift
-        g, k, pmax = _gk_panel(log_integrand, lo, hi, shift)
-        if pmax > shift:
-            # A node exceeded the running maximum: rescale everything.
-            factor = math.exp(shift - pmax)
-            for p in panels:
-                p[2] *= factor
-                p[3] *= factor
-                p[4] *= factor
-            g *= factor
-            k *= factor
-            shift = pmax
-        panels.append([lo, hi, g, k, _panel_error(g, k)])
-
-    for lo, hi in zip(breakpoints[:-1], breakpoints[1:]):
-        add_panel(lo, hi)
-
-    def tolerance(total):
-        tol = config.rel_tol * abs(total)
-        if -shift < 700.0:  # abs floor irrelevant (and exp overflows) below this
-            tol = max(tol, config.abs_tol * math.exp(-shift))
-        return tol
-
-    def rescaled(value):
-        if shift > 709.0:  # e**shift exceeds double range
-            return math.inf if value > 0.0 else 0.0
-        return value * math.exp(shift)
-
-    for _ in range(config.max_refinements):
-        total = math.fsum(p[3] for p in panels)
-        err = math.fsum(p[4] for p in panels)
-        if err <= tolerance(total):
-            return rescaled(total), rescaled(err)
-        if len(panels) >= _MAX_PANELS:
-            break
-        # Split every panel whose error exceeds its share of the budget.
-        share = tolerance(total) / (2.0 * len(panels))
-        offenders = [p for p in panels if p[4] > share]
-        for p in offenders:
-            panels.remove(p)
-            mid = 0.5 * (p[0] + p[1])
-            add_panel(p[0], mid)
-            add_panel(mid, p[1])
-
-    total = math.fsum(p[3] for p in panels)
-    err = math.fsum(p[4] for p in panels)
-    if err <= tolerance(total):
-        return rescaled(total), rescaled(err)
-    raise NumericalError(
-        f"quadrature did not reach tolerance after {config.max_refinements} "
-        f"refinement rounds ({len(panels)} panels)",
-        estimate=rescaled(total),
-        error_bound=rescaled(err),
-        iterations=config.max_refinements,
-    )
+        delta *= 0.25
+    scale = delta / math.sqrt(2.0 * drop) if 0.0 < drop < math.inf else delta
+    return centre, min(scale, _MAX_SCALE)
 
 
 def integrate_semi_infinite(
@@ -363,11 +430,26 @@ def integrate_semi_infinite(
     """Integral of exp(log_integrand(t)) dt over t in [0, inf).
 
     The integrand must be given in log space (may return -inf where it
-    vanishes) with an eventually decaying tail. Raises NumericalError with
-    the best estimate attached if the refinement cap is hit first.
+    vanishes) with an eventually decaying tail. It is integrated in
+    w = log t by integrate_exp_sinh, centred on the peak and width that a
+    geometric scan finds. Raises NumericalError with the best estimate
+    attached if the step-halving or evaluation cap is hit first.
     """
-    value, _ = _integrate_semi_infinite_core(log_integrand, config)
-    return value
+
+    def log_mass(w: float) -> float:
+        return log_integrand(math.exp(w)) + w if _W_MIN <= w <= _LOG_MAX else -math.inf
+
+    peak = _peak_and_scale(log_mass, config.truncation_log_cutoff)
+    if peak is None:  # integrand vanishes on the whole scan range
+        return 0.0
+    # log_mass drops the mass below t = 2**-52, about e**log_mass(_W_MIN);
+    # it must not matter at the requested (or, below it, attainable) accuracy
+    if log_mass(_W_MIN) > log_mass(peak[0]) + math.log(max(config.rel_tol, _SUM_ROUNDING)):
+        raise NumericalError(
+            f"integrand mass below t = 2**{_T_MIN_EXP} is not negligible", iterations=1
+        )
+    shift, total, _, _ = integrate_exp_sinh(log_mass, *peak, config)
+    return _unscale(total, shift)
 
 
 def bisect_monotone(

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import DomainError
-from .numerics import DEFAULT_QUADRATURE, QuadratureConfig, _integrate_semi_infinite_core
+from .numerics import DEFAULT_QUADRATURE, QuadratureConfig, integrate_semi_infinite
 
 __all__ = [
     "ProofPoint",
@@ -242,8 +242,7 @@ def moment_y(
             return -math.inf
         return log_a + math.log(t) - a * t + exponent * math.log1p(t)
 
-    value, _ = _integrate_semi_infinite_core(log_integrand, cfg)
-    return value
+    return integrate_semi_infinite(log_integrand, cfg)
 
 
 def check_stochastic_order(

@@ -5,11 +5,14 @@ ground truth for any rational load), plus the frozen high-precision
 constants the tests assert against. The frozen values were produced by a
 50-digit evaluation of the defining expressions and rounded to the nearest
 double once, before the implementation existed; they must never be
-regenerated from the code under test.
+regenerated from the code under test. For loads far beyond any exact
+recurrence, erlang_c_mpmath evaluates the defining integral itself in
+mpmath at 30 digits.
 """
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 
@@ -26,6 +29,32 @@ def erlang_c_exact(n: int, a: Fraction) -> Fraction:
     b = erlang_b_exact(n, a)
     rho = Fraction(a, n)
     return b / (1 - rho * (1 - b))
+
+
+@functools.lru_cache(maxsize=None)
+def erlang_c_mpmath(s: float, a: float) -> float:
+    """C(s, a) for real s > a from a 30-digit mpmath quadrature.
+
+    Integrates 1/C = integral_0^inf z*exp((s-1)*log1p(z/sqrt(a)) - sqrt(a)*z) dz
+    (the defining integral in z = sqrt(a)*t) with breakpoints at the peak
+    of the log integrand and a few widths past it, so that one layout
+    serves loads from 1e-2 to 1e15. Returns the double nearest C.
+    """
+    from mpmath import mp, mpf
+
+    with mp.workdps(30):
+        s_, a_ = mpf(s), mpf(a)
+        r = mp.sqrt(a_)
+        s1 = s_ - 1
+        d = s_ - a_
+        z_peak = (d + mp.sqrt(d * d + 4 * a_)) / (2 * r)
+        width = 1 / mp.sqrt(1 / z_peak**2 + s1 / (r + z_peak) ** 2)
+        points = [0, z_peak, z_peak + 8 * width, z_peak + 30 * width, mp.inf]
+        inv_c, error = mp.quad(
+            lambda z: z * mp.exp(s1 * mp.log1p(z / r) - r * z), points, error=True
+        )
+        assert error < mpf("1e-25") * inv_c, (s, a, error)
+        return float(1 / inv_c)
 
 
 def erlang_c_direct_sum(n: int, a: Fraction) -> Fraction:

@@ -14,10 +14,12 @@ from hw_staffing.erlang import (
     erlang_c_gamma,
     erlang_c_integer,
     erlang_c_real,
+    erlang_c_slack,
     min_servers,
     real_staffing_level,
 )
-from hw_staffing.errors import DomainError
+from hw_staffing.errors import DomainError, NumericalError
+from hw_staffing.numerics import QuadratureConfig
 
 import oracles
 
@@ -156,6 +158,77 @@ class TestErlangCReal:
         assert 0.0 < result.error_bound < 1e-10 * result.value
 
 
+# The square-root-staffed curves of the paper: five slacks, loads from
+# 1e-2 to 1e15 at two points per decade.
+_HW_BETAS = (0.1, 0.5, 1.0, 2.0, 3.0)
+_HW_LOADS = tuple(10.0 ** (k / 2) for k in range(-4, 31))
+# Loads checked against the mpmath oracle.
+_ORACLE_LOADS = (1e-2, 1.0, 1e2, 1e5, 1e8, 1e11, 1e13, 1e15)
+
+
+class TestErlangCRealWork:
+    def test_evaluations_on_halfin_whitt_grid(self):
+        counts = [
+            erlang_c_real(a + beta * math.sqrt(a), a).evaluations
+            for beta in _HW_BETAS
+            for a in _HW_LOADS
+        ]
+        assert 0 < min(counts) and max(counts) <= 150
+
+    def test_evaluations_at_five_servers(self):
+        assert 0 < erlang_c_real(5.0, 4.0).evaluations <= 150
+
+    def test_other_routes_count_no_evaluations(self):
+        assert erlang_c_integer(5, 4.0).evaluations == 0
+        assert erlang_c_gamma(5.0, 4.0).evaluations == 0
+
+    def test_non_convergent_input_raises_within_evaluation_cap(self):
+        # no double-precision sum agrees to 1e-30: the quadrature gives up
+        # after its documented 4096 evaluations, with its best estimate
+        with pytest.raises(NumericalError) as excinfo:
+            erlang_c_real(5.0, 4.0, QuadratureConfig(rel_tol=1e-30))
+        err = excinfo.value
+        assert 0 < err.iterations <= 4096
+        assert 1.0 / err.estimate == pytest.approx(
+            float(oracles.erlang_c_exact(5, Fraction(4))), rel=1e-12
+        )
+        assert err.error_bound > 0.0
+
+    def test_overflowing_reciprocal_gives_zero(self):
+        # 1/C(2000, 10) is about e**8600
+        result = erlang_c_real(2000.0, 10.0)
+        assert result.value == 0.0 and result.error_bound == 0.0
+
+
+class TestErlangCRealLargeLoads:
+    @pytest.mark.parametrize("beta", [0.1, 1.0, 3.0])
+    def test_within_own_bound_of_mpmath(self, beta):
+        for a in _ORACLE_LOADS:
+            s = a + beta * math.sqrt(a)
+            result = erlang_c_real(s, a)
+            want = oracles.erlang_c_mpmath(s, a)
+            assert abs(result.value - want) <= result.error_bound, (beta, a)
+            assert 0.0 < result.error_bound <= 1e-13 * result.value, (beta, a)
+
+    def test_slack_route_matches_real_route(self):
+        for a, d in ((4.0, 1.0), (100.0, 10.0), (1e10, 3e5)):
+            got = erlang_c_slack(d, a)
+            want = erlang_c_real(a + d, a)
+            assert got.value == pytest.approx(want.value, rel=1e-13)
+            assert got.method is Method.QUADRATURE
+
+    @pytest.mark.parametrize("d,a", [(0.0, 4.0), (-1.0, 4.0), (math.inf, 4.0), (math.nan, 4.0),
+                                     (1.0, 0.0), (1.0, math.inf)])
+    def test_slack_domain(self, d, a):
+        with pytest.raises(DomainError):
+            erlang_c_slack(d, a)
+
+    def test_slack_below_the_resolution_of_s(self):
+        # a + d rounds to a, yet C(a + d, a) stays well defined, near 1
+        result = erlang_c_slack(0.25, 1e16)
+        assert 1.0 - 1e-6 < result.value < 1.0
+
+
 class TestErlangCGamma:
     def test_matches_integer_at_two(self):
         assert erlang_c_gamma(2.0, 1.0).value == pytest.approx(1.0 / 3.0, rel=1e-12)
@@ -176,6 +249,17 @@ class TestErlangCGamma:
     def test_instability_raises(self):
         with pytest.raises(DomainError):
             erlang_c_gamma(4.0, 4.0)
+
+    @pytest.mark.parametrize("beta", [0.1, 1.0, 3.0])
+    def test_within_own_bound_of_mpmath(self, beta):
+        # the rounding of the closed form grows with a; up to the series
+        # cap near a = 1.8e6 the reported bound must grow with it
+        for a in (1e-2, 1.0, 1e2, 2.5e2, 1e3, 1e4, 1e5, 1e6):
+            s = a + beta * math.sqrt(a)
+            result = erlang_c_gamma(s, a)
+            want = oracles.erlang_c_mpmath(s, a)
+            assert 0.0 < result.error_bound, (beta, a)
+            assert abs(result.value - want) <= result.error_bound, (beta, a)
 
 
 class TestThreeWayAgreement:

@@ -143,6 +143,14 @@ class TestHwSweep:
         result = hw_sweep(0.5, grid)
         assert tuple(r.a for r in result.rows) == grid
 
+    @pytest.mark.parametrize("beta", [0.1, 0.5, 1.0, 2.0, 3.0])
+    def test_certified_up_to_1e15(self, beta):
+        # two loads per decade from 1e-2 to 1e15: every decrement exceeds
+        # the summed error bounds, and every value stays above the limit
+        result = hw_sweep(beta, default_load_grid(1e-2, 1e15, 35))
+        assert all(r.error is None for r in result.rows)
+        assert result.verified is True
+
     def test_per_point_failures_recorded_not_raised(self):
         bad_cfg = QuadratureConfig(rel_tol=1e-30, abs_tol=1e-300, max_refinements=1)
         result = hw_sweep(1.0, (1.0, 10.0), bad_cfg)

@@ -63,6 +63,23 @@ class TestSimConfig:
         with pytest.raises(DomainError):
             SimConfig(n=2, lam=1.0, mu=1.0, measured_arrivals=100, seed=1, warmup_arrivals=0)
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("measured_arrivals", 100.0),
+            ("measured_arrivals", 100.5),
+            ("seed", 1.5),
+            ("seed", True),
+            ("warmup_arrivals", 7.0),
+            ("warmup_arrivals", 2.5),
+        ],
+    )
+    def test_non_integer_counts_rejected(self, field, value):
+        kwargs = dict(n=2, lam=1.0, mu=1.0, measured_arrivals=100, seed=1)
+        kwargs[field] = value
+        with pytest.raises(DomainError, match=field):
+            SimConfig(**kwargs)
+
 
 class TestSimulation:
     def test_deterministic_for_fixed_seed(self):

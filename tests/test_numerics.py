@@ -13,6 +13,7 @@ from hw_staffing.numerics import (
     QuadratureConfig,
     bisect_monotone,
     integrate_semi_infinite,
+    log1pmx,
     log_gamma,
     normal_cdf,
     normal_pdf,
@@ -215,6 +216,58 @@ class TestIntegrateSemiInfinite:
     def test_identically_zero_integrand(self):
         assert integrate_semi_infinite(lambda t: -math.inf) == 0.0
 
+    @pytest.mark.parametrize("centre", [0.37, 1.0, 3.0, 200.0])
+    def test_narrow_peak_correct_or_raises(self, centre):
+        # lognormal spike of log-width 1e-3, off the scan's powers of two:
+        # integral of exp(-(log t - mu)**2/(2 w**2)) dt = sqrt(2 pi) w e**(mu + w**2/2)
+        mu, w = math.log(centre), 1e-3
+
+        def log_integrand(t):
+            if t <= 0.0:
+                return -math.inf
+            return -0.5 * ((math.log(t) - mu) / w) ** 2
+
+        exact = math.sqrt(2.0 * math.pi) * w * math.exp(mu + 0.5 * w * w)
+        try:
+            value = integrate_semi_infinite(log_integrand)
+        except NumericalError:
+            return  # refusing is allowed; a wrong value is not
+        assert value == pytest.approx(exact, rel=1e-12)
+
+    def test_non_convergent_input_stops_at_evaluation_cap(self):
+        # no double-precision sum agrees to 1e-30; the quadrature must give
+        # up after its documented 4096 evaluations, not after 60 halvings
+        with pytest.raises(NumericalError) as excinfo:
+            integrate_semi_infinite(lambda t: -t, QuadratureConfig(rel_tol=1e-30))
+        err = excinfo.value
+        assert 0 < err.iterations <= 4096
+        assert err.estimate == pytest.approx(1.0, rel=1e-12)
+        assert err.error_bound > 0.0
+
+    def test_mass_below_smallest_node_raises(self):
+        # t**-0.9 e**-t keeps a share t**0.1/0.1 ~ 3% of its mass below 2**-52
+        def log_integrand(t):
+            return -0.9 * math.log(t) - t if t > 0.0 else -math.inf
+
+        with pytest.raises(NumericalError):
+            integrate_semi_infinite(log_integrand)
+
+
+class TestLog1pmx:
+    def test_matches_mpmath(self):
+        from mpmath import mp, mpf
+
+        with mp.workdps(40):
+            for k in range(-60, 9):
+                for x in (2.0 ** (k / 2), -0.9 * 2.0 ** (k / 2)):
+                    if x <= -1.0:
+                        continue
+                    want = float(mp.log1p(mpf(x)) - mpf(x))
+                    assert log1pmx(x) == pytest.approx(want, rel=8e-16), x
+
+    def test_zero(self):
+        assert log1pmx(0.0) == 0.0
+
 
 class TestQuadratureConfig:
     def test_defaults_valid(self):
@@ -235,6 +288,11 @@ class TestQuadratureConfig:
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(DomainError):
             QuadratureConfig(**kwargs)
+
+    @pytest.mark.parametrize("value", [2.5, 3.0, True, "3"])
+    def test_non_integer_refinements_rejected(self, value):
+        with pytest.raises(DomainError, match="max_refinements"):
+            QuadratureConfig(max_refinements=value)
 
 
 class TestBisectMonotone:
