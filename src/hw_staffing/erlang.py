@@ -244,36 +244,25 @@ def _meets_target(value: float, epsilon: float) -> bool:
 def min_servers(a: float, epsilon: float) -> int:
     """Smallest integer n > a with C(n, a) <= epsilon.
 
-    Upward doubling from the smallest stable server count brackets the
-    answer, then binary search exploits that C is strictly decreasing in n.
+    One pass of the Erlang-B recurrence: B(floor(a), a) first, then one
+    step per server from the smallest stable count floor(a) + 1 upwards,
+    converting each B(n, a) to C(n, a) as erlang_c_integer does, until
+    the target is met. The answer lies a few multiples of sqrt(a) above
+    the load, so the scan adds little to the recurrence up to floor(a).
     """
     if not (a > 0.0 and math.isfinite(a)):
         raise DomainError(f"offered load must be positive and finite, got a={a}")
     if not (0.0 < epsilon < 1.0):
         raise DomainError(f"target must lie in (0, 1), got epsilon={epsilon}")
 
-    n0 = math.floor(a) + 1  # smallest stable integer server count
-    if _meets_target(erlang_c_integer(n0, a).value, epsilon):
-        return n0
-
-    # Double the slack above n0 until the target is met.
-    step = 1
-    lo = n0
+    n = math.floor(a)
+    b = erlang_b_integer(n, a)
     while True:
-        hi = n0 + step
-        if _meets_target(erlang_c_integer(hi, a).value, epsilon):
-            break
-        lo = hi
-        step *= 2
-
-    # Invariant: C(lo) > epsilon >= C(hi); shrink to adjacent.
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if _meets_target(erlang_c_integer(mid, a).value, epsilon):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+        n += 1
+        b = a * b / (n + a * b)
+        rho = a / n
+        if _meets_target(b / (1.0 - rho * (1.0 - b)), epsilon):
+            return n
 
 
 def real_staffing_level(
@@ -284,8 +273,12 @@ def real_staffing_level(
 ) -> float:
     """Continuous staffing level s* with C(s*, a) = epsilon.
 
-    C(s, a) decreases from 1 (as s -> a+) to 0, so a doubling bracket plus
-    monotone bisection pins s* to the argument tolerance.
+    C(s, a) decreases from 1 (as s -> a+) to 0, so a doubling bracket
+    above the load holds s*, and bisect_monotone's safeguarded Illinois
+    steps pin it to the argument tolerance. They solve log C = log
+    epsilon, which is close to linear in s over the bracket where C
+    itself falls by orders of magnitude; log C reads -inf once C
+    underflows to 0.
     """
     if not (a > 0.0 and math.isfinite(a)):
         raise DomainError(f"offered load must be positive and finite, got a={a}")
@@ -301,7 +294,9 @@ def real_staffing_level(
         gap *= 2.0
         hi = a + gap
 
-    root = bisect_monotone(
-        lambda s: erlang_c_real(s, a, cfg).value, lo, hi, epsilon, tol
-    )
+    def log_c(s: float) -> float:
+        value = erlang_c_real(s, a, cfg).value
+        return math.log(value) if value > 0.0 else -math.inf
+
+    root = bisect_monotone(log_c, lo, hi, math.log(epsilon), tol)
     return root.value

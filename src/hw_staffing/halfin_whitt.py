@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .erlang import erlang_c_real, erlang_c_slack
+from .erlang import erlang_c_slack
 from .errors import DomainError, NumericalError
 from .numerics import DEFAULT_QUADRATURE, QuadratureConfig, bisect_monotone, normal_cdf, normal_pdf
 
@@ -139,7 +139,7 @@ def inverse_load(n: float, beta: float) -> float:
 
 
 def beta_for_target(epsilon: float) -> float:
-    """Slack beta with hw_limit(beta) = epsilon, by monotone bisection."""
+    """Slack beta with hw_limit(beta) = epsilon, to 1e-12 by bisect_monotone."""
     if not (0.0 < epsilon < 1.0):
         raise DomainError(f"target must lie in (0, 1), got epsilon={epsilon}")
     hi = 1.0
@@ -216,7 +216,10 @@ def inverse_sweep(
 
     Every s must exceed beta**2. No monotonicity flag is computed: the
     curve's behaviour is an open question and the rows feed the figure
-    emitter as-is.
+    emitter as-is. As in hw_sweep, C is evaluated at the slack
+    beta*sqrt(s) itself (erlang_c_slack): at s = 1e15 the rounding of the
+    row's a = s - beta*sqrt(s) would move the slack, and C with it by
+    ~1e-9 relative, far beyond the quadrature's bound.
     """
     if not (beta > 0.0 and math.isfinite(beta)):
         raise DomainError(f"inverse_sweep requires beta > 0, got beta={beta}")
@@ -226,7 +229,7 @@ def inverse_sweep(
     for s in s_grid:
         a = inverse_load(s, beta)  # raises DomainError if s <= beta**2
         try:
-            c = erlang_c_real(s, a, cfg)
+            c = erlang_c_slack(beta * math.sqrt(s), a, cfg)
             rows.append(InversePoint(s, a, c.value, c.error_bound))
         except NumericalError as exc:
             rows.append(InversePoint(s, a, None, 0.0, str(exc)))

@@ -12,7 +12,8 @@ Two routes that share nothing with the analytic Erlang evaluations:
 Randomness is pinned for reproducibility: a PCG64 bit generator per stream,
 two streams (arrivals, services) spawned from one SeedSequence, and
 exponential variates drawn by inverse transform -log1p(-U)/rate. Identical
-seeds therefore give bit-identical estimates.
+seeds therefore give bit-identical estimates. numpy is imported by
+simulate_mmn alone, so the rest of the package loads without it.
 """
 
 from __future__ import annotations
@@ -21,10 +22,12 @@ import heapq
 import math
 import numbers
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DomainError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "SimConfig",
@@ -123,8 +126,8 @@ def birth_death_wait_prob(n: int, a: float) -> float:
 class _ExponentialStream:
     """Inverse-transform exponential draws over a buffered PCG64 stream."""
 
-    def __init__(self, seed_seq: np.random.SeedSequence, rate: float):
-        self._gen = np.random.Generator(np.random.PCG64(seed_seq))
+    def __init__(self, gen: np.random.Generator, rate: float):
+        self._gen = gen
         self._scale = 1.0 / rate
         self._buffer = self._gen.random(_UNIFORM_BLOCK)
         self._index = 0
@@ -150,9 +153,15 @@ def simulate_mmn(cfg: SimConfig) -> SimEstimate:
     the CI half-width is the 97.5% Student-t quantile times the standard
     error of the batch means.
     """
+    import numpy as np  # ~13 MB and tens of ms to load; only this needs it
+
     arrivals_stream, services_stream = np.random.SeedSequence(cfg.seed).spawn(2)
-    draw_interarrival = _ExponentialStream(arrivals_stream, cfg.lam).next
-    draw_service = _ExponentialStream(services_stream, cfg.mu).next
+    draw_interarrival = _ExponentialStream(
+        np.random.Generator(np.random.PCG64(arrivals_stream)), cfg.lam
+    ).next
+    draw_service = _ExponentialStream(
+        np.random.Generator(np.random.PCG64(services_stream)), cfg.mu
+    ).next
 
     total_arrivals = cfg.warmup_arrivals + cfg.measured_arrivals
     boundaries = [

@@ -1,6 +1,6 @@
 """Foundation numerics: normal distribution, log-gamma, regularized upper
 incomplete gamma, a cancellation-free log1p(x) - x, trapezoid quadrature
-in log space, and monotone bisection.
+in log space, and a bracketing root finder for monotone functions.
 
 Everything here is a pure function of its arguments and safe to call
 concurrently. One quadrature engine serves every integral: a trapezoid
@@ -82,7 +82,9 @@ DEFAULT_QUADRATURE = QuadratureConfig()
 
 @dataclass(frozen=True)
 class BracketedRoot:
-    """A root located by bisection: lo <= value <= hi, |hi - lo| <= tol."""
+    """A root located by bisect_monotone's safeguarded Illinois steps:
+    lo <= value <= hi, |hi - lo| <= tol (unless f hit target exactly at
+    value, or the bracket reached floating-point resolution first)."""
 
     lo: float
     hi: float
@@ -219,6 +221,15 @@ _INV_PHI = 0.6180339887498949  # 1/golden ratio
 # A flat scan can suggest any width; wider than this in log t, one step
 # of the map would jump over whole decades of t.
 _MAX_SCALE = 10.0
+
+# Steps bisect_monotone may fall behind bisection while it tries the
+# Illinois point: its worst case is plain bisection plus this many
+# evaluations.
+_SPARE_STEPS = 2
+# Its truncation toward the midpoint is _ITP_SHIFT * w**2 / w0 for a
+# bracket of width w out of a first width w0: a fifth of the bracket at
+# the start, vanishing against the Illinois step as the bracket closes.
+_ITP_SHIFT = 0.2
 
 
 def log1pmx(x: float) -> float:
@@ -459,10 +470,32 @@ def bisect_monotone(
     target: float,
     tol: float,
 ) -> BracketedRoot:
-    """Solve f(x) = target for monotone f with bisection.
+    """Solve f(x) = target for monotone f by safeguarded Illinois steps.
 
     Works for increasing or decreasing f; the endpoint values must bracket
-    the target. Stops when the bracket width is <= tol.
+    the target. Each step starts from the regula falsi point of the
+    bracket, with the Illinois rule: when the same end is kept twice in a
+    row, its function value is halved, so the kept end cannot stall
+    (Dowell & Jarratt, BIT 11, 1971). The point is then safeguarded as in
+    the ITP method (Oliveira & Takahashi, ACM TOMS 47, 2021):
+
+    * it moves toward the midpoint by 0.2*w**2/w0 (w the bracket width,
+      w0 the first), or onto the midpoint if that is nearer, so that it
+      cannot crawl along one end while the bracket is wide;
+    * it is clamped tol/2 inside the bracket, so that once it lands within
+      tol/2 of the root the next step crosses it and both ends close in;
+    * it is pulled toward the midpoint as far as needed to keep the
+      bracket no wider than bisection would have left it _SPARE_STEPS (2)
+      steps earlier;
+    * it falls back to the midpoint when it is not finite (an end value is
+      infinite, or their difference overflows) or the clamp rounds onto
+      an end.
+
+    So f is evaluated at most _SPARE_STEPS times more often than by plain
+    bisection, and on smooth f far less often: about a third as often for
+    real_staffing_level's log C. Stops when the bracket
+    width is <= tol or its midpoint is at floating-point resolution; value
+    is then the midpoint.
     """
     lo = _require_finite(lo, "lo")
     hi = _require_finite(hi, "hi")
@@ -483,17 +516,39 @@ def bisect_monotone(
             f"f({hi})={f_hi + target}"
         )
 
+    half_tol = 0.5 * tol
+    shift_per_width = _ITP_SHIFT / (hi - lo)
+    allowance = (hi - lo) * 2.0**_SPARE_STEPS  # widest bracket after the step
+    kept = None  # the end the last step kept: "lo", "hi" or None
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break  # bracket at floating-point resolution
-        f_mid = f(mid) - target
-        if f_mid == 0.0:
-            return BracketedRoot(lo, hi, mid, 0.0)
-        if (f_mid > 0.0) == (f_lo > 0.0):
-            lo, f_lo = mid, f_mid
+        width = hi - lo
+        allowance *= 0.5
+        radius = max(allowance - 0.5 * width, 0.0)
+        # share of the bracket below the regula falsi point: in (0, 1)
+        # unless an end value is infinite or was halved down to zero
+        t = f_lo / (f_lo - f_hi) if f_lo != f_hi else math.nan
+        x = lo + width * t
+        shift = shift_per_width * width * width
+        x = mid if abs(mid - x) <= shift else x + math.copysign(shift, mid - x)
+        x = min(max(x, lo + half_tol, mid - radius), hi - half_tol, mid + radius)
+        if not (0.0 < t < 1.0 and lo < x < hi):
+            x = mid
+        f_x = f(x) - target
+        if f_x == 0.0:
+            return BracketedRoot(lo, hi, x, 0.0)
+        if (f_x > 0.0) == (f_lo > 0.0):
+            lo, f_lo = x, f_x
+            if kept == "hi":
+                f_hi *= 0.5
+            kept = "hi"
         else:
-            hi, f_hi = mid, f_mid
+            hi, f_hi = x, f_x
+            if kept == "lo":
+                f_lo *= 0.5
+            kept = "lo"
 
     value = 0.5 * (lo + hi)
     return BracketedRoot(lo, hi, value, f(value) - target)

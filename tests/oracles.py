@@ -38,7 +38,8 @@ def erlang_c_mpmath(s: float, a: float) -> float:
     Integrates 1/C = integral_0^inf z*exp((s-1)*log1p(z/sqrt(a)) - sqrt(a)*z) dz
     (the defining integral in z = sqrt(a)*t) with breakpoints at the peak
     of the log integrand and a few widths past it, so that one layout
-    serves loads from 1e-2 to 1e15. Returns the double nearest C.
+    serves loads from 1e-2 to 1e15. s and a may be floats or mpmath
+    numbers. Returns the double nearest C.
     """
     from mpmath import mp, mpf
 

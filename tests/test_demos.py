@@ -1,0 +1,39 @@
+"""Smoke test: the demos run to completion against the package."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# 05_simulation is left out: it takes seconds, and test_mmn_oracle covers
+# the simulator it drives.
+DEMOS = [
+    "01_delay_probabilities.py",
+    "02_staffing.py",
+    "03_limit_monotonicity.py",
+    "04_proof_objects.py",
+    "06_figures.py",
+]
+
+
+@pytest.mark.parametrize("demo", DEMOS)
+def test_demo_runs(demo, tmp_path):
+    # run from an empty directory: 06_figures writes its SVGs there
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / demo)],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hw_staffing import erlang
 from hw_staffing.erlang import (
     LoadPoint,
     Method,
@@ -19,7 +20,7 @@ from hw_staffing.erlang import (
     real_staffing_level,
 )
 from hw_staffing.errors import DomainError, NumericalError
-from hw_staffing.numerics import QuadratureConfig
+from hw_staffing.numerics import DEFAULT_QUADRATURE, QuadratureConfig
 
 import oracles
 
@@ -308,6 +309,36 @@ class TestMinServers:
         with pytest.raises(DomainError):
             min_servers(4.0, epsilon)
 
+    @staticmethod
+    def _scan(a, epsilon):
+        # first n > a whose own erlang_c_integer value meets the target,
+        # with the same tie allowance as min_servers
+        n = math.floor(a) + 1
+        while erlang_c_integer(n, a).value > epsilon * (1.0 + 1e-12):
+            n += 1
+        return n
+
+    def test_matches_brute_force_scan(self):
+        for a in (0.05, 0.7, 1.0, 3.5, 12.0, 99.9, 640.0):
+            for epsilon in (0.9, 0.5, 0.2, 0.05, 1e-3, 1e-8):
+                assert min_servers(a, epsilon) == self._scan(a, epsilon), (a, epsilon)
+
+    def test_matches_brute_force_scan_on_exact_boundaries(self):
+        for a, n in ((0.7, 2), (4.0, 6), (99.9, 112), (640.0, 700)):
+            target = erlang_c_integer(n, a).value
+            assert min_servers(a, target) == self._scan(a, target) == n
+            below = target * (1.0 - 1e-9)
+            assert min_servers(a, below) == self._scan(a, below) == n + 1
+
+    def test_matches_brute_force_scan_at_large_load(self):
+        # each scan step reruns the O(a) recurrence, so the target stays loose
+        assert min_servers(1e5, 0.9) == self._scan(1e5, 0.9)
+        # and tighter targets are checked at the answer and one below it
+        for epsilon in (0.5, 0.2, 1e-3):
+            n = min_servers(1e5, epsilon)
+            assert erlang_c_integer(n, 1e5).value <= epsilon
+            assert erlang_c_integer(n - 1, 1e5).value > epsilon
+
 
 class TestRealStaffingLevel:
     def test_round_trip_integer_point(self):
@@ -327,3 +358,40 @@ class TestRealStaffingLevel:
         for a, epsilon in ((4.0, 0.5), (30.0, 0.15)):
             s = real_staffing_level(a, epsilon)
             assert min_servers(a, epsilon) == math.ceil(s - 1e-9)
+
+    def test_quadratures_per_call(self, monkeypatch):
+        calls = []
+
+        def counted(s, a, cfg=DEFAULT_QUADRATURE):
+            calls.append(s)
+            return erlang_c_real(s, a, cfg)
+
+        monkeypatch.setattr(erlang, "erlang_c_real", counted)
+        per_call = []
+        for a in (1.0, 7.0, 50.0, 400.0, 3e3, 2e4, 1e5):
+            for epsilon in (1e-3, 0.01, 0.05, 0.2, 0.5):
+                calls.clear()
+                s = real_staffing_level(a, epsilon)
+                assert erlang_c_real(s, a).value == pytest.approx(epsilon, rel=1e-6)
+                per_call.append(len(calls))
+        assert max(per_call) <= 24
+        assert sorted(per_call)[len(per_call) // 2] <= 16
+
+    @pytest.mark.parametrize("a,epsilon,s", [
+        (1e8, 0.5, 100005060.70027193),
+        (1e8, 1e-3, 100031154.52119488),
+        (1e12, 0.5, 1000000506054.6245),
+        (1e12, 0.2, 1000001061516.6582),
+        (1e12, 1e-3, 1000003115262.0745),
+    ])
+    def test_tolerance_below_float_spacing(self, a, epsilon, s):
+        # the doubles near s are 1.5e-8 (a = 1e8) and 1.2e-4 (a = 1e12)
+        # apart, wider than tol = 1e-9: the root is the double at which C
+        # crosses epsilon, as monotone bisection found it
+        assert real_staffing_level(a, epsilon) == s
+
+    @pytest.mark.parametrize("a", [4.0, 1e4])
+    def test_target_near_underflow(self, a):
+        # C underflows to 0 on the way to the bracket: log C is then -inf
+        s = real_staffing_level(a, 1e-300)
+        assert erlang_c_real(s, a).value == pytest.approx(1e-300, rel=1e-7)

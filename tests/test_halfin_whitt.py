@@ -189,6 +189,19 @@ class TestInverseSweep:
         with pytest.raises(DomainError):
             inverse_sweep(3.0, (9.0, 20.0))
 
+    @pytest.mark.parametrize("beta", [0.1, 1.0])
+    def test_on_the_curve_at_large_server_counts(self, beta):
+        # the reference sits at the exact curve point a = s - beta*sqrt(s),
+        # not at its rounding to a double, which is off the curve by up to
+        # 0.06 at s = 1e15
+        from mpmath import mp, mpf
+
+        for row in inverse_sweep(beta, (1e14, 1e15)).rows:
+            with mp.workdps(40):
+                a_exact = mpf(row.s) - mpf(beta) * mp.sqrt(mpf(row.s))
+            want = oracles.erlang_c_mpmath(row.s, a_exact)
+            assert abs(row.c_value - want) <= row.error_bound, (row.s, row.c_value, want)
+
     def test_default_load_grid_shape(self):
         grid = default_load_grid(0.01, 1e4, 40)
         assert len(grid) == 40

@@ -2,6 +2,8 @@
 
 import math
 import statistics
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -137,3 +139,10 @@ class TestSimulation:
         assert 0.0 <= est.p_wait <= 1.0
         assert est.ci_halfwidth >= 0.0
         assert est.batches >= 10
+
+
+def test_package_and_cli_load_without_numpy():
+    # numpy is imported by simulate_mmn alone
+    code = "import sys, hw_staffing, hw_staffing.cli; sys.exit('numpy' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr or "numpy was imported"

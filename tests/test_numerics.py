@@ -327,3 +327,57 @@ class TestBisectMonotone:
         root = bisect_monotone(lambda x: x, 0.0, 1.0, 0.25, 1e-9)
         assert isinstance(root, BracketedRoot)
         assert abs(root.residual) <= 1e-9
+
+
+def _bisection_evaluations(lo, hi, tol):
+    """Evaluations plain bisection spends: both ends, one per halving
+    until the bracket is tol wide (or at float resolution), one residual."""
+    count = 3
+    while hi - lo > tol and lo < 0.5 * (lo + hi) < hi:
+        hi = 0.5 * (lo + hi)
+        count += 1
+    return count
+
+
+def _steep_tanh(x):
+    return math.tanh(1e6 * (x - 0.3))
+
+
+class TestBisectMonotoneWork:
+    # (f, lo, hi, targets, exact root of f(x) = target)
+    CASES = {
+        "exp": (math.exp, -700.0, 700.0, (1e-300, 1e-100, 2.0, 1e100, 1e300), math.log),
+        "x**25": (lambda x: x**25, 0.0, 2.0, (1e-150, 1e-20, 0.5, 1e7), lambda y: y ** (1 / 25)),
+        "tanh": (_steep_tanh, 0.0, 1.0, (-0.999, -0.5, 0.5, 0.999999),
+                 lambda y: 0.3 + math.atanh(y) / 1e6),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    @pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-12])
+    def test_never_two_evaluations_worse_than_bisection(self, name, tol):
+        f, lo, hi, targets, root_of = self.CASES[name]
+        for target in targets:
+            calls = []
+            root = bisect_monotone(lambda x: calls.append(x) or f(x), lo, hi, target, tol)
+            assert root.hi - root.lo <= tol, (target, root)
+            assert abs(root.value - root_of(target)) <= tol, (target, root)
+            assert len(calls) <= _bisection_evaluations(lo, hi, tol) + 2, (target, len(calls))
+
+    def test_smooth_function_takes_far_fewer_evaluations(self):
+        calls = []
+        root = bisect_monotone(lambda x: calls.append(x) or math.log(x), 1.0, 1e4, 2.0, 1e-12)
+        assert root.value == pytest.approx(math.exp(2.0), abs=1e-12)
+        assert len(calls) <= _bisection_evaluations(1.0, 1e4, 1e-12) // 2
+
+    def test_infinite_end_value_falls_back_to_midpoint(self):
+        # the regula falsi point is undefined while f(hi) is -inf
+        root = bisect_monotone(lambda x: -math.inf if x > 3.0 else -x, 0.0, 10.0, -2.5, 1e-9)
+        assert root.value == pytest.approx(2.5, abs=1e-9)
+
+    def test_tolerance_below_float_spacing(self):
+        # near 1e8 the doubles are 1.5e-8 apart: lo + tol/2 rounds to lo, and
+        # the bracket ends on the adjacent doubles around the root 1e8 + 1/3
+        root = bisect_monotone(lambda x: x - 1e8, 1e8, 1e8 + 1.0, 1.0 / 3.0, 1e-9)
+        assert root.lo - 1e8 < 1.0 / 3.0 < root.hi - 1e8
+        assert math.nextafter(root.lo, math.inf) == root.hi
+        assert root.value in (root.lo, root.hi)
