@@ -1,0 +1,64 @@
+"""Golden CLI output: every README example, byte for byte.
+
+Each case runs ``cli.main`` in a temporary working directory and compares
+its stdout, and any SVG file it writes, with the files under
+``tests/golden/``. Those files hold the output of the code before the
+sweep, grid and verify modules were consolidated, so a refactor that
+changes one byte of what a user sees fails here.
+"""
+
+import contextlib
+import io
+import os
+from pathlib import Path
+
+import pytest
+
+from hw_staffing.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+_LEFT = ["sweep", "--regime", "inverse", "--beta", "0.1", "--from", "0.02", "--to", "50",
+         "--points", "200", "--log-x"]
+_RIGHT = ["sweep", "--regime", "inverse", "--beta", "3", "--from", "9.5", "--to", "500",
+          "--points", "200"]
+
+# name -> (argv, SVG file the command writes, or None)
+CASES = {
+    "compute_all": (["compute", "--s", "110", "--a", "100", "--method", "all"], None),
+    "staff_integer": (["staff", "--a", "4", "--epsilon", "0.5", "--mode", "integer"], None),
+    "staff_beta": (["staff", "--a", "100", "--epsilon", "0.2", "--mode", "beta"], None),
+    "staff_real": (["staff", "--a", "100", "--epsilon", "0.2", "--mode", "real"], None),
+    "sweep_hw": (["sweep", "--regime", "hw", "--beta", "1", "--from", "1", "--to", "10000",
+                  "--points", "40", "--log-x"], None),
+    "sweep_left_csv": (_LEFT, None),
+    "sweep_right_csv": (_RIGHT, None),
+    "sweep_left_svg": (_LEFT + ["--format", "svg", "--out", "left.svg"], "left.svg"),
+    "sweep_right_svg": (_RIGHT + ["--format", "svg", "--out", "right.svg"], "right.svg"),
+    "verify_all": (["verify", "--suite", "all"], None),
+    "simulate": (["simulate", "--n", "5", "--lambda", "4", "--mu", "1", "--seed", "42",
+                  "--arrivals", "1000000"], None),
+}
+
+
+def run_case(name, workdir: Path):
+    """Exit code, stdout, and the written SVG's bytes (or None) of one case."""
+    argv, svg = CASES[name]
+    out = io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(workdir)
+    try:
+        with contextlib.redirect_stdout(out):
+            code = main(list(argv))
+    finally:
+        os.chdir(cwd)
+    return code, out.getvalue(), (workdir / svg).read_bytes() if svg else None
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_output_matches_golden(name, tmp_path):
+    code, stdout, svg = run_case(name, tmp_path)
+    assert code == 0
+    assert stdout.encode("utf-8") == (GOLDEN / f"{name}.txt").read_bytes()
+    if svg is not None:
+        assert svg == (GOLDEN / CASES[name][1]).read_bytes()
