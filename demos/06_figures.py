@@ -7,15 +7,13 @@ visibly is not. This script emits the two illustrative curves as
 standalone SVG files; the CLI equivalent is shown at the end.
 """
 
-from hw_staffing import hw_limit, inverse_sweep
+from hw_staffing import default_load_grid, hw_limit, inverse_sweep
 from hw_staffing.svg import polyline_chart
 
 
 def emit(beta, s_lo, s_hi, points, log_x, path):
     if log_x:
-        import math
-        r = math.log(s_hi / s_lo) / (points - 1)
-        grid = [s_lo * math.exp(r * i) for i in range(points)]
+        grid = default_load_grid(s_lo, s_hi, points)
     else:
         grid = [s_lo + (s_hi - s_lo) * i / (points - 1) for i in range(points)]
     sweep = inverse_sweep(beta, grid)

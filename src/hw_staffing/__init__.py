@@ -11,7 +11,6 @@ CLI wraps computation, staffing, sweeps, verification and simulation.
 
 from .erlang import (
     DelayProbability,
-    LoadPoint,
     Method,
     erlang_b_integer,
     erlang_c_gamma,
@@ -23,10 +22,9 @@ from .erlang import (
 )
 from .errors import BracketError, DomainError, NumericalError, StaffingError
 from .halfin_whitt import (
-    HwPoint,
-    InversePoint,
     Regime,
     SweepResult,
+    SweepRow,
     beta_for_target,
     default_load_grid,
     hw_limit,
@@ -42,14 +40,12 @@ from .numerics import (
     QuadratureConfig,
     bisect_monotone,
     integrate_semi_infinite,
-    log_gamma,
     normal_cdf,
     normal_pdf,
     upper_gamma_regularized,
 )
 from .proof_kit import (
     OrderReport,
-    ProofPoint,
     cdf_x,
     check_stochastic_order,
     density_g,
@@ -69,19 +65,16 @@ __all__ = [
     "DEFAULT_QUADRATURE",
     "DelayProbability",
     "DomainError",
-    "HwPoint",
-    "InversePoint",
-    "LoadPoint",
     "Method",
     "NumericalError",
     "OrderReport",
-    "ProofPoint",
     "QuadratureConfig",
     "Regime",
     "SimConfig",
     "SimEstimate",
     "StaffingError",
     "SweepResult",
+    "SweepRow",
     "beta_for_target",
     "birth_death_wait_prob",
     "bisect_monotone",
@@ -102,7 +95,6 @@ __all__ = [
     "integrate_semi_infinite",
     "inverse_load",
     "inverse_sweep",
-    "log_gamma",
     "min_servers",
     "moment_y",
     "normal_cdf",

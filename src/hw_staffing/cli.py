@@ -9,15 +9,12 @@ byte-identical stdout and files.
 from __future__ import annotations
 
 import argparse
-import enum
 import math
 import os
 import sys
-from dataclasses import dataclass
 
-from . import erlang, halfin_whitt, mmn_oracle, proof_kit
+from . import QuadratureConfig, erlang, halfin_whitt, mmn_oracle, verify
 from .errors import DomainError, NumericalError
-from .numerics import QuadratureConfig
 from .svg import polyline_chart
 
 CONFIG_ENV_VAR = "HW_STAFFING_CONFIG"
@@ -26,31 +23,6 @@ _EXIT_OK = 0
 _EXIT_VERIFY_FAILED = 1
 _EXIT_DOMAIN = 2
 _EXIT_NUMERICAL = 3
-
-
-class OutputFormat(enum.Enum):
-    CSV = "csv"
-    SVG = "svg"
-    BOTH = "both"
-
-
-@dataclass(frozen=True)
-class OutputSpec:
-    """Where and how sweep output is written; path "-" means stdout."""
-
-    format: OutputFormat
-    path: str
-    svg_width: int = 640
-    svg_height: int = 480
-    log_x: bool = False
-
-    def __post_init__(self):
-        if self.svg_width <= 0 or self.svg_height <= 0:
-            raise DomainError(
-                f"svg dimensions must be positive, got {self.svg_width}x{self.svg_height}"
-            )
-        if self.path == "-" and self.format is not OutputFormat.CSV:
-            raise DomainError("svg output cannot go to stdout; give --out PATH")
 
 
 def fmt(x: float) -> str:
@@ -180,8 +152,7 @@ def _build_grid(lo: float, hi: float, points: int, log_x: bool) -> tuple[float, 
     if log_x:
         if lo <= 0.0:
             raise DomainError(f"log spacing requires --from > 0, got {lo}")
-        ratio = math.log(hi / lo) / (points - 1)
-        grid = [lo * math.exp(ratio * i) for i in range(points)]
+        grid = list(halfin_whitt.default_load_grid(lo, hi, points))
     else:
         step = (hi - lo) / (points - 1)
         grid = [lo + step * i for i in range(points)]
@@ -209,10 +180,8 @@ def _sweep_csv(result: halfin_whitt.SweepResult) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _sweep_svg(result: halfin_whitt.SweepResult, spec: OutputSpec) -> str:
+def _sweep_svg(result: halfin_whitt.SweepResult, args) -> str:
     ok = [r for r in result.rows if r.c_value is not None]
-    if not ok:
-        raise DomainError("no successful rows to plot")
     beta_text = f"{result.beta:.6g}"
     if result.regime is halfin_whitt.Regime.LOAD_PARAMETRIZED:
         xs = [r.a for r in ok]
@@ -228,9 +197,9 @@ def _sweep_svg(result: halfin_whitt.SweepResult, spec: OutputSpec) -> str:
         title=title,
         x_label=x_label,
         y_label="delay probability C",
-        width=spec.svg_width,
-        height=spec.svg_height,
-        log_x=spec.log_x,
+        width=args.svg_width,
+        height=args.svg_height,
+        log_x=args.log_x,
     )
 
 
@@ -260,35 +229,34 @@ def _cmd_sweep(args) -> int:
             )
             lo = floor
 
-    spec = OutputSpec(
-        format=OutputFormat(args.format),
-        path=args.out,
-        svg_width=args.svg_width,
-        svg_height=args.svg_height,
-        log_x=args.log_x,
-    )
+    if args.svg_width <= 0 or args.svg_height <= 0:
+        raise DomainError(
+            f"svg dimensions must be positive, got {args.svg_width}x{args.svg_height}"
+        )
+    if args.out == "-" and args.format != "csv":
+        raise DomainError("svg output cannot go to stdout; give --out PATH")
 
-    grid = _build_grid(lo, hi, points, spec.log_x)
+    grid = _build_grid(lo, hi, points, args.log_x)
     if args.regime == "hw":
         result = halfin_whitt.hw_sweep(beta, grid, cfg)
     else:
         result = halfin_whitt.inverse_sweep(beta, grid, cfg)
 
     if not any(r.c_value is not None for r in result.rows):
-        raise NumericalError("every sweep row failed")
+        raise NumericalError(f"every sweep row failed; first row: {result.rows[0].error}")
 
-    if spec.format in (OutputFormat.CSV, OutputFormat.BOTH):
+    if args.format in ("csv", "both"):
         text = _sweep_csv(result)
-        if spec.path == "-":
+        if args.out == "-":
             sys.stdout.write(text)
         else:
-            path = spec.path if spec.format is OutputFormat.CSV else spec.path + ".csv"
+            path = args.out if args.format == "csv" else args.out + ".csv"
             with open(path, "w", encoding="utf-8", newline="\n") as fh:
                 fh.write(text)
             print(f"wrote {path}")
-    if spec.format in (OutputFormat.SVG, OutputFormat.BOTH):
-        text = _sweep_svg(result, spec)
-        path = spec.path if spec.format is OutputFormat.SVG else spec.path + ".svg"
+    if args.format in ("svg", "both"):
+        text = _sweep_svg(result, args)
+        path = args.out if args.format == "svg" else args.out + ".svg"
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
         print(f"wrote {path}")
@@ -299,134 +267,8 @@ def _cmd_sweep(args) -> int:
 # verify
 # --------------------------------------------------------------------------
 
-_VERIFY_BETAS = (0.1, 0.5, 1.0, 2.0, 3.0)
-_VERIFY_ORDER_LOADS = tuple(0.5 * 2.0 ** k for k in range(12))  # 0.5 .. 1024
-_AGREEMENT_N = (1, 2, 5, 10, 20, 50, 100, 500)
-_AGREEMENT_RHO = (0.1, 0.3, 0.5, 0.7, 0.9, 0.95)
-
-
-def _geom_grid(lo: float, hi: float, points: int) -> tuple[float, ...]:
-    r = math.log(hi / lo) / (points - 1)
-    return tuple(lo * math.exp(r * i) for i in range(points))
-
-
-def _checks_monotonicity(cfg: QuadratureConfig):
-    checks = []
-    grid = halfin_whitt.default_load_grid(0.01, 1e4, 40)
-    for beta in _VERIFY_BETAS:
-        sweep = halfin_whitt.hw_sweep(beta, grid, cfg)
-        ok = [r for r in sweep.rows if r.c_value is not None]
-        margins = [
-            x.c_value - y.c_value - (x.error_bound + y.error_bound)
-            for x, y in zip(ok, ok[1:])
-        ]
-        checks.append(
-            (
-                f"strict-decrease beta={beta:g}",
-                bool(sweep.decreasing),
-                f"min decrement margin {fmt(min(margins))}" if margins else "no rows",
-            )
-        )
-        checks.append(
-            (
-                f"above-limit beta={beta:g}",
-                bool(sweep.gaps_positive),
-                f"min gap {fmt(min(r.gap for r in ok))}" if ok else "no rows",
-            )
-        )
-    return checks
-
-
-def _checks_order():
-    checks = []
-    y_grid = _geom_grid(1.01, 100.0, 50)
-    for a_low, a_high in zip(_VERIFY_ORDER_LOADS, _VERIFY_ORDER_LOADS[1:]):
-        report = proof_kit.check_stochastic_order(a_low, a_high, y_grid)
-        worst = max(
-            proof_kit.tail_y(y, a_low) - proof_kit.tail_y(y, a_high) for y in y_grid
-        )
-        checks.append(
-            (
-                f"tail-dominance a={a_low:g}->{a_high:g}",
-                report.passed,
-                f"worst excess {fmt(worst)}",
-            )
-        )
-    return checks
-
-
-def _log_density_g(t: float, a: float) -> float:
-    if t <= 0.0:
-        return -math.inf
-    return math.log(a) + math.log(t) - a * t + (a - 1.0) * math.log1p(t)
-
-
-def _log_density_y_shifted(v: float, a: float) -> float:
-    # density of Y_a at y = 1 + v, for integration over v in [0, inf)
-    if v <= 0.0:
-        return -math.inf
-    d = proof_kit.density_y(1.0 + v, a)
-    return math.log(d) if d > 0.0 else -math.inf
-
-
-def _checks_identities(cfg: QuadratureConfig):
-    from .numerics import integrate_semi_infinite
-
-    checks = []
-
-    worst = 0.0
-    for a in (0.25, 1.0, 9.0, 100.0, 2500.0):
-        worst = max(worst, abs(integrate_semi_infinite(lambda t: _log_density_g(t, a), cfg) - 1.0))
-        worst = max(worst, abs(integrate_semi_infinite(lambda v: _log_density_y_shifted(v, a), cfg) - 1.0))
-    checks.append(("density-normalization", worst <= 1e-10, f"worst |integral - 1| {fmt(worst)}"))
-
-    worst = 0.0
-    for y in _geom_grid(1.1, 100.0, 20):
-        for a in _geom_grid(0.5, 1000.0, 20):  # floor keeps tails above underflow
-            t1 = proof_kit.tail_y(y, a)
-            t2 = proof_kit.tail_y_via_h(y, a)
-            worst = max(worst, abs(t1 - t2) / t1)
-    checks.append(("tail-rewrite", worst <= 1e-12, f"worst relative diff {fmt(worst)}"))
-
-    worst = 0.0
-    for x in _geom_grid(1.0, 1e3, 40):
-        worst = max(worst, abs(proof_kit.h(x) - proof_kit.h_series(x, 30)))
-    checks.append(("h-series", worst <= 1e-12, f"worst |closed - series| {fmt(worst)}"))
-
-    worst = 0.0
-    for a in (1.0, 10.0, 100.0):
-        for beta in (0.5, 1.0, 3.0):
-            c = erlang.erlang_c_real(halfin_whitt.staffing(a, beta), a, cfg).value
-            worst = max(worst, abs(1.0 / proof_kit.moment_y(a, beta, cfg) - c) / c)
-    checks.append(("moment-identity", worst <= 1e-8, f"worst relative diff {fmt(worst)}"))
-
-    worst = 0.0
-    for n in _AGREEMENT_N:
-        for rho in _AGREEMENT_RHO:
-            a = n * rho
-            values = [
-                erlang.erlang_c_integer(n, a).value,
-                erlang.erlang_c_real(float(n), a, cfg).value,
-                erlang.erlang_c_gamma(float(n), a).value,
-            ]
-            for i in range(3):
-                for j in range(3):
-                    if i != j:
-                        worst = max(worst, abs(values[i] - values[j]) / values[j])
-    checks.append(("three-way-agreement", worst <= 1e-10, f"worst relative diff {fmt(worst)}"))
-    return checks
-
-
 def _cmd_verify(args) -> int:
-    cfg = _resolve_quadrature(args)
-    checks = []
-    if args.suite in ("all", "monotonicity"):
-        checks.extend(_checks_monotonicity(cfg))
-    if args.suite in ("all", "order"):
-        checks.extend(_checks_order())
-    if args.suite in ("all", "identities"):
-        checks.extend(_checks_identities(cfg))
-
+    checks = verify.run_suite(args.suite, _resolve_quadrature(args))
     failed = 0
     for name, passed, detail in checks:
         status = "PASS" if passed else "FAIL"
@@ -511,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the property verification suites")
     p.add_argument(
-        "--suite", choices=["all", "monotonicity", "order", "identities"], default="all"
+        "--suite", choices=["all", *verify.SUITES], default="all"
     )
     _add_quadrature_flags(p)
     p.set_defaults(handler=_cmd_verify)

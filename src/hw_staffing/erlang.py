@@ -17,6 +17,7 @@ integer server count, continuous staffing level) sit on top of them.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -28,12 +29,10 @@ from .numerics import (
     bisect_monotone,
     integrate_exp_sinh,
     log1pmx,
-    log_gamma,
     upper_gamma_regularized,
 )
 
 __all__ = [
-    "LoadPoint",
     "Method",
     "DelayProbability",
     "erlang_b_integer",
@@ -59,28 +58,6 @@ _GAMMA_ULPS = 16.0
 # Accept C(n,a) == epsilon as "meeting" an SLA target epsilon up to this
 # relative slack, so exact-boundary targets resolve deterministically.
 _TIE_REL_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class LoadPoint:
-    """An (offered load, servers) pair; rho and stability are derived."""
-
-    a: float
-    s: float
-
-    def __post_init__(self):
-        if not (self.a > 0.0 and math.isfinite(self.a)):
-            raise DomainError(f"offered load must be positive and finite, got {self.a}")
-        if not (self.s > 0.0 and math.isfinite(self.s)):
-            raise DomainError(f"server count must be positive and finite, got {self.s}")
-
-    @property
-    def rho(self) -> float:
-        return self.a / self.s
-
-    @property
-    def stable(self) -> bool:
-        return self.a < self.s
 
 
 class Method(enum.Enum):
@@ -226,13 +203,13 @@ def erlang_c_gamma(s: float, a: float) -> DelayProbability:
     a = float(a)
     q = upper_gamma_regularized(s, a)
     log_a = math.log(a)
-    log_gamma_s = log_gamma(s)
-    log_term = math.log(s - a) + a - s * log_a + log_gamma_s + math.log(q)
+    lgamma_s = math.lgamma(s)
+    log_term = math.log(s - a) + a - s * log_a + lgamma_s + math.log(q)
     if log_term > 40.0:  # 1 + e**L is e**L beyond double precision
         value = math.exp(-log_term)  # underflows gracefully past e**-745
     else:
         value = 1.0 / (1.0 + math.exp(log_term))
-    size = 1.0 + abs(math.log(s - a)) + a + s * abs(log_a) + abs(log_gamma_s)
+    size = 1.0 + abs(math.log(s - a)) + a + s * abs(log_a) + abs(lgamma_s)
     bound = _EPS * value * (_GAMMA_ULPS * (1.0 - value) * size + 2.0)
     return DelayProbability(value, Method.GAMMA_CLOSED_FORM, bound)
 
@@ -278,24 +255,29 @@ def real_staffing_level(
     steps pin it to the argument tolerance. They solve log C = log
     epsilon, which is close to linear in s over the bracket where C
     itself falls by orders of magnitude; log C reads -inf once C
-    underflows to 0.
+    underflows to 0. C is computed at most once per s in one call, so the
+    solver's first two evaluations, at the bracket's ends, cost nothing.
     """
     if not (a > 0.0 and math.isfinite(a)):
         raise DomainError(f"offered load must be positive and finite, got a={a}")
     if not (0.0 < epsilon < 1.0):
         raise DomainError(f"target must lie in (0, 1), got epsilon={epsilon}")
 
+    @functools.cache
+    def c_at(s: float) -> float:
+        return erlang_c_real(s, a, cfg).value
+
     lo = a * (1.0 + 1e-12)
-    if erlang_c_real(lo, a, cfg).value <= epsilon:
+    if c_at(lo) <= epsilon:
         return lo  # target met already at the validity boundary
     gap = max(1.0, math.sqrt(a))
     hi = a + gap
-    while erlang_c_real(hi, a, cfg).value > epsilon:
+    while c_at(hi) > epsilon:
         gap *= 2.0
         hi = a + gap
 
     def log_c(s: float) -> float:
-        value = erlang_c_real(s, a, cfg).value
+        value = c_at(s)
         return math.log(value) if value > 0.0 else -math.inf
 
     root = bisect_monotone(log_c, lo, hi, math.log(epsilon), tol)

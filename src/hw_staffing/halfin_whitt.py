@@ -2,8 +2,9 @@
 
 The staffing rule s = a + beta*sqrt(a) keeps the delay probability
 C(a + beta*sqrt(a), a) nondegenerate as the offered load a grows; its limit
-is hw_limit(beta) = 1/(1 + beta*Phi(beta)/phi(beta)). The sweep generators
-here produce the evidence tables behind two facts:
+is hw_limit(beta) = 1/(1 + beta*Phi(beta)/phi(beta)). The two sweeps here
+share one loop and one row type (SweepRow) and produce the evidence tables
+behind two facts:
 
 * the load-parametrized curve C(a + beta*sqrt(a), a) decreases strictly in
   a and stays above the limit for every beta > 0 (verified per sweep);
@@ -24,8 +25,7 @@ from .numerics import DEFAULT_QUADRATURE, QuadratureConfig, bisect_monotone, nor
 
 __all__ = [
     "Regime",
-    "HwPoint",
-    "InversePoint",
+    "SweepRow",
     "SweepResult",
     "hw_limit",
     "staffing",
@@ -43,33 +43,24 @@ class Regime(enum.Enum):
 
 
 @dataclass(frozen=True)
-class HwPoint:
-    """One row of a load-parametrized sweep: s = a + beta*sqrt(a)."""
+class SweepRow:
+    """One row of a sweep: C(s, a) at one grid point, or the error that
+    stopped it (c_value None). Load-parametrized rows (s = a +
+    beta*sqrt(a)) also carry the limit c_star and so a gap above it;
+    server-parametrized rows (a = s - beta*sqrt(s)) leave both None."""
 
-    beta: float
     a: float
     s: float
     c_value: float | None
-    c_star: float
     error_bound: float = 0.0
     error: str | None = None
+    c_star: float | None = None
 
     @property
     def gap(self) -> float | None:
-        if self.c_value is None:
+        if self.c_value is None or self.c_star is None:
             return None
         return self.c_value - self.c_star
-
-
-@dataclass(frozen=True)
-class InversePoint:
-    """One row of a server-parametrized sweep: a = s - beta*sqrt(s)."""
-
-    s: float
-    a: float
-    c_value: float | None
-    error_bound: float = 0.0
-    error: str | None = None
 
 
 @dataclass(frozen=True)
@@ -83,7 +74,7 @@ class SweepResult:
 
     regime: Regime
     beta: float
-    rows: tuple
+    rows: tuple[SweepRow, ...]
     decreasing: bool | None = None
     gaps_positive: bool | None = None
 
@@ -150,19 +141,40 @@ def beta_for_target(epsilon: float) -> float:
 
 
 def default_load_grid(lo: float = 0.01, hi: float = 1e4, points: int = 40) -> tuple[float, ...]:
-    """Log-spaced offered-load grid; convergence spans orders of magnitude."""
+    """Log-spaced grid from lo to hi (both > 0), the package's only one;
+    the defaults are verify's load grid, spanning six orders of magnitude."""
     if points == 1:
         return (lo,)
     r = math.log(hi / lo) / (points - 1)
     return tuple(lo * math.exp(r * i) for i in range(points))
 
 
-def _check_grid(grid: Sequence[float], name: str):
+def _sweep_rows(regime: Regime, beta: float, grid: Sequence[float], cfg: QuadratureConfig):
+    """The loop behind hw_sweep and inverse_sweep: one SweepRow per grid
+    value x, with C evaluated at the slack beta*sqrt(x) itself."""
+    hw = regime is Regime.LOAD_PARAMETRIZED
+    name, grid_name = ("hw_sweep", "a_grid") if hw else ("inverse_sweep", "s_grid")
+    if not (beta > 0.0 and math.isfinite(beta)):
+        raise DomainError(f"{name} requires beta > 0, got beta={beta}")
     if len(grid) == 0:
-        raise DomainError(f"{name} must not be empty")
+        raise DomainError(f"{grid_name} must not be empty")
     for x, y in zip(grid, grid[1:]):
         if not (y > x):
-            raise DomainError(f"{name} must be strictly increasing, got {x} before {y}")
+            raise DomainError(f"{grid_name} must be strictly increasing, got {x} before {y}")
+    if hw and grid[0] <= 0.0:
+        raise DomainError("all loads in a_grid must be positive")
+
+    c_star = hw_limit(beta) if hw else None
+    rows = []
+    for x in grid:
+        # inverse_load raises DomainError at the first s <= beta**2
+        a, s = (x, staffing(x, beta)) if hw else (inverse_load(x, beta), x)
+        try:
+            c = erlang_c_slack(beta * math.sqrt(x), a, cfg)
+            rows.append(SweepRow(a, s, c.value, c.error_bound, None, c_star))
+        except NumericalError as exc:
+            rows.append(SweepRow(a, s, None, 0.0, str(exc), c_star))
+    return tuple(rows)
 
 
 def hw_sweep(
@@ -172,6 +184,7 @@ def hw_sweep(
 ) -> SweepResult:
     """Evaluate C(a + beta*sqrt(a), a) across a strictly increasing load grid.
 
+    Each row carries c_star = hw_limit(beta) and its gap above it.
     Per-point numerical failures are recorded in-row and do not abort the
     sweep. The result's flags report whether the successful values were
     strictly decreasing (successive decrements must exceed the summed error
@@ -180,31 +193,16 @@ def hw_sweep(
     beta*sqrt(a) itself (erlang_c_slack), so the rounding of the row's s
     cannot make the curve jitter at large loads.
     """
-    if not (beta > 0.0 and math.isfinite(beta)):
-        raise DomainError(f"hw_sweep requires beta > 0, got beta={beta}")
-    _check_grid(a_grid, "a_grid")
-    if any(a <= 0.0 for a in a_grid):
-        raise DomainError("all loads in a_grid must be positive")
-
-    c_star = hw_limit(beta)
-    rows = []
-    for a in a_grid:
-        s = staffing(a, beta)
-        try:
-            c = erlang_c_slack(beta * math.sqrt(a), a, cfg)
-            rows.append(HwPoint(beta, a, s, c.value, c_star, c.error_bound))
-        except NumericalError as exc:
-            rows.append(HwPoint(beta, a, s, None, c_star, 0.0, str(exc)))
-
+    rows = _sweep_rows(Regime.LOAD_PARAMETRIZED, beta, a_grid, cfg)
     if any(r.c_value is None for r in rows):
         # failed rows leave the grid-wide claims unverifiable
-        return SweepResult(Regime.LOAD_PARAMETRIZED, beta, tuple(rows), None, None)
+        return SweepResult(Regime.LOAD_PARAMETRIZED, beta, rows, None, None)
     decreasing = all(
         x.c_value - y.c_value > x.error_bound + y.error_bound
         for x, y in zip(rows, rows[1:])
     )
     gaps_positive = all(r.gap > 0.0 for r in rows)
-    return SweepResult(Regime.LOAD_PARAMETRIZED, beta, tuple(rows), decreasing, gaps_positive)
+    return SweepResult(Regime.LOAD_PARAMETRIZED, beta, rows, decreasing, gaps_positive)
 
 
 def inverse_sweep(
@@ -214,23 +212,12 @@ def inverse_sweep(
 ) -> SweepResult:
     """Evaluate C(s, s - beta*sqrt(s)) across a strictly increasing server grid.
 
-    Every s must exceed beta**2. No monotonicity flag is computed: the
-    curve's behaviour is an open question and the rows feed the figure
-    emitter as-is. As in hw_sweep, C is evaluated at the slack
-    beta*sqrt(s) itself (erlang_c_slack): at s = 1e15 the rounding of the
-    row's a = s - beta*sqrt(s) would move the slack, and C with it by
-    ~1e-9 relative, far beyond the quadrature's bound.
+    Every s must exceed beta**2. The rows carry no limit and no gap, and no
+    monotonicity flag is computed: the curve's behaviour is an open question
+    and the rows feed the figure emitter as-is. As in hw_sweep, C is
+    evaluated at the slack beta*sqrt(s) itself (erlang_c_slack): at s = 1e15
+    the rounding of the row's a = s - beta*sqrt(s) would move the slack, and
+    C with it by ~1e-9 relative, far beyond the quadrature's bound.
     """
-    if not (beta > 0.0 and math.isfinite(beta)):
-        raise DomainError(f"inverse_sweep requires beta > 0, got beta={beta}")
-    _check_grid(s_grid, "s_grid")
-
-    rows = []
-    for s in s_grid:
-        a = inverse_load(s, beta)  # raises DomainError if s <= beta**2
-        try:
-            c = erlang_c_slack(beta * math.sqrt(s), a, cfg)
-            rows.append(InversePoint(s, a, c.value, c.error_bound))
-        except NumericalError as exc:
-            rows.append(InversePoint(s, a, None, 0.0, str(exc)))
-    return SweepResult(Regime.SERVER_PARAMETRIZED, beta, tuple(rows), None, None)
+    rows = _sweep_rows(Regime.SERVER_PARAMETRIZED, beta, s_grid, cfg)
+    return SweepResult(Regime.SERVER_PARAMETRIZED, beta, rows, None, None)

@@ -1,5 +1,5 @@
-"""Foundation numerics: normal distribution, log-gamma, regularized upper
-incomplete gamma, a cancellation-free log1p(x) - x, trapezoid quadrature
+"""Foundation numerics: normal distribution, regularized upper incomplete
+gamma, a cancellation-free log1p(x) - x, trapezoid quadrature
 in log space, and a bracketing root finder for monotone functions.
 
 Everything here is a pure function of its arguments and safe to call
@@ -31,7 +31,6 @@ __all__ = [
     "BracketedRoot",
     "normal_pdf",
     "normal_cdf",
-    "log_gamma",
     "upper_gamma_regularized",
     "integrate_semi_infinite",
     "bisect_monotone",
@@ -89,7 +88,6 @@ class BracketedRoot:
     lo: float
     hi: float
     value: float
-    residual: float
 
 
 def _require_finite(x: float, name: str) -> float:
@@ -114,14 +112,6 @@ def normal_cdf(x: float) -> float:
     """
     x = _require_finite(x, "x")
     return 0.5 * math.erfc(-x * _INV_SQRT_2)
-
-
-def log_gamma(x: float) -> float:
-    """Natural log of the gamma function for x > 0."""
-    x = _require_finite(x, "x")
-    if x <= 0.0:
-        raise DomainError(f"log_gamma requires x > 0, got {x}")
-    return math.lgamma(x)
 
 
 _GAMMA_MAX_ITER = 10_000
@@ -507,9 +497,9 @@ def bisect_monotone(
     f_lo = f(lo) - target
     f_hi = f(hi) - target
     if f_lo == 0.0:
-        return BracketedRoot(lo, lo, lo, 0.0)
+        return BracketedRoot(lo, lo, lo)
     if f_hi == 0.0:
-        return BracketedRoot(hi, hi, hi, 0.0)
+        return BracketedRoot(hi, hi, hi)
     if (f_lo > 0.0) == (f_hi > 0.0):
         raise BracketError(
             f"target {target} not bracketed: f({lo})={f_lo + target}, "
@@ -538,7 +528,7 @@ def bisect_monotone(
             x = mid
         f_x = f(x) - target
         if f_x == 0.0:
-            return BracketedRoot(lo, hi, x, 0.0)
+            return BracketedRoot(lo, hi, x)
         if (f_x > 0.0) == (f_lo > 0.0):
             lo, f_lo = x, f_x
             if kept == "hi":
@@ -550,5 +540,4 @@ def bisect_monotone(
                 f_lo *= 0.5
             kept = "lo"
 
-    value = 0.5 * (lo + hi)
-    return BracketedRoot(lo, hi, value, f(value) - target)
+    return BracketedRoot(lo, hi, 0.5 * (lo + hi))

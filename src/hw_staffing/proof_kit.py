@@ -29,7 +29,6 @@ from .errors import DomainError
 from .numerics import DEFAULT_QUADRATURE, QuadratureConfig, integrate_semi_infinite
 
 __all__ = [
-    "ProofPoint",
     "OrderReport",
     "density_g",
     "cdf_x",
@@ -57,38 +56,6 @@ def _check_load(a: float) -> float:
     if not (a > 0.0 and math.isfinite(a)):
         raise DomainError(f"load parameter must be positive and finite, got a={a}")
     return a
-
-
-@dataclass(frozen=True)
-class ProofPoint:
-    """A jointly consistent evaluation point (a, t, y, x).
-
-    y = (1 + t)**sqrt(a) is the change of variables linking X_a and Y_a;
-    x = sqrt(a)/log(y) is the argument the tail rewrite hands to h.
-    """
-
-    a: float
-    t: float
-    y: float
-    x: float
-
-    def __post_init__(self):
-        _check_load(self.a)
-        if self.t < 0.0:
-            raise DomainError(f"t must be >= 0, got {self.t}")
-        if not (self.y > 1.0):
-            raise DomainError(f"y must be > 1, got {self.y}")
-        if not (self.x > 0.0):
-            raise DomainError(f"x must be > 0, got {self.x}")
-
-    @classmethod
-    def from_load_and_t(cls, a: float, t: float) -> "ProofPoint":
-        a = _check_load(a)
-        if not (t > 0.0):
-            raise DomainError(f"t must be > 0 to map into y > 1, got t={t}")
-        sqrt_a = math.sqrt(a)
-        log_y = sqrt_a * math.log1p(t)
-        return cls(a=a, t=t, y=math.exp(log_y), x=sqrt_a / log_y)
 
 
 @dataclass(frozen=True)

@@ -105,10 +105,6 @@ PHI_TABLE = [
     (8.0, 0.9999999999999993),
 ]
 
-# log-gamma spot values.
-LOG_GAMMA_HALF = 0.5723649429247001  # ln(sqrt(pi))
-LOG_GAMMA_1E6 = 12815504.569147611
-
 # Regularized upper incomplete gamma spot values.
 Q_5_5 = 0.4404932850652124
 Q_HALF_03 = 0.4385780260809998

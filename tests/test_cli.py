@@ -55,6 +55,7 @@ class TestCompute:
         )
         assert code == 3
         assert "numerical error" in err
+        assert "integrand evaluations" in err
 
     def test_recurrence_requires_integer_servers(self, capsys):
         code, _, err = run_cli(capsys, "compute", "--s", "2.5", "--a", "1", "--method", "recurrence")
@@ -187,19 +188,30 @@ class TestSweep:
         assert float(first[0]) >= 9.0
 
     def test_svg_to_stdout_rejected(self, capsys):
-        code, _, _ = run_cli(
+        code, _, err = run_cli(
             capsys, "sweep", "--regime", "hw", "--beta", "1", "--format", "svg"
         )
         assert code == 2
+        assert err == "error: svg output cannot go to stdout; give --out PATH\n"
+
+    def test_nonpositive_svg_size_rejected(self, tmp_path, capsys):
+        code, _, err = run_cli(
+            capsys, "sweep", "--regime", "hw", "--beta", "1", "--format", "svg",
+            "--out", str(tmp_path / "f.svg"), "--svg-width", "0",
+        )
+        assert code == 2
+        assert err == "error: svg dimensions must be positive, got 0x480\n"
 
     def test_every_row_failing_is_numerical_error(self, capsys):
-        code, _, _ = run_cli(
+        code, _, err = run_cli(
             capsys,
             "sweep", "--regime", "hw", "--beta", "1",
             "--from", "1", "--to", "10", "--points", "3",
             "--rel-tol", "1e-30", "--max-refinements", "1",
         )
         assert code == 3
+        assert "every sweep row failed" in err
+        assert "integrand evaluations" in err  # the first row's cause
 
     def test_default_grids_complete(self, capsys):
         for beta in ("0.1", "3"):

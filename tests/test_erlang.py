@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from hw_staffing import erlang
 from hw_staffing.erlang import (
-    LoadPoint,
     Method,
     erlang_b_integer,
     erlang_c_gamma,
@@ -23,22 +22,6 @@ from hw_staffing.errors import DomainError, NumericalError
 from hw_staffing.numerics import DEFAULT_QUADRATURE, QuadratureConfig
 
 import oracles
-
-
-class TestLoadPoint:
-    def test_rho_is_derived(self):
-        point = LoadPoint(a=4.0, s=5.0)
-        assert point.rho == 0.8
-        assert point.stable
-
-    def test_unstable_flag(self):
-        assert not LoadPoint(a=5.0, s=4.0).stable
-        assert not LoadPoint(a=4.0, s=4.0).stable
-
-    @pytest.mark.parametrize("a,s", [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, -2.0)])
-    def test_validation(self, a, s):
-        with pytest.raises(DomainError):
-            LoadPoint(a=a, s=s)
 
 
 class TestErlangB:
@@ -375,7 +358,22 @@ class TestRealStaffingLevel:
                 assert erlang_c_real(s, a).value == pytest.approx(epsilon, rel=1e-6)
                 per_call.append(len(calls))
         assert max(per_call) <= 24
-        assert sorted(per_call)[len(per_call) // 2] <= 16
+        assert sorted(per_call)[len(per_call) // 2] <= 12
+
+    def test_no_level_evaluated_twice(self, monkeypatch):
+        # the bracket's ends are where the solver starts: C there is reused
+        calls = []
+
+        def counted(s, a, cfg=DEFAULT_QUADRATURE):
+            calls.append(s)
+            return erlang_c_real(s, a, cfg)
+
+        monkeypatch.setattr(erlang, "erlang_c_real", counted)
+        for a in (1.0, 7.0, 50.0, 400.0, 3e3, 2e4, 1e5):
+            for epsilon in (1e-3, 0.01, 0.05, 0.2, 0.5):
+                calls.clear()
+                real_staffing_level(a, epsilon)
+                assert len(calls) == len(set(calls)), (a, epsilon, calls)
 
     @pytest.mark.parametrize("a,epsilon,s", [
         (1e8, 0.5, 100005060.70027193),

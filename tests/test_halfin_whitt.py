@@ -185,6 +185,13 @@ class TestInverseSweep:
         assert first.a < 1e-6
         assert first.c_value < 1e-6
 
+    def test_rows_carry_no_limit(self):
+        for row in inverse_sweep(1.0, (4.0, 40.0)).rows:
+            assert row.c_star is None and row.gap is None
+        for row in hw_sweep(1.0, (4.0, 40.0)).rows:
+            assert row.c_star == hw_limit(1.0)
+            assert row.gap == row.c_value - row.c_star
+
     def test_boundary_grid_rejected(self):
         with pytest.raises(DomainError):
             inverse_sweep(3.0, (9.0, 20.0))

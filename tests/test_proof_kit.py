@@ -11,7 +11,6 @@ from hw_staffing.errors import DomainError
 from hw_staffing.halfin_whitt import staffing
 from hw_staffing.numerics import integrate_semi_infinite
 from hw_staffing.proof_kit import (
-    ProofPoint,
     cdf_x,
     check_stochastic_order,
     density_g,
@@ -284,17 +283,3 @@ class TestStochasticOrder:
         with pytest.raises(DomainError):
             check_stochastic_order(1.0, 2.0, [2.0, 1.5])
 
-
-class TestProofPoint:
-    def test_linked_construction(self):
-        point = ProofPoint.from_load_and_t(4.0, 0.5)
-        assert point.y == pytest.approx((1.5) ** 2.0, rel=1e-14)
-        assert point.x == pytest.approx(math.sqrt(4.0) / math.log(point.y), rel=1e-12)
-
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            ProofPoint(a=1.0, t=-0.5, y=2.0, x=1.0)
-        with pytest.raises(DomainError):
-            ProofPoint(a=1.0, t=0.5, y=0.5, x=1.0)
-        with pytest.raises(DomainError):
-            ProofPoint.from_load_and_t(1.0, 0.0)
