@@ -1,23 +1,21 @@
 """Command-line surface: compute, staff, sweep, verify, simulate.
 
-Exit codes: 0 success, 1 verification failure, 2 domain/config error,
+Exit codes: 0 success, 1 verification failure, 2 domain or usage error,
 3 numerical error. All numeric output uses 17 significant digits so parsing
-the text reproduces the binary value; identical argument vectors produce
-byte-identical stdout and files.
+the text reproduces the binary value. The quadrature's accuracy is set by
+--rel-tol alone, and no environment variable or file is read, so identical
+argument vectors produce byte-identical stdout and files.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 
-from . import QuadratureConfig, erlang, halfin_whitt, mmn_oracle, verify
+from . import DEFAULT_QUADRATURE, QuadratureConfig, erlang, halfin_whitt, mmn_oracle, verify
 from .errors import DomainError, NumericalError
 from .svg import polyline_chart
-
-CONFIG_ENV_VAR = "HW_STAFFING_CONFIG"
 
 _EXIT_OK = 0
 _EXIT_VERIFY_FAILED = 1
@@ -30,61 +28,13 @@ def fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-# --------------------------------------------------------------------------
-# quadrature configuration: defaults < config file < flags
-# --------------------------------------------------------------------------
-
-_CONFIG_KEYS = {
-    "rel_tol": float,
-    "abs_tol": float,
-    "max_refinements": int,
-    "truncation_log_cutoff": float,
-}
-
-
-def _read_config_file(path: str) -> dict:
-    values = {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise DomainError(f"cannot read config file {path}: {exc}") from exc
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise DomainError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
-        key, _, text = line.partition("=")
-        key = key.strip()
-        if key not in _CONFIG_KEYS:
-            raise DomainError(f"{path}:{lineno}: unknown config key {key!r}")
-        try:
-            values[key] = _CONFIG_KEYS[key](text.strip())
-        except ValueError as exc:
-            raise DomainError(f"{path}:{lineno}: bad value for {key}: {text.strip()!r}") from exc
-    return values
-
-
-def _resolve_quadrature(args) -> QuadratureConfig:
-    values = {}
-    path = args.config or os.environ.get(CONFIG_ENV_VAR)
-    if path:
-        values.update(_read_config_file(path))
-    for key in _CONFIG_KEYS:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            values[key] = flag
-    return QuadratureConfig(**values)
-
-
-def _add_quadrature_flags(parser):
-    parser.add_argument("--config", help="key = value file presetting the quadrature config")
-    parser.add_argument("--rel-tol", dest="rel_tol", type=float, default=None)
-    parser.add_argument("--abs-tol", dest="abs_tol", type=float, default=None)
-    parser.add_argument("--max-refinements", dest="max_refinements", type=int, default=None)
+def _add_rel_tol_flag(parser):
     parser.add_argument(
-        "--truncation-log-cutoff", dest="truncation_log_cutoff", type=float, default=None
+        "--rel-tol",
+        dest="rel_tol",
+        type=float,
+        default=DEFAULT_QUADRATURE.rel_tol,
+        help="relative tolerance of the quadrature (default %(default)g)",
     )
 
 
@@ -94,7 +44,7 @@ def _add_quadrature_flags(parser):
 
 
 def _cmd_compute(args) -> int:
-    cfg = _resolve_quadrature(args)
+    cfg = QuadratureConfig(args.rel_tol)
     s, a = args.s, args.a
 
     method = args.method
@@ -121,7 +71,7 @@ def _cmd_compute(args) -> int:
 
 
 def _cmd_staff(args) -> int:
-    cfg = _resolve_quadrature(args)
+    cfg = QuadratureConfig(args.rel_tol)
     if args.mode == "beta":
         beta = halfin_whitt.beta_for_target(args.epsilon)
         print(f"beta = {fmt(beta)}")
@@ -210,7 +160,7 @@ def _default_sweep_range(regime: str, beta: float) -> tuple[float, float, int]:
 
 
 def _cmd_sweep(args) -> int:
-    cfg = _resolve_quadrature(args)
+    cfg = QuadratureConfig(args.rel_tol)
     beta = args.beta
     if not (beta > 0.0 and math.isfinite(beta)):
         raise DomainError(f"--beta must be > 0, got {beta}")
@@ -268,7 +218,7 @@ def _cmd_sweep(args) -> int:
 # --------------------------------------------------------------------------
 
 def _cmd_verify(args) -> int:
-    checks = verify.run_suite(args.suite, _resolve_quadrature(args))
+    checks = verify.run_suite(args.suite, QuadratureConfig(args.rel_tol))
     failed = 0
     for name, passed, detail in checks:
         status = "PASS" if passed else "FAIL"
@@ -327,14 +277,14 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["auto", "recurrence", "quadrature", "gamma", "all"],
         default="auto",
     )
-    _add_quadrature_flags(p)
+    _add_rel_tol_flag(p)
     p.set_defaults(handler=_cmd_compute)
 
     p = sub.add_parser("staff", help="invert the delay probability for staffing")
     p.add_argument("--a", type=float, default=None, help="offered load (erlangs)")
     p.add_argument("--epsilon", type=float, required=True, help="target delay probability")
     p.add_argument("--mode", choices=["integer", "real", "beta"], default="integer")
-    _add_quadrature_flags(p)
+    _add_rel_tol_flag(p)
     p.set_defaults(handler=_cmd_staff)
 
     p = sub.add_parser("sweep", help="sweep a staffing regime, emit CSV/SVG")
@@ -348,14 +298,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="-", help="output path; '-' writes CSV to stdout")
     p.add_argument("--svg-width", type=int, default=640)
     p.add_argument("--svg-height", type=int, default=480)
-    _add_quadrature_flags(p)
+    _add_rel_tol_flag(p)
     p.set_defaults(handler=_cmd_sweep)
 
     p = sub.add_parser("verify", help="run the property verification suites")
     p.add_argument(
         "--suite", choices=["all", *verify.SUITES], default="all"
     )
-    _add_quadrature_flags(p)
+    _add_rel_tol_flag(p)
     p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("simulate", help="discrete-event M/M/n simulation oracle")

@@ -5,9 +5,9 @@ Two routes that share nothing with the analytic Erlang evaluations:
 * ``birth_death_wait_prob`` -- sums the stationary birth-death distribution
   (pi_k proportional to a**k/k! below n, geometric above, tail summed in
   closed form) and returns Pr{all n servers busy};
-* ``simulate_mmn`` -- an event-driven simulation whose estimate of the same
-  probability is the fraction of arrivals finding every server busy, valid
-  because Poisson arrivals see time averages.
+* ``simulate_mmn`` -- a first-come-first-served simulation whose estimate
+  of the same probability is the fraction of arrivals finding every server
+  busy, valid because Poisson arrivals see time averages.
 
 Randomness is pinned for reproducibility: a PCG64 bit generator per stream,
 two streams (arrivals, services) spawned from one SeedSequence, and
@@ -141,17 +141,16 @@ class _ExponentialStream:
         return -math.log1p(-u) * self._scale
 
 
-_ARRIVAL = 0  # sorts before departures at equal timestamps
-_DEPARTURE = 1
-
-
 def simulate_mmn(cfg: SimConfig) -> SimEstimate:
-    """Event-driven M/M/n replication measuring the waiting fraction.
+    """FCFS M/M/n replication measuring the waiting fraction.
 
-    Events live in a heap ordered by (time, kind, insertion order) with
-    arrivals winning ties. Post-warmup arrivals are split into 32 batches;
-    the CI half-width is the 97.5% Student-t quantile times the standard
-    error of the batch means.
+    Customers are followed in arrival order through the times at which
+    the n servers next fall free (Kiefer & Wolfowitz, Trans. AMS 78,
+    1955): an arrival at t waits iff the earliest of them is >= t (a
+    departure at the same instant has not yet freed its server), and its
+    service starts at the later of t and that time. Post-warmup arrivals
+    are split into 32 batches; the CI half-width is the 97.5% Student-t
+    quantile times the standard error of the batch means.
     """
     import numpy as np  # ~13 MB and tens of ms to load; only this needs it
 
@@ -170,45 +169,24 @@ def simulate_mmn(cfg: SimConfig) -> SimEstimate:
     batch_waits = [0] * _BATCHES
     batch_sizes = [0] * _BATCHES
 
-    heap: list[tuple[float, int, int]] = []
-    seq = 0
-
-    def push(time, kind):
-        nonlocal seq
-        heapq.heappush(heap, (time, kind, seq))
-        seq += 1
-
-    push(draw_interarrival(), _ARRIVAL)
-    in_service = 0
-    waiting = 0
-    seen = 0
+    # min-heap of the times at which each server next falls free; under FCFS
+    # services start in arrival order, so drawing each service on arrival
+    # draws them in service-start order
+    free = [-math.inf] * int(cfg.n)  # SimConfig also admits n = 5.0
+    time = 0.0
     batch = 0
 
-    while True:
-        time, kind, _ = heapq.heappop(heap)
-        if kind == _ARRIVAL:
-            seen += 1
-            if seen > cfg.warmup_arrivals:
-                measured_index = seen - cfg.warmup_arrivals - 1
-                if measured_index >= boundaries[batch]:
-                    batch += 1
-                batch_sizes[batch] += 1
-                if in_service == cfg.n:
-                    batch_waits[batch] += 1
-            if in_service < cfg.n:
-                in_service += 1
-                push(time + draw_service(), _DEPARTURE)
-            else:
-                waiting += 1
-            if seen == total_arrivals:
-                break
-            push(time + draw_interarrival(), _ARRIVAL)
-        else:
-            if waiting > 0:
-                waiting -= 1
-                push(time + draw_service(), _DEPARTURE)
-            else:
-                in_service -= 1
+    for seen in range(1, total_arrivals + 1):
+        time += draw_interarrival()
+        earliest = free[0]
+        if seen > cfg.warmup_arrivals:
+            measured_index = seen - cfg.warmup_arrivals - 1
+            if measured_index >= boundaries[batch]:
+                batch += 1
+            batch_sizes[batch] += 1
+            if earliest >= time:
+                batch_waits[batch] += 1
+        heapq.heapreplace(free, max(time, earliest) + draw_service())
 
     p_wait = sum(batch_waits) / cfg.measured_arrivals
     means = [w / size for w, size in zip(batch_waits, batch_sizes)]

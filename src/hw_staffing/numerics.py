@@ -4,18 +4,19 @@ in log space, and a bracketing root finder for monotone functions.
 
 Everything here is a pure function of its arguments and safe to call
 concurrently. One quadrature engine serves every integral: a trapezoid
-rule whose step is halved until two successive sums agree, applied after
-an exp-sinh change of variables centred on the integrand's peak in log t
-(integrate_exp_sinh). The real-server delay probability supplies that peak
-in closed form; integrate_semi_infinite finds it for any integrand by a
-geometric scan. Integrands arrive as *log* integrands so that peaks of
-magnitude e**(+-600) can be handled by max-shifting before exponentiation.
+rule whose step is halved until two successive sums agree to
+QuadratureConfig.rel_tol (or 4096 integrand evaluations are spent),
+applied after an exp-sinh change of variables centred on the integrand's
+peak in log t (integrate_exp_sinh). The real-server delay probability
+supplies that peak in closed form; integrate_semi_infinite finds it for
+any integrand by a geometric scan. Integrands arrive as *log* integrands
+so that peaks of magnitude e**(+-600) can be handled by max-shifting
+before exponentiation.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 import sys
 from dataclasses import dataclass
 from typing import Callable
@@ -42,38 +43,18 @@ _INV_SQRT_2 = 0.7071067811865476  # 1/sqrt(2)
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Tolerances and limits for the trapezoid quadrature.
+    """Accuracy of the trapezoid quadrature.
 
-    rel_tol / abs_tol bound the accepted error estimate, the gap between
-    two successive trapezoid sums; max_refinements caps the number of
-    step halvings; truncation_log_cutoff is how far (in nats) below the
-    running maximum of the log integrand a node must fall before the
-    outward walk stops there. The cutoff must stay >= 30 so the discarded
-    mass is below e**-30 of the peak contribution. Whatever the settings,
-    one integral stops after 4096 integrand evaluations.
+    rel_tol bounds the accepted error estimate, the gap between two
+    successive trapezoid sums, relative to the last sum. Whatever its
+    value, one integral stops after 4096 integrand evaluations.
     """
 
     rel_tol: float = 1e-12
-    abs_tol: float = 1e-300
-    max_refinements: int = 60
-    truncation_log_cutoff: float = 40.0
 
     def __post_init__(self):
         if not (self.rel_tol > 0.0):
             raise DomainError(f"rel_tol must be > 0, got {self.rel_tol}")
-        if not (self.abs_tol > 0.0):
-            raise DomainError(f"abs_tol must be > 0, got {self.abs_tol}")
-        refinements = self.max_refinements
-        if isinstance(refinements, bool) or not isinstance(refinements, numbers.Integral):
-            raise DomainError(
-                f"max_refinements must be an integer, got {self.max_refinements!r}"
-            )
-        if self.max_refinements < 1:
-            raise DomainError(f"max_refinements must be >= 1, got {self.max_refinements}")
-        if not (self.truncation_log_cutoff >= 30.0):
-            raise DomainError(
-                f"truncation_log_cutoff must be >= 30, got {self.truncation_log_cutoff}"
-            )
 
 
 DEFAULT_QUADRATURE = QuadratureConfig()
@@ -189,6 +170,10 @@ _FIRST_STEP = 1.0
 # count doubles with every halving, so a non-convergent input fails after
 # a few milliseconds instead of refining on.
 _MAX_EVALUATIONS = 4096
+# The outward walk from the peak stops at the first node this many nats
+# below the running maximum of the log integrand: the mass it drops is
+# below e**-40 of the peak contribution.
+_TRUNCATION_LOG_CUTOFF = 40.0
 # Relative rounding of a trapezoid sum of positive terms, each an ulp or
 # two off: the error estimate never claims less than this.
 _SUM_ROUNDING = 8 * _EPS
@@ -258,20 +243,19 @@ def _trapezoid(log_term: Callable[[float], float], config: QuadratureConfig):
 
     Sums the terms on the nodes v = k*h, max-shifted by the running
     maximum of log_term, which starts at log_term(0). From v = 0 each side
-    is walked outward until a term falls truncation_log_cutoff nats below
+    is walked outward until a term falls _TRUNCATION_LOG_CUTOFF nats below
     the running maximum. Then h is halved, reusing every node, until two
-    successive sums agree to rel_tol (or to abs_tol absolutely). For an
-    integrand analytic in a strip around the real line and decaying
-    double-exponentially, the error falls like e**(-c/h), so each halving
-    roughly squares it (Trefethen & Weideman, SIAM Review 56, 2014).
+    successive sums agree to rel_tol. For an integrand analytic in a strip
+    around the real line and decaying double-exponentially, the error
+    falls like e**(-c/h), so each halving roughly squares it (Trefethen &
+    Weideman, SIAM Review 56, 2014).
 
     Returns (shift, total, error, evaluations): the integral is
     total * e**shift, with error * e**shift the gap between the last two
-    sums (never below _SUM_ROUNDING * total). Raises NumericalError, with
-    the last sum and its gap, when max_refinements halvings or
-    _MAX_EVALUATIONS evaluations are spent first.
+    sums (never below _SUM_ROUNDING * total). The evaluation cap is the
+    only other stopping rule: NumericalError, with the last sum and its
+    gap, once a walk or the next halving would pass _MAX_EVALUATIONS.
     """
-    cutoff = config.truncation_log_cutoff
     h = _FIRST_STEP
     shift = log_term(0.0)
     if not (-math.inf < shift < math.inf):
@@ -304,7 +288,7 @@ def _trapezoid(log_term: Callable[[float], float], config: QuadratureConfig):
 
     def walk(k, step, f):
         # extend one side from node k (log term f) until it has decayed
-        while f >= shift - cutoff:
+        while f >= shift - _TRUNCATION_LOG_CUTOFF:
             if evaluations >= _MAX_EVALUATIONS:
                 raise give_up("the integrand tail did not decay")
             k += step
@@ -314,7 +298,7 @@ def _trapezoid(log_term: Callable[[float], float], config: QuadratureConfig):
     right, f_right = walk(0, 1, shift)
     left, f_left = walk(0, -1, shift)
     total = h * acc
-    for _ in range(config.max_refinements):
+    while True:
         if evaluations + right - left > _MAX_EVALUATIONS:
             raise give_up("evaluation cap reached")
         previous, previous_shift = total, shift
@@ -328,12 +312,8 @@ def _trapezoid(log_term: Callable[[float], float], config: QuadratureConfig):
         total = h * acc
         error = max(abs(total - previous * math.exp(previous_shift - shift)),
                     _SUM_ROUNDING * total)
-        tol = config.rel_tol * total
-        if -shift < 700.0:  # abs floor irrelevant (and exp overflows) below this
-            tol = max(tol, config.abs_tol * math.exp(-shift))
-        if error <= tol:
+        if error <= config.rel_tol * total:
             return shift, total, error, evaluations
-    raise give_up(f"{config.max_refinements} step halvings spent")
 
 
 def integrate_exp_sinh(
@@ -386,7 +366,7 @@ def _golden_peak(f: Callable[[float], float], lo: float, hi: float) -> float:
     return x1 if f1 >= f2 else x2
 
 
-def _peak_and_scale(log_mass: Callable[[float], float], cutoff: float):
+def _peak_and_scale(log_mass: Callable[[float], float]):
     """Centre and width, in w = log t, of the log-space integrand log_mass(w).
 
     A geometric scan over t = 2**k brackets the peak and checks that the
@@ -400,7 +380,7 @@ def _peak_and_scale(log_mass: Callable[[float], float], cutoff: float):
     if max(ls) == -math.inf:
         return None
     doublings = 0
-    while ls[-1] > max(ls) - cutoff:
+    while ls[-1] > max(ls) - _TRUNCATION_LOG_CUTOFF:
         doublings += 1
         if doublings > _SCAN_MAX_DOUBLINGS:
             raise NumericalError(
@@ -434,13 +414,13 @@ def integrate_semi_infinite(
     vanishes) with an eventually decaying tail. It is integrated in
     w = log t by integrate_exp_sinh, centred on the peak and width that a
     geometric scan finds. Raises NumericalError with the best estimate
-    attached if the step-halving or evaluation cap is hit first.
+    attached if the evaluation cap is hit first.
     """
 
     def log_mass(w: float) -> float:
         return log_integrand(math.exp(w)) + w if _W_MIN <= w <= _LOG_MAX else -math.inf
 
-    peak = _peak_and_scale(log_mass, config.truncation_log_cutoff)
+    peak = _peak_and_scale(log_mass)
     if peak is None:  # integrand vanishes on the whole scan range
         return 0.0
     # log_mass drops the mass below t = 2**-52, about e**log_mass(_W_MIN);

@@ -74,15 +74,22 @@ def _log_survival_x(x: float, a: float) -> float:
     return a * math.log1p(x) - a * x
 
 
+def _log_density_x(t: float, a: float, power: float) -> float:
+    """log(a t e**(-a t) (1 + t)**power), -inf for t <= 0: X_a's log
+    density at power = a - 1, and the integrand of E[Y_a**beta] at
+    power = a - 1 + beta*sqrt(a)."""
+    if t <= 0.0:
+        return -math.inf
+    return math.log(a) + math.log(t) - a * t + power * math.log1p(t)
+
+
 def density_g(t: float, a: float) -> float:
     """Density of X_a: a t e**(-a t) (1 + t)**(a - 1), in log space."""
     a = _check_load(a)
     t = float(t)
     if t < 0.0 or not math.isfinite(t):
         raise DomainError(f"t must be finite and >= 0, got {t}")
-    if t == 0.0:
-        return 0.0
-    return math.exp(math.log(a) + math.log(t) - a * t + (a - 1.0) * math.log1p(t))
+    return math.exp(_log_density_x(t, a, a - 1.0))
 
 
 def cdf_x(x: float, a: float) -> float:
@@ -201,15 +208,8 @@ def moment_y(
     beta = float(beta)
     if not (beta > 0.0 and math.isfinite(beta)):
         raise DomainError(f"moment_y requires beta > 0, got {beta}")
-    log_a = math.log(a)
-    exponent = a - 1.0 + beta * math.sqrt(a)
-
-    def log_integrand(t: float) -> float:
-        if t <= 0.0:
-            return -math.inf
-        return log_a + math.log(t) - a * t + exponent * math.log1p(t)
-
-    return integrate_semi_infinite(log_integrand, cfg)
+    power = a - 1.0 + beta * math.sqrt(a)
+    return integrate_semi_infinite(lambda t: _log_density_x(t, a, power), cfg)
 
 
 def check_stochastic_order(

@@ -95,12 +95,6 @@ def _order():
     return checks
 
 
-def _log_density_g(t: float, a: float) -> float:
-    if t <= 0.0:
-        return -math.inf
-    return math.log(a) + math.log(t) - a * t + (a - 1.0) * math.log1p(t)
-
-
 def _log_density_y_shifted(v: float, a: float) -> float:
     # density of Y_a at y = 1 + v, for integration over v in [0, inf)
     if v <= 0.0:
@@ -112,11 +106,12 @@ def _log_density_y_shifted(v: float, a: float) -> float:
 def _identities(cfg: QuadratureConfig):
     checks = []
     integrate = numerics.integrate_semi_infinite
+    log_density_x = proof_kit._log_density_x
     grid = halfin_whitt.default_load_grid
 
     worst = 0.0
     for a in (0.25, 1.0, 9.0, 100.0, 2500.0):
-        worst = max(worst, abs(integrate(lambda t: _log_density_g(t, a), cfg) - 1.0))
+        worst = max(worst, abs(integrate(lambda t: log_density_x(t, a, a - 1.0), cfg) - 1.0))
         worst = max(worst, abs(integrate(lambda v: _log_density_y_shifted(v, a), cfg) - 1.0))
     checks.append(("density-normalization", worst <= 1e-10, f"worst |integral - 1| {worst:.17g}"))
 

@@ -51,7 +51,7 @@ class TestCompute:
         code, _, err = run_cli(
             capsys,
             "compute", "--s", "10.5", "--a", "9", "--method", "quadrature",
-            "--rel-tol", "1e-30", "--max-refinements", "1",
+            "--rel-tol", "1e-30",
         )
         assert code == 3
         assert "numerical error" in err
@@ -65,6 +65,14 @@ class TestCompute:
         _, first, _ = run_cli(capsys, "compute", "--s", "20", "--a", "17", "--method", "all")
         _, second, _ = run_cli(capsys, "compute", "--s", "20", "--a", "17", "--method", "all")
         assert first == second
+
+    def test_environment_not_read(self, capsys, monkeypatch):
+        # the arguments alone decide the output: a variable naming a
+        # quadrature config file, even a missing one, changes nothing
+        _, usual, _ = run_cli(capsys, "compute", "--s", "2", "--a", "1")
+        monkeypatch.setenv("HW_STAFFING_CONFIG", "/nonexistent/x.cfg")
+        code, out, err = run_cli(capsys, "compute", "--s", "2", "--a", "1")
+        assert (code, out, err) == (0, usual, "")
 
 
 class TestStaff:
@@ -207,7 +215,7 @@ class TestSweep:
             capsys,
             "sweep", "--regime", "hw", "--beta", "1",
             "--from", "1", "--to", "10", "--points", "3",
-            "--rel-tol", "1e-30", "--max-refinements", "1",
+            "--rel-tol", "1e-30",
         )
         assert code == 3
         assert "every sweep row failed" in err
@@ -274,60 +282,6 @@ class TestSimulate:
         code, _, err = run_cli(capsys, "simulate", "--n", "2", "--lambda", "3", "--mu", "1")
         assert code == 2
         assert "unstable" in err
-
-
-class TestConfigFile:
-    def test_config_file_applies(self, tmp_path, capsys):
-        cfg = tmp_path / "quad.cfg"
-        cfg.write_text("rel_tol = 1e-30\nmax_refinements = 1\n")
-        code, _, _ = run_cli(
-            capsys,
-            "compute", "--s", "10.5", "--a", "9", "--method", "quadrature",
-            "--config", str(cfg),
-        )
-        assert code == 3
-
-    def test_flags_override_file(self, tmp_path, capsys):
-        cfg = tmp_path / "quad.cfg"
-        cfg.write_text("rel_tol = 1e-30\nmax_refinements = 1\n")
-        code, _, _ = run_cli(
-            capsys,
-            "compute", "--s", "10.5", "--a", "9", "--method", "quadrature",
-            "--config", str(cfg), "--rel-tol", "1e-10", "--max-refinements", "60",
-        )
-        assert code == 0
-
-    def test_env_var_fallback(self, tmp_path, capsys, monkeypatch):
-        cfg = tmp_path / "quad.cfg"
-        cfg.write_text("rel_tol = 1e-30\nmax_refinements = 1\n")
-        monkeypatch.setenv("HW_STAFFING_CONFIG", str(cfg))
-        code, _, _ = run_cli(
-            capsys, "compute", "--s", "10.5", "--a", "9", "--method", "quadrature"
-        )
-        assert code == 3
-
-    def test_comments_and_blanks_ignored(self, tmp_path, capsys):
-        cfg = tmp_path / "quad.cfg"
-        cfg.write_text("# tolerances\n\nrel_tol = 1e-9  # loose\n")
-        code, _, _ = run_cli(
-            capsys, "compute", "--s", "2", "--a", "1", "--config", str(cfg)
-        )
-        assert code == 0
-
-    def test_unknown_key_rejected(self, tmp_path, capsys):
-        cfg = tmp_path / "quad.cfg"
-        cfg.write_text("reltol = 1e-9\n")
-        code, _, err = run_cli(
-            capsys, "compute", "--s", "2", "--a", "1", "--config", str(cfg)
-        )
-        assert code == 2
-        assert "unknown config key" in err
-
-    def test_missing_file_rejected(self, capsys):
-        code, _, _ = run_cli(
-            capsys, "compute", "--s", "2", "--a", "1", "--config", "/nonexistent/x.cfg"
-        )
-        assert code == 2
 
 
 class TestEntryPoint:

@@ -9,13 +9,12 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# 05_simulation is left out: it takes seconds, and test_mmn_oracle covers
-# the simulator it drives.
 DEMOS = [
     "01_delay_probabilities.py",
     "02_staffing.py",
     "03_limit_monotonicity.py",
     "04_proof_objects.py",
+    "05_simulation.py",
     "06_figures.py",
 ]
 

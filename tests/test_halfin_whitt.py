@@ -152,7 +152,7 @@ class TestHwSweep:
         assert result.verified is True
 
     def test_per_point_failures_recorded_not_raised(self):
-        bad_cfg = QuadratureConfig(rel_tol=1e-30, abs_tol=1e-300, max_refinements=1)
+        bad_cfg = QuadratureConfig(rel_tol=1e-30)  # past the evaluation cap
         result = hw_sweep(1.0, (1.0, 10.0), bad_cfg)
         assert len(result.rows) == 2
         assert all(r.error is not None and r.c_value is None for r in result.rows)

@@ -133,6 +133,26 @@ class TestSimulation:
             halves.append(small.ci_halfwidth / large.ci_halfwidth)
         assert 1.25 <= statistics.median(halves) <= 1.6
 
+    @pytest.mark.parametrize(
+        "n, lam, seed, p_wait, ci_halfwidth",
+        [
+            (1, 0.5, 7, 0.4968, 0.011518606839110077),
+            (5, 4.0, 42, 0.5609, 0.030934027963666757),
+            (100, 90.0, 7, 0.2095, 0.06839138231270277),
+            (400, 380.0, 11, 0.1662, 0.09352502270147314),
+        ],
+    )
+    def test_pinned_estimates(self, n, lam, seed, p_wait, ci_halfwidth):
+        # values from an event-heap simulation of the same seeded streams:
+        # the FCFS recursion gives each customer the same variates
+        est = simulate_mmn(SimConfig(n=n, lam=lam, mu=1.0, measured_arrivals=20_000, seed=seed))
+        assert est == SimEstimate(p_wait=p_wait, ci_halfwidth=ci_halfwidth, batches=32)
+
+    def test_integral_float_server_count(self):
+        # SimConfig admits n = 5.0; the simulation must treat it as 5
+        base = dict(lam=4.0, mu=1.0, measured_arrivals=2_000, seed=5)
+        assert simulate_mmn(SimConfig(n=5.0, **base)) == simulate_mmn(SimConfig(n=5, **base))
+
     def test_estimate_fields(self):
         est = simulate_mmn(SimConfig(n=3, lam=1.5, mu=1.0, measured_arrivals=5_000, seed=3))
         assert isinstance(est, SimEstimate)
