@@ -36,8 +36,6 @@ from .halfin_whitt import (
 from .mmn_oracle import SimConfig, SimEstimate, birth_death_wait_prob, simulate_mmn
 from .numerics import (
     BracketedRoot,
-    DEFAULT_QUADRATURE,
-    QuadratureConfig,
     bisect_monotone,
     integrate_semi_infinite,
     normal_cdf,
@@ -62,13 +60,11 @@ __version__ = "0.1.0"
 __all__ = [
     "BracketError",
     "BracketedRoot",
-    "DEFAULT_QUADRATURE",
     "DelayProbability",
     "DomainError",
     "Method",
     "NumericalError",
     "OrderReport",
-    "QuadratureConfig",
     "Regime",
     "SimConfig",
     "SimEstimate",

@@ -2,9 +2,9 @@
 
 Exit codes: 0 success, 1 verification failure, 2 domain or usage error,
 3 numerical error. All numeric output uses 17 significant digits so parsing
-the text reproduces the binary value. The quadrature's accuracy is set by
---rel-tol alone, and no environment variable or file is read, so identical
-argument vectors produce byte-identical stdout and files.
+the text reproduces the binary value. The library's accuracy is fixed and
+no environment variable or file is read, so identical argument vectors
+produce byte-identical stdout and files.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import argparse
 import math
 import sys
 
-from . import DEFAULT_QUADRATURE, QuadratureConfig, erlang, halfin_whitt, mmn_oracle, verify
+from . import erlang, halfin_whitt, mmn_oracle, verify
 from .errors import DomainError, NumericalError
 from .svg import polyline_chart
 
@@ -28,23 +28,12 @@ def fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _add_rel_tol_flag(parser):
-    parser.add_argument(
-        "--rel-tol",
-        dest="rel_tol",
-        type=float,
-        default=DEFAULT_QUADRATURE.rel_tol,
-        help="relative tolerance of the quadrature (default %(default)g)",
-    )
-
-
 # --------------------------------------------------------------------------
 # compute
 # --------------------------------------------------------------------------
 
 
 def _cmd_compute(args) -> int:
-    cfg = QuadratureConfig(args.rel_tol)
     s, a = args.s, args.a
 
     method = args.method
@@ -57,7 +46,7 @@ def _cmd_compute(args) -> int:
     if method == "recurrence" or (method == "all" and float(s).is_integer()):
         results.append(erlang.erlang_c_integer(int(s), a))
     if method in ("quadrature", "all"):
-        results.append(erlang.erlang_c_real(s, a, cfg))
+        results.append(erlang.erlang_c_real(s, a))
     if method in ("gamma", "all"):
         results.append(erlang.erlang_c_gamma(s, a))
     for r in results:
@@ -71,7 +60,6 @@ def _cmd_compute(args) -> int:
 
 
 def _cmd_staff(args) -> int:
-    cfg = QuadratureConfig(args.rel_tol)
     if args.mode == "beta":
         beta = halfin_whitt.beta_for_target(args.epsilon)
         print(f"beta = {fmt(beta)}")
@@ -83,7 +71,7 @@ def _cmd_staff(args) -> int:
     if args.mode == "integer":
         print(f"n = {erlang.min_servers(args.a, args.epsilon)}")
     else:
-        print(f"s = {fmt(erlang.real_staffing_level(args.a, args.epsilon, cfg))}")
+        print(f"s = {fmt(erlang.real_staffing_level(args.a, args.epsilon))}")
     return _EXIT_OK
 
 
@@ -160,7 +148,6 @@ def _default_sweep_range(regime: str, beta: float) -> tuple[float, float, int]:
 
 
 def _cmd_sweep(args) -> int:
-    cfg = QuadratureConfig(args.rel_tol)
     beta = args.beta
     if not (beta > 0.0 and math.isfinite(beta)):
         raise DomainError(f"--beta must be > 0, got {beta}")
@@ -188,9 +175,9 @@ def _cmd_sweep(args) -> int:
 
     grid = _build_grid(lo, hi, points, args.log_x)
     if args.regime == "hw":
-        result = halfin_whitt.hw_sweep(beta, grid, cfg)
+        result = halfin_whitt.hw_sweep(beta, grid)
     else:
-        result = halfin_whitt.inverse_sweep(beta, grid, cfg)
+        result = halfin_whitt.inverse_sweep(beta, grid)
 
     if not any(r.c_value is not None for r in result.rows):
         raise NumericalError(f"every sweep row failed; first row: {result.rows[0].error}")
@@ -218,7 +205,7 @@ def _cmd_sweep(args) -> int:
 # --------------------------------------------------------------------------
 
 def _cmd_verify(args) -> int:
-    checks = verify.run_suite(args.suite, QuadratureConfig(args.rel_tol))
+    checks = verify.run_suite(args.suite)
     failed = 0
     for name, passed, detail in checks:
         status = "PASS" if passed else "FAIL"
@@ -277,14 +264,12 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["auto", "recurrence", "quadrature", "gamma", "all"],
         default="auto",
     )
-    _add_rel_tol_flag(p)
     p.set_defaults(handler=_cmd_compute)
 
     p = sub.add_parser("staff", help="invert the delay probability for staffing")
     p.add_argument("--a", type=float, default=None, help="offered load (erlangs)")
     p.add_argument("--epsilon", type=float, required=True, help="target delay probability")
     p.add_argument("--mode", choices=["integer", "real", "beta"], default="integer")
-    _add_rel_tol_flag(p)
     p.set_defaults(handler=_cmd_staff)
 
     p = sub.add_parser("sweep", help="sweep a staffing regime, emit CSV/SVG")
@@ -298,14 +283,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="-", help="output path; '-' writes CSV to stdout")
     p.add_argument("--svg-width", type=int, default=640)
     p.add_argument("--svg-height", type=int, default=480)
-    _add_rel_tol_flag(p)
     p.set_defaults(handler=_cmd_sweep)
 
     p = sub.add_parser("verify", help="run the property verification suites")
     p.add_argument(
         "--suite", choices=["all", *verify.SUITES], default="all"
     )
-    _add_rel_tol_flag(p)
     p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("simulate", help="discrete-event M/M/n simulation oracle")

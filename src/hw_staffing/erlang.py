@@ -23,14 +23,7 @@ import sys
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .numerics import (
-    DEFAULT_QUADRATURE,
-    QuadratureConfig,
-    bisect_monotone,
-    integrate_exp_sinh,
-    log1pmx,
-    upper_gamma_regularized,
-)
+from .numerics import bisect_monotone, integrate_exp_sinh, log1pmx, upper_gamma_regularized
 
 __all__ = [
     "Method",
@@ -58,6 +51,8 @@ _GAMMA_ULPS = 16.0
 # Accept C(n,a) == epsilon as "meeting" an SLA target epsilon up to this
 # relative slack, so exact-boundary targets resolve deterministically.
 _TIE_REL_TOL = 1e-12
+# real_staffing_level pins s* to this width in s.
+_STAFFING_TOL = 1e-9
 
 
 class Method(enum.Enum):
@@ -114,9 +109,7 @@ def erlang_c_integer(n: int, a: float) -> DelayProbability:
     return DelayProbability(value, Method.INTEGER_RECURRENCE, _NOMINAL_BOUND)
 
 
-def erlang_c_real(
-    s: float, a: float, cfg: QuadratureConfig = DEFAULT_QUADRATURE
-) -> DelayProbability:
+def erlang_c_real(s: float, a: float) -> DelayProbability:
     """Waiting probability C(s, a) for real s > a via quadrature.
 
     The defining integral is written in the Halfin-Whitt variable
@@ -136,12 +129,10 @@ def erlang_c_real(
     returned as 0 with bound 0.
     """
     _check_stable(s, a)
-    return _quadrature(float(s) - float(a), float(a), cfg)
+    return _quadrature(float(s) - float(a), float(a))
 
 
-def erlang_c_slack(
-    d: float, a: float, cfg: QuadratureConfig = DEFAULT_QUADRATURE
-) -> DelayProbability:
+def erlang_c_slack(d: float, a: float) -> DelayProbability:
     """C(a + d, a) for a slack d > 0, by the quadrature of erlang_c_real.
 
     The slack reaches the integrand as given instead of through a rounded
@@ -154,23 +145,26 @@ def erlang_c_slack(
         raise DomainError(f"offered load must be positive and finite, got a={a}")
     if not (d > 0.0 and math.isfinite(d)):
         raise DomainError(f"slack must be positive and finite, got d={d}")
-    return _quadrature(float(d), float(a), cfg)
+    return _quadrature(float(d), float(a))
 
 
-def _quadrature(d: float, a: float, cfg: QuadratureConfig) -> DelayProbability:
+def _quadrature(d: float, a: float) -> DelayProbability:
     r = math.sqrt(a)
     inv_r = 1.0 / r
     d1 = d - 1.0
     z_peak = (d + 1.0 + math.sqrt((d + 1.0) ** 2 + 8.0 * a)) / (2.0 * r)
-    width = 1.0 / math.sqrt(r * z_peak * (1.0 - (a + d1) / (r + z_peak) ** 2))
+    # the factor 1 - (a + d1)/(r + z_peak)**2 of the second derivative;
+    # near 0 (large loads) it is taken with r**2 and a cancelled by hand
+    curvature = 1.0 - (a + d1) / (r + z_peak) ** 2
+    if curvature < 1e-3:
+        curvature = (2.0 * r * z_peak + z_peak**2 - d1) / (r + z_peak) ** 2
+    width = 1.0 / math.sqrt(r * z_peak * curvature)
 
     def log_integrand(w: float) -> float:  # z * e**exponent * dz/dw, at z = e**w
         x = math.exp(w) * inv_r
         return 2.0 * w + a * log1pmx(x) + d1 * math.log1p(x)
 
-    shift, total, err, evaluations = integrate_exp_sinh(
-        log_integrand, math.log(z_peak), width, cfg
-    )
+    shift, total, err, evaluations = integrate_exp_sinh(log_integrand, math.log(z_peak), width)
     if shift + math.log(total) > _LOG_MAX:  # 1/C overflows: C underflows
         return DelayProbability(0.0, Method.QUADRATURE, 0.0, evaluations)
     value = 1.0 / (total * math.exp(shift))
@@ -242,19 +236,14 @@ def min_servers(a: float, epsilon: float) -> int:
             return n
 
 
-def real_staffing_level(
-    a: float,
-    epsilon: float,
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-    tol: float = 1e-9,
-) -> float:
+def real_staffing_level(a: float, epsilon: float) -> float:
     """Continuous staffing level s* with C(s*, a) = epsilon.
 
     C(s, a) decreases from 1 (as s -> a+) to 0, so a doubling bracket
     above the load holds s*, and bisect_monotone's safeguarded Illinois
-    steps pin it to the argument tolerance. They solve log C = log
-    epsilon, which is close to linear in s over the bracket where C
-    itself falls by orders of magnitude; log C reads -inf once C
+    steps pin it to within _STAFFING_TOL (1e-9) in s. They solve
+    log C = log epsilon, which is close to linear in s over the bracket
+    where C itself falls by orders of magnitude; log C reads -inf once C
     underflows to 0. C is computed at most once per s in one call, so the
     solver's first two evaluations, at the bracket's ends, cost nothing.
     """
@@ -265,7 +254,7 @@ def real_staffing_level(
 
     @functools.cache
     def c_at(s: float) -> float:
-        return erlang_c_real(s, a, cfg).value
+        return erlang_c_real(s, a).value
 
     lo = a * (1.0 + 1e-12)
     if c_at(lo) <= epsilon:
@@ -280,5 +269,5 @@ def real_staffing_level(
         value = c_at(s)
         return math.log(value) if value > 0.0 else -math.inf
 
-    root = bisect_monotone(log_c, lo, hi, math.log(epsilon), tol)
+    root = bisect_monotone(log_c, lo, hi, math.log(epsilon), _STAFFING_TOL)
     return root.value

@@ -21,7 +21,7 @@ from typing import Sequence
 
 from .erlang import erlang_c_slack
 from .errors import DomainError, NumericalError
-from .numerics import DEFAULT_QUADRATURE, QuadratureConfig, bisect_monotone, normal_cdf, normal_pdf
+from .numerics import bisect_monotone, normal_cdf, normal_pdf
 
 __all__ = [
     "Regime",
@@ -149,7 +149,7 @@ def default_load_grid(lo: float = 0.01, hi: float = 1e4, points: int = 40) -> tu
     return tuple(lo * math.exp(r * i) for i in range(points))
 
 
-def _sweep_rows(regime: Regime, beta: float, grid: Sequence[float], cfg: QuadratureConfig):
+def _sweep_rows(regime: Regime, beta: float, grid: Sequence[float]):
     """The loop behind hw_sweep and inverse_sweep: one SweepRow per grid
     value x, with C evaluated at the slack beta*sqrt(x) itself."""
     hw = regime is Regime.LOAD_PARAMETRIZED
@@ -170,18 +170,14 @@ def _sweep_rows(regime: Regime, beta: float, grid: Sequence[float], cfg: Quadrat
         # inverse_load raises DomainError at the first s <= beta**2
         a, s = (x, staffing(x, beta)) if hw else (inverse_load(x, beta), x)
         try:
-            c = erlang_c_slack(beta * math.sqrt(x), a, cfg)
+            c = erlang_c_slack(beta * math.sqrt(x), a)
             rows.append(SweepRow(a, s, c.value, c.error_bound, None, c_star))
         except NumericalError as exc:
             rows.append(SweepRow(a, s, None, 0.0, str(exc), c_star))
     return tuple(rows)
 
 
-def hw_sweep(
-    beta: float,
-    a_grid: Sequence[float],
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-) -> SweepResult:
+def hw_sweep(beta: float, a_grid: Sequence[float]) -> SweepResult:
     """Evaluate C(a + beta*sqrt(a), a) across a strictly increasing load grid.
 
     Each row carries c_star = hw_limit(beta) and its gap above it.
@@ -193,7 +189,7 @@ def hw_sweep(
     beta*sqrt(a) itself (erlang_c_slack), so the rounding of the row's s
     cannot make the curve jitter at large loads.
     """
-    rows = _sweep_rows(Regime.LOAD_PARAMETRIZED, beta, a_grid, cfg)
+    rows = _sweep_rows(Regime.LOAD_PARAMETRIZED, beta, a_grid)
     if any(r.c_value is None for r in rows):
         # failed rows leave the grid-wide claims unverifiable
         return SweepResult(Regime.LOAD_PARAMETRIZED, beta, rows, None, None)
@@ -205,11 +201,7 @@ def hw_sweep(
     return SweepResult(Regime.LOAD_PARAMETRIZED, beta, rows, decreasing, gaps_positive)
 
 
-def inverse_sweep(
-    beta: float,
-    s_grid: Sequence[float],
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-) -> SweepResult:
+def inverse_sweep(beta: float, s_grid: Sequence[float]) -> SweepResult:
     """Evaluate C(s, s - beta*sqrt(s)) across a strictly increasing server grid.
 
     Every s must exceed beta**2. The rows carry no limit and no gap, and no
@@ -219,5 +211,5 @@ def inverse_sweep(
     the rounding of the row's a = s - beta*sqrt(s) would move the slack, and
     C with it by ~1e-9 relative, far beyond the quadrature's bound.
     """
-    rows = _sweep_rows(Regime.SERVER_PARAMETRIZED, beta, s_grid, cfg)
+    rows = _sweep_rows(Regime.SERVER_PARAMETRIZED, beta, s_grid)
     return SweepResult(Regime.SERVER_PARAMETRIZED, beta, rows, None, None)

@@ -58,7 +58,13 @@ class SimConfig:
     warmup_arrivals: int | None = None
 
     def __post_init__(self):
-        if self.n != int(self.n) or self.n < 1:
+        for name in ("n", "measured_arrivals", "seed", "warmup_arrivals"):
+            value = getattr(self, name)
+            if name == "warmup_arrivals" and value is None:
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise DomainError(f"{name} must be an integer, got {value!r}")
+        if self.n < 1:
             raise DomainError(f"server count must be a positive integer, got {self.n}")
         if not (self.lam > 0.0 and math.isfinite(self.lam)):
             raise DomainError(f"arrival rate must be positive and finite, got {self.lam}")
@@ -68,12 +74,6 @@ class SimConfig:
             raise DomainError(
                 f"unstable configuration: lambda={self.lam} >= n*mu={self.n * self.mu}"
             )
-        for name in ("measured_arrivals", "seed", "warmup_arrivals"):
-            value = getattr(self, name)
-            if name == "warmup_arrivals" and value is None:
-                continue
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise DomainError(f"{name} must be an integer, got {value!r}")
         if self.measured_arrivals < _BATCHES:
             raise DomainError(
                 f"measured_arrivals must be >= {_BATCHES}, got {self.measured_arrivals}"
@@ -172,7 +172,7 @@ def simulate_mmn(cfg: SimConfig) -> SimEstimate:
     # min-heap of the times at which each server next falls free; under FCFS
     # services start in arrival order, so drawing each service on arrival
     # draws them in service-start order
-    free = [-math.inf] * int(cfg.n)  # SimConfig also admits n = 5.0
+    free = [-math.inf] * cfg.n
     time = 0.0
     batch = 0
 

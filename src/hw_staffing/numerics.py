@@ -4,8 +4,8 @@ in log space, and a bracketing root finder for monotone functions.
 
 Everything here is a pure function of its arguments and safe to call
 concurrently. One quadrature engine serves every integral: a trapezoid
-rule whose step is halved until two successive sums agree to
-QuadratureConfig.rel_tol (or 4096 integrand evaluations are spent),
+rule whose step is halved until two successive sums agree to a fixed
+relative tolerance, 1e-12 (or 4096 integrand evaluations are spent),
 applied after an exp-sinh change of variables centred on the integrand's
 peak in log t (integrate_exp_sinh). The real-server delay probability
 supplies that peak in closed form; integrate_semi_infinite finds it for
@@ -27,8 +27,6 @@ from .errors import BracketError, DomainError, NumericalError
 # importable, but outside the package API, so that profiles charge their
 # work to the public function that calls them.
 __all__ = [
-    "QuadratureConfig",
-    "DEFAULT_QUADRATURE",
     "BracketedRoot",
     "normal_pdf",
     "normal_cdf",
@@ -39,25 +37,6 @@ __all__ = [
 
 _INV_SQRT_2PI = 0.3989422804014327  # 1/sqrt(2*pi)
 _INV_SQRT_2 = 0.7071067811865476  # 1/sqrt(2)
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Accuracy of the trapezoid quadrature.
-
-    rel_tol bounds the accepted error estimate, the gap between two
-    successive trapezoid sums, relative to the last sum. Whatever its
-    value, one integral stops after 4096 integrand evaluations.
-    """
-
-    rel_tol: float = 1e-12
-
-    def __post_init__(self):
-        if not (self.rel_tol > 0.0):
-            raise DomainError(f"rel_tol must be > 0, got {self.rel_tol}")
-
-
-DEFAULT_QUADRATURE = QuadratureConfig()
 
 
 @dataclass(frozen=True)
@@ -163,6 +142,9 @@ _EPS = 2.0**-52
 _LN2 = math.log(2.0)
 _LOG_MAX = math.log(sys.float_info.max)  # e**x overflows above this
 
+# The trapezoid rule stops once two successive sums agree to this share
+# of the last one.
+_REL_TOL = 1e-12
 # First trapezoid step in the exp-sinh variable v. The map gives the peak
 # about unit width in v, so h = 1 already samples it a few times.
 _FIRST_STEP = 1.0
@@ -238,14 +220,14 @@ def _unscale(x: float, shift: float) -> float:
     return math.exp(log_value)
 
 
-def _trapezoid(log_term: Callable[[float], float], config: QuadratureConfig):
+def _trapezoid(log_term: Callable[[float], float]):
     """Trapezoid rule for the integral of exp(log_term(v)) over the real line.
 
     Sums the terms on the nodes v = k*h, max-shifted by the running
     maximum of log_term, which starts at log_term(0). From v = 0 each side
     is walked outward until a term falls _TRUNCATION_LOG_CUTOFF nats below
     the running maximum. Then h is halved, reusing every node, until two
-    successive sums agree to rel_tol. For an integrand analytic in a strip
+    successive sums agree to _REL_TOL. For an integrand analytic in a strip
     around the real line and decaying double-exponentially, the error
     falls like e**(-c/h), so each halving roughly squares it (Trefethen &
     Weideman, SIAM Review 56, 2014).
@@ -312,16 +294,11 @@ def _trapezoid(log_term: Callable[[float], float], config: QuadratureConfig):
         total = h * acc
         error = max(abs(total - previous * math.exp(previous_shift - shift)),
                     _SUM_ROUNDING * total)
-        if error <= config.rel_tol * total:
+        if error <= _REL_TOL * total:
             return shift, total, error, evaluations
 
 
-def integrate_exp_sinh(
-    log_integrand: Callable[[float], float],
-    centre: float,
-    scale: float,
-    config: QuadratureConfig = DEFAULT_QUADRATURE,
-):
+def integrate_exp_sinh(log_integrand: Callable[[float], float], centre: float, scale: float):
     """Integral of exp(log_integrand(w)) dw over the real line.
 
     The integrand should be unimodal with its peak near w = centre and a
@@ -346,7 +323,7 @@ def integrate_exp_sinh(
             return -math.inf
         return log_integrand(w) + log_scale + math.log1p(ev)
 
-    return _trapezoid(log_term, config)
+    return _trapezoid(log_term)
 
 
 def _golden_peak(f: Callable[[float], float], lo: float, hi: float) -> float:
@@ -404,10 +381,7 @@ def _peak_and_scale(log_mass: Callable[[float], float]):
     return centre, min(scale, _MAX_SCALE)
 
 
-def integrate_semi_infinite(
-    log_integrand: Callable[[float], float],
-    config: QuadratureConfig = DEFAULT_QUADRATURE,
-) -> float:
+def integrate_semi_infinite(log_integrand: Callable[[float], float]) -> float:
     """Integral of exp(log_integrand(t)) dt over t in [0, inf).
 
     The integrand must be given in log space (may return -inf where it
@@ -424,12 +398,12 @@ def integrate_semi_infinite(
     if peak is None:  # integrand vanishes on the whole scan range
         return 0.0
     # log_mass drops the mass below t = 2**-52, about e**log_mass(_W_MIN);
-    # it must not matter at the requested (or, below it, attainable) accuracy
-    if log_mass(_W_MIN) > log_mass(peak[0]) + math.log(max(config.rel_tol, _SUM_ROUNDING)):
+    # it must not matter at the quadrature's (or, below it, attainable) accuracy
+    if log_mass(_W_MIN) > log_mass(peak[0]) + math.log(max(_REL_TOL, _SUM_ROUNDING)):
         raise NumericalError(
             f"integrand mass below t = 2**{_T_MIN_EXP} is not negligible", iterations=1
         )
-    shift, total, _, _ = integrate_exp_sinh(log_mass, *peak, config)
+    shift, total, _, _ = integrate_exp_sinh(log_mass, *peak)
     return _unscale(total, shift)
 
 

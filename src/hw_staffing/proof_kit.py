@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import DomainError
-from .numerics import DEFAULT_QUADRATURE, QuadratureConfig, integrate_semi_infinite
+from .numerics import integrate_semi_infinite
 
 __all__ = [
     "OrderReport",
@@ -195,9 +195,7 @@ def tail_y_via_h(y: float, a: float) -> float:
     return math.exp(log_y * log_y * h(math.sqrt(a) / log_y))
 
 
-def moment_y(
-    a: float, beta: float, cfg: QuadratureConfig = DEFAULT_QUADRATURE
-) -> float:
+def moment_y(a: float, beta: float) -> float:
     """E[Y_a**beta] = integral of (1 + t)**(beta*sqrt(a)) g(t, a) dt.
 
     Its reciprocal is the delay probability at s = a + beta*sqrt(a); the
@@ -209,7 +207,7 @@ def moment_y(
     if not (beta > 0.0 and math.isfinite(beta)):
         raise DomainError(f"moment_y requires beta > 0, got {beta}")
     power = a - 1.0 + beta * math.sqrt(a)
-    return integrate_semi_infinite(lambda t: _log_density_x(t, a, power), cfg)
+    return integrate_semi_infinite(lambda t: _log_density_x(t, a, power))
 
 
 def check_stochastic_order(

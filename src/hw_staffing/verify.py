@@ -20,7 +20,6 @@ import math
 
 from . import erlang, halfin_whitt, numerics, proof_kit
 from .errors import DomainError
-from .numerics import DEFAULT_QUADRATURE, QuadratureConfig
 
 __all__ = ["SUITES", "run_suite"]
 
@@ -32,9 +31,7 @@ _AGREEMENT_N = (1, 2, 5, 10, 20, 50, 100, 500)
 _AGREEMENT_RHO = (0.1, 0.3, 0.5, 0.7, 0.9, 0.95)
 
 
-def run_suite(
-    suite: str = "all", cfg: QuadratureConfig = DEFAULT_QUADRATURE
-) -> list[tuple[str, bool, str]]:
+def run_suite(suite: str = "all") -> list[tuple[str, bool, str]]:
     """The (name, passed, detail) records of one suite, or of all three
     (in SUITES order) for suite "all". Details print floats with 17
     significant digits."""
@@ -42,19 +39,19 @@ def run_suite(
         raise DomainError(f"unknown verify suite {suite!r}; expected 'all' or one of {SUITES}")
     checks = []
     if suite in ("all", "monotonicity"):
-        checks.extend(_monotonicity(cfg))
+        checks.extend(_monotonicity())
     if suite in ("all", "order"):
         checks.extend(_order())
     if suite in ("all", "identities"):
-        checks.extend(_identities(cfg))
+        checks.extend(_identities())
     return checks
 
 
-def _monotonicity(cfg: QuadratureConfig):
+def _monotonicity():
     checks = []
     grid = halfin_whitt.default_load_grid(0.01, 1e4, 40)
     for beta in _BETAS:
-        sweep = halfin_whitt.hw_sweep(beta, grid, cfg)
+        sweep = halfin_whitt.hw_sweep(beta, grid)
         ok = [r for r in sweep.rows if r.c_value is not None]
         margins = [
             x.c_value - y.c_value - (x.error_bound + y.error_bound)
@@ -103,7 +100,7 @@ def _log_density_y_shifted(v: float, a: float) -> float:
     return math.log(d) if d > 0.0 else -math.inf
 
 
-def _identities(cfg: QuadratureConfig):
+def _identities():
     checks = []
     integrate = numerics.integrate_semi_infinite
     log_density_x = proof_kit._log_density_x
@@ -111,8 +108,8 @@ def _identities(cfg: QuadratureConfig):
 
     worst = 0.0
     for a in (0.25, 1.0, 9.0, 100.0, 2500.0):
-        worst = max(worst, abs(integrate(lambda t: log_density_x(t, a, a - 1.0), cfg) - 1.0))
-        worst = max(worst, abs(integrate(lambda v: _log_density_y_shifted(v, a), cfg) - 1.0))
+        worst = max(worst, abs(integrate(lambda t: log_density_x(t, a, a - 1.0)) - 1.0))
+        worst = max(worst, abs(integrate(lambda v: _log_density_y_shifted(v, a)) - 1.0))
     checks.append(("density-normalization", worst <= 1e-10, f"worst |integral - 1| {worst:.17g}"))
 
     worst = 0.0
@@ -131,8 +128,8 @@ def _identities(cfg: QuadratureConfig):
     worst = 0.0
     for a in (1.0, 10.0, 100.0):
         for beta in (0.5, 1.0, 3.0):
-            c = erlang.erlang_c_real(halfin_whitt.staffing(a, beta), a, cfg).value
-            worst = max(worst, abs(1.0 / proof_kit.moment_y(a, beta, cfg) - c) / c)
+            c = erlang.erlang_c_real(halfin_whitt.staffing(a, beta), a).value
+            worst = max(worst, abs(1.0 / proof_kit.moment_y(a, beta) - c) / c)
     checks.append(("moment-identity", worst <= 1e-8, f"worst relative diff {worst:.17g}"))
 
     worst = 0.0
@@ -141,7 +138,7 @@ def _identities(cfg: QuadratureConfig):
             a = n * rho
             values = [
                 erlang.erlang_c_integer(n, a).value,
-                erlang.erlang_c_real(float(n), a, cfg).value,
+                erlang.erlang_c_real(float(n), a).value,
                 erlang.erlang_c_gamma(float(n), a).value,
             ]
             for i in range(3):

@@ -7,6 +7,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+from hw_staffing import numerics
 from hw_staffing.cli import main
 
 import oracles
@@ -47,11 +48,10 @@ class TestCompute:
         assert code == 2
         assert "0 < a < s" in err
 
-    def test_numerical_failure_exit_code(self, capsys):
+    def test_numerical_failure_exit_code(self, capsys, monkeypatch):
+        monkeypatch.setattr(numerics, "_REL_TOL", 1e-30)
         code, _, err = run_cli(
-            capsys,
-            "compute", "--s", "10.5", "--a", "9", "--method", "quadrature",
-            "--rel-tol", "1e-30",
+            capsys, "compute", "--s", "10.5", "--a", "9", "--method", "quadrature"
         )
         assert code == 3
         assert "numerical error" in err
@@ -210,12 +210,12 @@ class TestSweep:
         assert code == 2
         assert err == "error: svg dimensions must be positive, got 0x480\n"
 
-    def test_every_row_failing_is_numerical_error(self, capsys):
+    def test_every_row_failing_is_numerical_error(self, capsys, monkeypatch):
+        monkeypatch.setattr(numerics, "_REL_TOL", 1e-30)
         code, _, err = run_cli(
             capsys,
             "sweep", "--regime", "hw", "--beta", "1",
             "--from", "1", "--to", "10", "--points", "3",
-            "--rel-tol", "1e-30",
         )
         assert code == 3
         assert "every sweep row failed" in err
@@ -228,6 +228,17 @@ class TestSweep:
             lines = out.strip().splitlines()
             assert len(lines) == 201
             assert all(line.endswith(",") for line in lines[1:])  # empty error column
+
+    def test_hw_loads_past_1e30_complete(self, capsys):
+        code, out, _ = run_cli(
+            capsys,
+            "sweep", "--regime", "hw", "--beta", "1",
+            "--from", "1e30", "--to", "1e40", "--points", "3", "--log-x",
+        )
+        assert code == 0
+        lines = out.strip().splitlines()
+        assert len(lines) == 4
+        assert all(line.endswith(",") for line in lines[1:])  # empty error column
 
 
 class TestVerify:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hw_staffing import erlang
+from hw_staffing import erlang, numerics
 from hw_staffing.erlang import (
     Method,
     erlang_b_integer,
@@ -19,7 +19,7 @@ from hw_staffing.erlang import (
     real_staffing_level,
 )
 from hw_staffing.errors import DomainError, NumericalError
-from hw_staffing.numerics import DEFAULT_QUADRATURE, QuadratureConfig
+from hw_staffing.halfin_whitt import hw_limit
 
 import oracles
 
@@ -166,11 +166,12 @@ class TestErlangCRealWork:
         assert erlang_c_integer(5, 4.0).evaluations == 0
         assert erlang_c_gamma(5.0, 4.0).evaluations == 0
 
-    def test_non_convergent_input_raises_within_evaluation_cap(self):
+    def test_non_convergent_input_raises_within_evaluation_cap(self, monkeypatch):
         # no double-precision sum agrees to 1e-30: the quadrature gives up
         # after its documented 4096 evaluations, with its best estimate
+        monkeypatch.setattr(numerics, "_REL_TOL", 1e-30)
         with pytest.raises(NumericalError) as excinfo:
-            erlang_c_real(5.0, 4.0, QuadratureConfig(rel_tol=1e-30))
+            erlang_c_real(5.0, 4.0)
         err = excinfo.value
         assert 0 < err.iterations <= 4096
         assert 1.0 / err.estimate == pytest.approx(
@@ -211,6 +212,15 @@ class TestErlangCRealLargeLoads:
         # a + d rounds to a, yet C(a + d, a) stays well defined, near 1
         result = erlang_c_slack(0.25, 1e16)
         assert 1.0 - 1e-6 < result.value < 1.0
+
+    @pytest.mark.parametrize("beta", [0.1, 1.0, 3.0])
+    @pytest.mark.parametrize("a", [1e33, 1e40, 1e100, 1e200, 1e298])
+    def test_staffed_curve_at_extreme_loads(self, a, beta):
+        # the width's curvature factor 1 - (a + d - 1)/(sqrt(a) + z)**2
+        # rounds to zero or below here unless taken without cancellation;
+        # the curve has reached its limit to rounding
+        result = erlang_c_slack(beta * math.sqrt(a), a)
+        assert abs(result.value - hw_limit(beta)) <= result.error_bound
 
 
 class TestErlangCGamma:
@@ -345,9 +355,9 @@ class TestRealStaffingLevel:
     def test_quadratures_per_call(self, monkeypatch):
         calls = []
 
-        def counted(s, a, cfg=DEFAULT_QUADRATURE):
+        def counted(s, a):
             calls.append(s)
-            return erlang_c_real(s, a, cfg)
+            return erlang_c_real(s, a)
 
         monkeypatch.setattr(erlang, "erlang_c_real", counted)
         per_call = []
@@ -364,9 +374,9 @@ class TestRealStaffingLevel:
         # the bracket's ends are where the solver starts: C there is reused
         calls = []
 
-        def counted(s, a, cfg=DEFAULT_QUADRATURE):
+        def counted(s, a):
             calls.append(s)
-            return erlang_c_real(s, a, cfg)
+            return erlang_c_real(s, a)
 
         monkeypatch.setattr(erlang, "erlang_c_real", counted)
         for a in (1.0, 7.0, 50.0, 400.0, 3e3, 2e4, 1e5):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from hw_staffing import numerics
 from hw_staffing.errors import DomainError
 from hw_staffing.halfin_whitt import (
     Regime,
@@ -17,7 +18,6 @@ from hw_staffing.halfin_whitt import (
     inverse_sweep,
     staffing,
 )
-from hw_staffing.numerics import QuadratureConfig
 
 import oracles
 
@@ -151,9 +151,9 @@ class TestHwSweep:
         assert all(r.error is None for r in result.rows)
         assert result.verified is True
 
-    def test_per_point_failures_recorded_not_raised(self):
-        bad_cfg = QuadratureConfig(rel_tol=1e-30)  # past the evaluation cap
-        result = hw_sweep(1.0, (1.0, 10.0), bad_cfg)
+    def test_per_point_failures_recorded_not_raised(self, monkeypatch):
+        monkeypatch.setattr(numerics, "_REL_TOL", 1e-30)  # past the evaluation cap
+        result = hw_sweep(1.0, (1.0, 10.0))
         assert len(result.rows) == 2
         assert all(r.error is not None and r.c_value is None for r in result.rows)
         # grid-wide claims are indeterminate once a row has failed

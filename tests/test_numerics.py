@@ -6,11 +6,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from hw_staffing import numerics
 from hw_staffing.errors import BracketError, DomainError, NumericalError
 from hw_staffing.numerics import (
-    DEFAULT_QUADRATURE,
     BracketedRoot,
-    QuadratureConfig,
     bisect_monotone,
     integrate_semi_infinite,
     log1pmx,
@@ -142,9 +141,7 @@ class TestIntegrateSemiInfinite:
                 return (k - 1) * math.log(t) - t
 
             value = integrate_semi_infinite(log_integrand)
-            assert value == pytest.approx(
-                math.factorial(k - 1), rel=DEFAULT_QUADRATURE.rel_tol * 10
-            ), k
+            assert value == pytest.approx(math.factorial(k - 1), rel=numerics._REL_TOL * 10), k
 
     def test_delay_integrand_spot_value(self):
         # a*t*(1+t)**(s-1)*e**(-a*t) at s=2, a=1 integrates to 3 = 1/C(2,1)
@@ -163,14 +160,14 @@ class TestIntegrateSemiInfinite:
         value = integrate_semi_infinite(lambda t: -600.0 - t)
         assert value == pytest.approx(math.exp(-600.0), rel=1e-11)
 
-    def test_refinement_cap_raises_with_estimate(self):
-        cfg = QuadratureConfig(rel_tol=1e-30)
+    def test_refinement_cap_raises_with_estimate(self, monkeypatch):
+        monkeypatch.setattr(numerics, "_REL_TOL", 1e-30)
 
         def kinked(t):  # corner at t = 3: no sum agrees to 1e-30 within the cap
             return -abs(t - 3.0) * 7.0
 
         with pytest.raises(NumericalError) as excinfo:
-            integrate_semi_infinite(kinked, cfg)
+            integrate_semi_infinite(kinked)
         err = excinfo.value
         assert err.estimate is not None
         assert err.error_bound is not None and err.error_bound > 0.0
@@ -196,11 +193,12 @@ class TestIntegrateSemiInfinite:
             return  # refusing is allowed; a wrong value is not
         assert value == pytest.approx(exact, rel=1e-12)
 
-    def test_non_convergent_input_stops_at_evaluation_cap(self):
+    def test_non_convergent_input_stops_at_evaluation_cap(self, monkeypatch):
         # no double-precision sum agrees to 1e-30; the quadrature must give
         # up after its documented 4096 evaluations
+        monkeypatch.setattr(numerics, "_REL_TOL", 1e-30)
         with pytest.raises(NumericalError) as excinfo:
-            integrate_semi_infinite(lambda t: -t, QuadratureConfig(rel_tol=1e-30))
+            integrate_semi_infinite(lambda t: -t)
         err = excinfo.value
         assert 0 < err.iterations <= 4096
         assert err.estimate == pytest.approx(1.0, rel=1e-12)
@@ -230,23 +228,6 @@ class TestLog1pmx:
     def test_zero(self):
         assert log1pmx(0.0) == 0.0
 
-
-class TestQuadratureConfig:
-    def test_defaults_valid(self):
-        cfg = QuadratureConfig()
-        assert cfg.rel_tol == 1e-12
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"rel_tol": 0.0},
-            {"rel_tol": -1e-3},
-            {"rel_tol": math.nan},
-        ],
-    )
-    def test_invalid_rejected(self, kwargs):
-        with pytest.raises(DomainError):
-            QuadratureConfig(**kwargs)
 
 
 class TestBisectMonotone:

@@ -21,7 +21,7 @@ def test_all_is_the_suites_in_order():
 
 
 def test_patched_module_function_is_checked(monkeypatch):
-    monkeypatch.setattr("hw_staffing.proof_kit.moment_y", lambda a, beta, cfg: 1.0)
+    monkeypatch.setattr("hw_staffing.proof_kit.moment_y", lambda a, beta: 1.0)
     failed = [name for name, passed, _ in run_suite("identities") if not passed]
     assert failed == ["moment-identity"]
 
