@@ -237,15 +237,19 @@ def min_servers(a: float, epsilon: float) -> int:
 
 
 def real_staffing_level(a: float, epsilon: float) -> float:
-    """Continuous staffing level s* with C(s*, a) = epsilon.
+    """Continuous staffing level s* = a + d* with C(a + d*, a) = epsilon.
 
-    C(s, a) decreases from 1 (as s -> a+) to 0, so a doubling bracket
-    above the load holds s*, and bisect_monotone's safeguarded Illinois
-    steps pin it to within _STAFFING_TOL (1e-9) in s. They solve
-    log C = log epsilon, which is close to linear in s over the bracket
+    The root is sought in the slack d = s - a, as erlang_c_slack takes it.
+    C falls from C(a, a) = 1 at d = 0, known without a quadrature, to 0,
+    so a bracket [0, hi] with hi doubling from max(1, sqrt(a)) holds d*,
+    and bisect_monotone's safeguarded Illinois steps pin it to within
+    max(_STAFFING_TOL, 2*ulp(a)): 1e-9 in s wherever the doubles near s
+    resolve it, and their spacing from a ~ 1e7 up. They solve
+    log C = log epsilon, which is close to linear in d over the bracket
     where C itself falls by orders of magnitude; log C reads -inf once C
-    underflows to 0. C is computed at most once per s in one call, so the
-    solver's first two evaluations, at the bracket's ends, cost nothing.
+    underflows to 0. C is computed at most once per d in one call, so the
+    solver's evaluation at the bracket's upper end costs nothing; a call
+    takes about 10 quadratures.
     """
     if not (a > 0.0 and math.isfinite(a)):
         raise DomainError(f"offered load must be positive and finite, got a={a}")
@@ -253,21 +257,15 @@ def real_staffing_level(a: float, epsilon: float) -> float:
         raise DomainError(f"target must lie in (0, 1), got epsilon={epsilon}")
 
     @functools.cache
-    def c_at(s: float) -> float:
-        return erlang_c_real(s, a).value
-
-    lo = a * (1.0 + 1e-12)
-    if c_at(lo) <= epsilon:
-        return lo  # target met already at the validity boundary
-    gap = max(1.0, math.sqrt(a))
-    hi = a + gap
-    while c_at(hi) > epsilon:
-        gap *= 2.0
-        hi = a + gap
-
-    def log_c(s: float) -> float:
-        value = c_at(s)
+    def log_c(d: float) -> float:
+        if d == 0.0:
+            return 0.0  # C(a, a) = 1
+        value = erlang_c_slack(d, a).value
         return math.log(value) if value > 0.0 else -math.inf
 
-    root = bisect_monotone(log_c, lo, hi, math.log(epsilon), _STAFFING_TOL)
-    return root.value
+    target = math.log(epsilon)
+    hi = max(1.0, math.sqrt(a))
+    while log_c(hi) > target:
+        hi *= 2.0
+    tol = max(_STAFFING_TOL, 2.0 * math.ulp(a))
+    return a + bisect_monotone(log_c, 0.0, hi, target, tol).value

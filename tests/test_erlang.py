@@ -352,14 +352,20 @@ class TestRealStaffingLevel:
             s = real_staffing_level(a, epsilon)
             assert min_servers(a, epsilon) == math.ceil(s - 1e-9)
 
-    def test_quadratures_per_call(self, monkeypatch):
+    @staticmethod
+    def _count_quadratures(monkeypatch):
+        # the solver reaches C through erlang_c_slack, one quadrature a call
         calls = []
 
-        def counted(s, a):
-            calls.append(s)
-            return erlang_c_real(s, a)
+        def counted(d, a):
+            calls.append(d)
+            return erlang_c_slack(d, a)
 
-        monkeypatch.setattr(erlang, "erlang_c_real", counted)
+        monkeypatch.setattr(erlang, "erlang_c_slack", counted)
+        return calls
+
+    def test_quadratures_per_call(self, monkeypatch):
+        calls = self._count_quadratures(monkeypatch)
         per_call = []
         for a in (1.0, 7.0, 50.0, 400.0, 3e3, 2e4, 1e5):
             for epsilon in (1e-3, 0.01, 0.05, 0.2, 0.5):
@@ -367,23 +373,28 @@ class TestRealStaffingLevel:
                 s = real_staffing_level(a, epsilon)
                 assert erlang_c_real(s, a).value == pytest.approx(epsilon, rel=1e-6)
                 per_call.append(len(calls))
-        assert max(per_call) <= 24
-        assert sorted(per_call)[len(per_call) // 2] <= 12
+        assert max(per_call) <= 14
+        assert sorted(per_call)[len(per_call) // 2] <= 10
+
+    @pytest.mark.parametrize("a", [1e7, 1e8, 1e10, 1e12])
+    @pytest.mark.parametrize("epsilon", [1e-2, 1e-6])
+    def test_quadratures_at_large_loads(self, monkeypatch, a, epsilon):
+        # the tolerance widens with the doubles near s, so the solver stops
+        # short of bisecting to floating-point resolution
+        calls = self._count_quadratures(monkeypatch)
+        s = real_staffing_level(a, epsilon)
+        assert len(calls) <= 14, calls
+        assert erlang_c_slack(s - a, a).value == pytest.approx(epsilon, rel=1e-5)
 
     def test_no_level_evaluated_twice(self, monkeypatch):
-        # the bracket's ends are where the solver starts: C there is reused
-        calls = []
-
-        def counted(s, a):
-            calls.append(s)
-            return erlang_c_real(s, a)
-
-        monkeypatch.setattr(erlang, "erlang_c_real", counted)
+        # the bracket's upper end is where the solver starts: C there is reused
+        calls = self._count_quadratures(monkeypatch)
         for a in (1.0, 7.0, 50.0, 400.0, 3e3, 2e4, 1e5):
             for epsilon in (1e-3, 0.01, 0.05, 0.2, 0.5):
                 calls.clear()
                 real_staffing_level(a, epsilon)
-                assert len(calls) == len(set(calls)), (a, epsilon, calls)
+                assert calls and len(calls) == len(set(calls)), (a, epsilon, calls)
+                assert 0.0 not in calls  # C(a, a) = 1 needs no quadrature
 
     @pytest.mark.parametrize("a,epsilon,s", [
         (1e8, 0.5, 100005060.70027193),
@@ -394,9 +405,18 @@ class TestRealStaffingLevel:
     ])
     def test_tolerance_below_float_spacing(self, a, epsilon, s):
         # the doubles near s are 1.5e-8 (a = 1e8) and 1.2e-4 (a = 1e12)
-        # apart, wider than tol = 1e-9: the root is the double at which C
-        # crosses epsilon, as monotone bisection found it
-        assert real_staffing_level(a, epsilon) == s
+        # apart, wider than 1e-9: the tolerance is then 2*ulp(a), and the
+        # root stays within it of the double at which C crosses epsilon,
+        # as bisection to floating-point resolution found it
+        tol = 2.0 * math.ulp(a)
+        got = real_staffing_level(a, epsilon)
+        assert abs(got - s) <= tol
+        # C(got) misses epsilon by at most its own error bound plus the
+        # slope of C times the width the root is pinned to
+        c = oracles.erlang_c_mpmath
+        slope = (c(got - tol, a) - c(got + tol, a)) / (2.0 * tol)
+        bound = erlang_c_real(got, a).error_bound
+        assert abs(c(got, a) - epsilon) <= bound + slope * tol
 
     @pytest.mark.parametrize("a", [4.0, 1e4])
     def test_target_near_underflow(self, a):

@@ -3,13 +3,21 @@
 Each case runs ``cli.main`` in a temporary working directory and compares
 its stdout, and any SVG file it writes, with the files under
 ``tests/golden/``. Those files hold the output of the code before the
-sweep, grid and verify modules were consolidated, so a refactor that
-changes one byte of what a user sees fails here.
+sweep, grid and verify modules were consolidated (CHANGES.md names each
+file rewritten since), so a refactor that changes one byte of what a
+user sees fails here.
+
+A golden file changes only when its case is rewritten from the current
+code, on purpose and in a commit of its own:
+
+    PYTHONPATH=src python tests/test_golden.py staff_real [more cases]
 """
 
 import contextlib
 import io
 import os
+import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -62,3 +70,25 @@ def test_cli_output_matches_golden(name, tmp_path):
     assert stdout.encode("utf-8") == (GOLDEN / f"{name}.txt").read_bytes()
     if svg is not None:
         assert svg == (GOLDEN / CASES[name][1]).read_bytes()
+
+
+def _rewrite(names):
+    """Rewrite the golden files of the named cases from run_case."""
+    if not names:
+        raise SystemExit(f"usage: test_golden.py CASE [CASE ...]; cases: {sorted(CASES)}")
+    for name in names:
+        if name not in CASES:
+            raise SystemExit(f"unknown case {name!r}; expected one of {sorted(CASES)}")
+    for name in names:
+        with tempfile.TemporaryDirectory() as tmp:
+            code, stdout, svg = run_case(name, Path(tmp))
+        if code != 0:
+            raise SystemExit(f"case {name!r} exited with {code}")
+        (GOLDEN / f"{name}.txt").write_bytes(stdout.encode("utf-8"))
+        if svg is not None:
+            (GOLDEN / CASES[name][1]).write_bytes(svg)
+        print(f"rewrote {name}")
+
+
+if __name__ == "__main__":
+    _rewrite(sys.argv[1:])
