@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -118,9 +119,11 @@ def staffing(a: float, beta: float) -> float:
 
 
 def inverse_load(n: float, beta: float) -> float:
-    """Offered load a = n - beta*sqrt(n); valid only for n > beta**2."""
+    """Offered load a = n - beta*sqrt(n); valid only for finite n > beta**2."""
     if not (beta > 0.0 and math.isfinite(beta)):
         raise DomainError(f"inverse_load requires beta > 0, got beta={beta}")
+    if not math.isfinite(n):
+        raise DomainError(f"inverse_load requires a finite server count, got n={n}")
     if not (n > beta * beta):
         raise DomainError(
             f"inverse_load requires n > beta**2 = {beta * beta} so the load "
@@ -141,8 +144,15 @@ def beta_for_target(epsilon: float) -> float:
 
 
 def default_load_grid(lo: float = 0.01, hi: float = 1e4, points: int = 40) -> tuple[float, ...]:
-    """Log-spaced grid from lo to hi (both > 0), the package's only one;
-    the defaults are verify's load grid, spanning six orders of magnitude."""
+    """Log-spaced grid from lo to hi (0 < lo < hi, both finite; hi may
+    equal lo for a single point), the package's only one; the defaults
+    are verify's load grid, spanning six orders of magnitude."""
+    if isinstance(points, bool) or not isinstance(points, numbers.Integral) or points < 1:
+        raise DomainError(f"points must be an integer >= 1, got {points!r}")
+    if not (lo > 0.0 and math.isfinite(lo) and math.isfinite(hi)):
+        raise DomainError(f"need finite bounds with lo > 0, got lo={lo}, hi={hi}")
+    if hi < lo or (points > 1 and hi == lo):
+        raise DomainError(f"need hi > lo for {points} points, got lo={lo}, hi={hi}")
     if points == 1:
         return (lo,)
     r = math.log(hi / lo) / (points - 1)

@@ -60,13 +60,17 @@ def _check_load(a: float) -> float:
 
 @dataclass(frozen=True)
 class OrderReport:
-    """Evidence that Y_{a_high} dominates Y_{a_low} over a tail grid."""
+    """Evidence that Y_{a_high} dominates Y_{a_low} over a tail grid.
+    worst_excess is the largest tail_y(y, a_low) - tail_y(y, a_high) on
+    the grid (-inf for an empty grid); dominance means it is <= 0 up to
+    the tolerance."""
 
     a_low: float
     a_high: float
     y_grid: tuple[float, ...]
     violations: tuple[tuple[float, float, float], ...]
     passed: bool
+    worst_excess: float
 
 
 def _log_survival_x(x: float, a: float) -> float:
@@ -216,7 +220,7 @@ def check_stochastic_order(
     """First-order dominance check: tail_y(y, a_low) <= tail_y(y, a_high).
 
     Records every grid point where the low-load tail exceeds the high-load
-    tail by more than the combined tolerance. Swapped loads therefore
+    tail by more than the combined tolerance, and the largest excess. Swapped loads therefore
     report violations everywhere; equal loads pass trivially.
     """
     a_low = _check_load(a_low)
@@ -229,9 +233,11 @@ def check_stochastic_order(
             raise DomainError(f"y_grid must be strictly increasing, got {u} before {v}")
 
     violations = []
+    worst = -math.inf
     for y in grid:
         lo = tail_y(y, a_low)
         hi = tail_y(y, a_high)
+        worst = max(worst, lo - hi)
         if lo > hi + _ORDER_TOL:
             violations.append((y, lo, hi))
-    return OrderReport(a_low, a_high, grid, tuple(violations), not violations)
+    return OrderReport(a_low, a_high, grid, tuple(violations), not violations, worst)

@@ -80,6 +80,11 @@ class TestInverseLoad:
         a = inverse_load(9.0 + 1e-9, 3.0)
         assert a > 0.0
 
+    @pytest.mark.parametrize("n", [math.inf, math.nan])
+    def test_nonfinite_servers_rejected(self, n):
+        with pytest.raises(DomainError, match="finite"):
+            inverse_load(n, 1.0)
+
     def test_round_trip_with_staffing_is_approximate(self):
         # the two regimes parametrize the same family differently, so the
         # composition is close but not the identity
@@ -215,3 +220,34 @@ class TestInverseSweep:
         assert grid[0] == pytest.approx(0.01)
         assert grid[-1] == pytest.approx(1e4)
         assert all(b > a for a, b in zip(grid, grid[1:]))
+
+    def test_default_load_grid_single_point(self):
+        assert default_load_grid(3.0, 3.0, 1) == (3.0,)
+
+    def test_default_load_grid_rejects_zero_lo(self):
+        with pytest.raises(DomainError, match="lo > 0"):
+            default_load_grid(0.0, 10.0, 5)
+
+    def test_default_load_grid_rejects_negative_lo(self):
+        with pytest.raises(DomainError, match="lo > 0"):
+            default_load_grid(-1.0, 10.0, 5)
+
+    def test_default_load_grid_rejects_nonfinite_hi(self):
+        with pytest.raises(DomainError, match="finite"):
+            default_load_grid(1.0, math.inf, 5)
+
+    def test_default_load_grid_rejects_hi_below_lo(self):
+        with pytest.raises(DomainError, match="hi > lo"):
+            default_load_grid(10.0, 1.0, 5)
+
+    def test_default_load_grid_rejects_equal_ends_for_many_points(self):
+        with pytest.raises(DomainError, match="hi > lo"):
+            default_load_grid(2.0, 2.0, 3)
+
+    def test_default_load_grid_rejects_zero_points(self):
+        with pytest.raises(DomainError, match="points"):
+            default_load_grid(1.0, 10.0, 0)
+
+    def test_default_load_grid_rejects_fractional_points(self):
+        with pytest.raises(DomainError, match="points"):
+            default_load_grid(1.0, 10.0, 2.5)

@@ -271,6 +271,17 @@ class TestStochasticOrder:
         assert not report.passed
         assert len(report.violations) == len(grid)
 
+    def test_worst_excess_matches_violations(self):
+        grid = _geom_grid(1.1, 10.0, 10)
+        swapped = check_stochastic_order(4.0, 1.0, grid)
+        excesses = [lo - hi for _, lo, hi in swapped.violations]
+        assert swapped.worst_excess == max(excesses) > 0.0
+        ordered = check_stochastic_order(1.0, 4.0, grid)
+        assert ordered.violations == ()
+        assert ordered.worst_excess == max(tail_y(y, 1.0) - tail_y(y, 4.0) for y in grid)
+        assert ordered.worst_excess <= 0.0
+        assert check_stochastic_order(1.0, 4.0, []).worst_excess == -math.inf
+
     def test_tail_nondecreasing_in_load(self):
         loads = [0.5 * 2.0 ** k for k in range(12)]
         for y in (1.05, 2.0, 10.0, 80.0):
