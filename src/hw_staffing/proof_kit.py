@@ -220,8 +220,9 @@ def check_stochastic_order(
     """First-order dominance check: tail_y(y, a_low) <= tail_y(y, a_high).
 
     Records every grid point where the low-load tail exceeds the high-load
-    tail by more than the combined tolerance, and the largest excess. Swapped loads therefore
-    report violations everywhere; equal loads pass trivially.
+    tail by more than the combined tolerance, and the largest excess.
+    Swapped loads therefore report violations everywhere; equal loads pass
+    trivially.
     """
     a_low = _check_load(a_low)
     a_high = _check_load(a_high)
