@@ -1,4 +1,5 @@
-"""Golden CLI output: every README example, byte for byte.
+"""Golden CLI output: every README example, byte for byte, and the
+recurrence route of ``compute`` at a load of 1e7.
 
 Each case runs ``cli.main`` in a temporary working directory and compares
 its stdout, and any SVG file it writes, with the files under
@@ -34,6 +35,7 @@ _RIGHT = ["sweep", "--regime", "inverse", "--beta", "3", "--from", "9.5", "--to"
 # name -> (argv, SVG file the command writes, or None)
 CASES = {
     "compute_all": (["compute", "--s", "110", "--a", "100", "--method", "all"], None),
+    "compute_auto_1e7": (["compute", "--s", "10003162", "--a", "1e7"], None),
     "staff_integer": (["staff", "--a", "4", "--epsilon", "0.5", "--mode", "integer"], None),
     "staff_beta": (["staff", "--a", "100", "--epsilon", "0.2", "--mode", "beta"], None),
     "staff_real": (["staff", "--a", "100", "--epsilon", "0.2", "--mode", "real"], None),
