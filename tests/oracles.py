@@ -24,6 +24,18 @@ def erlang_b_exact(n: int, a: Fraction) -> Fraction:
     return b
 
 
+def erlang_b_full(n: int, a: float) -> float:
+    """B(n, a) by the float recurrence run from B(0, a) = 1 through every k.
+
+    The same steps as erlang_b_integer without its start below the load
+    or its stop at underflow, so the two must agree to the bit.
+    """
+    b = 1.0
+    for k in range(1, n + 1):
+        b = a * b / (k + a * b)
+    return b
+
+
 def erlang_c_exact(n: int, a: Fraction) -> Fraction:
     """Waiting probability from the exact blocking probability."""
     b = erlang_b_exact(n, a)

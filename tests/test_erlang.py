@@ -1,6 +1,8 @@
 """Delay probabilities, three ways, against the exact rational oracle."""
 
 import math
+import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -54,6 +56,66 @@ class TestErlangB:
         with pytest.raises(DomainError):
             erlang_b_integer(2, 0.0)
 
+    @pytest.mark.parametrize("n", [math.inf, math.nan, True, False, 2.5])
+    def test_server_count_domain(self, n):
+        # inf and nan used to escape as OverflowError and a bare ValueError
+        with pytest.raises(DomainError, match="^server count must be a nonnegative integer"):
+            erlang_b_integer(n, 1.0)
+
+    def test_integral_float_count(self):
+        assert erlang_b_integer(5.0, 4.0) == erlang_b_integer(5, 4.0)
+
+    def test_underflow_stops_the_recurrence(self):
+        # 10**12 steps would take hours; B reaches 0.0 a few thousand
+        # steps above the load and the loop stops there
+        start = time.perf_counter()
+        assert erlang_b_integer(10**12, 1e4) == 0.0
+        assert time.perf_counter() - start < 1.0
+
+
+# Loads across the warm start's threshold K**2 = 100 (k0 = 0 up to a = 100,
+# k0 = 24 at 144) and up to 1e6.
+_WARM_START_LOADS = (99.0, 100.0, 101.0, 144.0, 1000.5, 12345.678, 1e5, 1e6)
+
+
+class TestErlangBWarmStart:
+    @staticmethod
+    def _counts(a):
+        r = math.sqrt(a)
+        fl = math.floor(a)
+        k0 = math.floor(a - 10.0 * r)
+        counts = {0, 1, k0 // 2, fl, fl + 1, fl + math.floor(50.0 * r)}
+        for c in (-1, 0, 1):
+            counts |= {math.floor(a - 10.0 * r) + c, math.floor(a + 10.0 * r) + c}
+        return sorted(n for n in counts if n >= 0)
+
+    @pytest.mark.parametrize("a", _WARM_START_LOADS)
+    def test_bit_identical_to_full_recurrence(self, a):
+        # the start 10*sqrt(a) below min(n, a) and the stop at underflow
+        # leave the double unchanged, for n below the load's own start k0
+        # (k0 // 2 starts below itself), around k0 and a + 10*sqrt(a), and
+        # far above a, where B has underflowed
+        for n in self._counts(a):
+            assert erlang_b_integer(n, a) == oracles.erlang_b_full(n, a), (n, a)
+
+    def test_min_servers_matches_full_pass(self):
+        # min_servers as it was with the recurrence run from k = 1
+        def full_pass(a, epsilon):
+            n = math.floor(a)
+            b = oracles.erlang_b_full(n, a)
+            while True:
+                n += 1
+                b = a * b / (n + a * b)
+                rho = a / n
+                if b / (1.0 - rho * (1.0 - b)) <= epsilon * (1.0 + 1e-12):
+                    return n
+
+        rng = random.Random(20261018)
+        for _ in range(400):
+            a = 10.0 ** rng.uniform(0.0, 6.0)
+            epsilon = 10.0 ** rng.uniform(-4.0, math.log10(0.9))
+            assert min_servers(a, epsilon) == full_pass(a, epsilon), (a, epsilon)
+
 
 class TestErlangCInteger:
     def test_single_server_equals_load(self):
@@ -86,6 +148,11 @@ class TestErlangCInteger:
             erlang_c_integer(3, 3.0)
         with pytest.raises(DomainError):
             erlang_c_integer(3, 3.5)
+
+    @pytest.mark.parametrize("n", [math.inf, math.nan, True, 0, 2.5])
+    def test_server_count_domain(self, n):
+        with pytest.raises(DomainError, match="^server count must be a positive integer"):
+            erlang_c_integer(n, 0.5)
 
     def test_metadata(self):
         result = erlang_c_integer(5, 4.0)
@@ -324,13 +391,24 @@ class TestMinServers:
             assert min_servers(a, below) == self._scan(a, below) == n + 1
 
     def test_matches_brute_force_scan_at_large_load(self):
-        # each scan step reruns the O(a) recurrence, so the target stays loose
+        # each scan step reruns the recurrence, so the target stays loose
         assert min_servers(1e5, 0.9) == self._scan(1e5, 0.9)
         # and tighter targets are checked at the answer and one below it
         for epsilon in (0.5, 0.2, 1e-3):
             n = min_servers(1e5, epsilon)
             assert erlang_c_integer(n, 1e5).value <= epsilon
             assert erlang_c_integer(n - 1, 1e5).value > epsilon
+
+
+    @pytest.mark.parametrize("a", [1e8, 1e10])
+    @pytest.mark.parametrize("epsilon", [0.5, 0.2, 1e-3])
+    def test_bracketed_by_quadrature_at_large_loads(self, a, epsilon):
+        # the warm-started recurrence reaches these loads in O(sqrt(a))
+        # steps; the quadrature, within its bound, confirms the answer
+        n = min_servers(a, epsilon)
+        at, below = erlang_c_real(float(n), a), erlang_c_real(float(n - 1), a)
+        assert at.value - at.error_bound <= epsilon * (1.0 + 1e-12), (n, at)
+        assert below.value + below.error_bound > epsilon, (n, below)
 
 
 class TestRealStaffingLevel:
