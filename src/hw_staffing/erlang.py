@@ -66,7 +66,7 @@ class Method(enum.Enum):
     GAMMA_CLOSED_FORM = "gamma"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DelayProbability:
     """A waiting probability, the method that produced it, its absolute
     error bound, and the integrand evaluations it cost (quadrature only)."""
@@ -90,8 +90,11 @@ def _check_stable(s: float, a: float):
 
 def _server_count(n, least: int) -> int:
     """n as an int, if it is an integer of at least `least`; a bool is not."""
-    integral = isinstance(n, numbers.Integral) or (isinstance(n, float) and n.is_integer())
-    if isinstance(n, bool) or not integral or n < least:
+    integral = type(n) is int or (
+        not isinstance(n, bool)
+        and (isinstance(n, numbers.Integral) or (isinstance(n, float) and n.is_integer()))
+    )
+    if not integral or n < least:
         kind = "nonnegative" if least == 0 else "positive"
         raise DomainError(f"server count must be a {kind} integer, got {n!r}")
     return int(n)
@@ -105,7 +108,8 @@ def erlang_b_integer(n: int, a: float) -> float:
     Only the last few multiples of sqrt(a) below min(n, a) matter, so the
     recurrence starts at k0 = max(0, floor(min(n, a) - K*sqrt(a))) from
     B(k0, a) ~ 1 - k0/a (exactly B(0, a) = 1 when k0 = 0, which is every
-    a <= K**2) and takes O(K*sqrt(a) + max(0, n - a)) steps.
+    a <= K**2) and takes at most K*sqrt(a) + max(0, n - a) steps: O(sqrt(a))
+    where n is a few multiples of sqrt(a) above the load, as in staffing.
 
     Why the start does not matter: r_k = 1/B(k, a) obeys
     r_k = 1 + (k/a)*r_(k-1), so a relative error rho in r_(k-1) becomes
@@ -120,9 +124,12 @@ def erlang_b_integer(n: int, a: float) -> float:
     against the recurrence from k = 1 the result was the same double on
     every (n, a) checked, with a up to 1e7. A larger K only adds steps.
 
-    Far above the load B falls faster than geometrically and underflows
-    to 0.0, after which every step returns 0.0 again: the loop stops
-    there, so B(10**12, 1e4) costs a few thousand steps.
+    Far above the load B falls faster than geometrically; once it
+    underflows to 0.0 every further step returns 0.0 again, and the loop
+    stops there. Rounding to subnormals slows the last part of that fall:
+    B leaves the normal range about 38*sqrt(a) above the load but reaches
+    0.0 only near n = 2a, so B(10**12, 1e4) takes 11 000 steps and n past
+    a + 38*sqrt(a) costs up to about a steps at any load.
     """
     n = _server_count(n, 0)
     if not (a > 0.0 and math.isfinite(a)):
