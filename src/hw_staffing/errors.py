@@ -3,10 +3,13 @@
 Domain violations (bad arguments, unstable load points) and numerical
 failures (non-convergence, lost brackets) are distinct: callers such as the
 CLI map them to different exit codes, and sweeps record them per-row instead
-of aborting.
+of aborting. server_count is the one check of a server count, shared by
+the analytic routes and the model oracles.
 """
 
 from __future__ import annotations
+
+import numbers
 
 
 class StaffingError(Exception):
@@ -34,3 +37,18 @@ class NumericalError(StaffingError, ArithmeticError):
 
 class BracketError(NumericalError):
     """Root bracketing failed; the message names the endpoint values."""
+
+
+def server_count(n, least: int) -> int:
+    """n as an int, if it is an integer of at least `least`; a bool is not.
+
+    Integral floats such as 5.0 pass; inf, nan and 2.5 raise DomainError.
+    """
+    integral = type(n) is int or (
+        not isinstance(n, bool)
+        and (isinstance(n, numbers.Integral) or (isinstance(n, float) and n.is_integer()))
+    )
+    if not integral or n < least:
+        kind = "nonnegative" if least == 0 else "positive"
+        raise DomainError(f"server count must be a {kind} integer, got {n!r}")
+    return int(n)

@@ -1,7 +1,8 @@
 """Independent oracles used by the test suite.
 
 Exact-rational Erlang recurrences (fractions never round, so these are
-ground truth for any rational load), plus the frozen high-precision
+ground truth for any rational load), a frozen copy of the simulator's
+one-customer-at-a-time loop, plus the frozen high-precision
 constants the tests assert against. The frozen values were produced by a
 50-digit evaluation of the defining expressions and rounded to the nearest
 double once, before the implementation existed; they must never be
@@ -13,6 +14,8 @@ mpmath at 30 digits.
 from __future__ import annotations
 
 import functools
+import heapq
+import math
 from fractions import Fraction
 
 
@@ -34,6 +37,70 @@ def erlang_b_full(n: int, a: float) -> float:
     for k in range(1, n + 1):
         b = a * b / (k + a * b)
     return b
+
+
+def simulate_mmn_per_arrival(cfg):
+    """simulate_mmn as it was with one draw per stream per arrival.
+
+    Each arrival drew its interarrival time and then its service time by
+    inverse transform from a 65 536-value PCG64 block, added the first to
+    the clock, tested the warm-up and the batch boundary, and made one
+    heap step; simulate_mmn must return the same SimEstimate to the bit.
+    """
+    import numpy as np
+
+    from hw_staffing.mmn_oracle import SimEstimate
+
+    batches = 32
+    t_crit_31 = 2.0395134463964077
+    block = 1 << 16
+
+    def exponential_stream(seed_seq, rate):
+        gen = np.random.Generator(np.random.PCG64(seed_seq))
+        scale = 1.0 / rate
+        buffer = gen.random(block)
+        index = 0
+
+        def draw():
+            nonlocal buffer, index
+            if index == len(buffer):
+                buffer = gen.random(block)
+                index = 0
+            u = buffer[index]
+            index += 1
+            return -math.log1p(-u) * scale
+
+        return draw
+
+    arrivals_stream, services_stream = np.random.SeedSequence(cfg.seed).spawn(2)
+    draw_interarrival = exponential_stream(arrivals_stream, cfg.lam)
+    draw_service = exponential_stream(services_stream, cfg.mu)
+
+    total_arrivals = cfg.warmup_arrivals + cfg.measured_arrivals
+    boundaries = [(i * cfg.measured_arrivals) // batches for i in range(1, batches + 1)]
+    batch_waits = [0] * batches
+    batch_sizes = [0] * batches
+    free = [-math.inf] * cfg.n
+    time = 0.0
+    batch = 0
+    for seen in range(1, total_arrivals + 1):
+        time += draw_interarrival()
+        earliest = free[0]
+        if seen > cfg.warmup_arrivals:
+            measured_index = seen - cfg.warmup_arrivals - 1
+            if measured_index >= boundaries[batch]:
+                batch += 1
+            batch_sizes[batch] += 1
+            if earliest >= time:
+                batch_waits[batch] += 1
+        heapq.heapreplace(free, max(time, earliest) + draw_service())
+
+    p_wait = sum(batch_waits) / cfg.measured_arrivals
+    means = [w / size for w, size in zip(batch_waits, batch_sizes)]
+    mean_of_means = sum(means) / batches
+    variance = sum((m - mean_of_means) ** 2 for m in means) / (batches - 1)
+    ci = t_crit_31 * math.sqrt(variance / batches)
+    return SimEstimate(p_wait=p_wait, ci_halfwidth=ci, batches=batches)
 
 
 def erlang_c_exact(n: int, a: Fraction) -> Fraction:

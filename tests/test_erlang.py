@@ -66,8 +66,8 @@ class TestErlangB:
         assert erlang_b_integer(5.0, 4.0) == erlang_b_integer(5, 4.0)
 
     def test_underflow_stops_the_recurrence(self):
-        # 10**12 steps would take hours; B reaches 0.0 a few thousand
-        # steps above the load and the loop stops there
+        # 10**12 steps would take hours; B reaches 0.0 near k = 2a, past
+        # its subnormal runs, and the recurrence stops there
         start = time.perf_counter()
         assert erlang_b_integer(10**12, 1e4) == 0.0
         assert time.perf_counter() - start < 1.0
@@ -115,6 +115,40 @@ class TestErlangBWarmStart:
             a = 10.0 ** rng.uniform(0.0, 6.0)
             epsilon = 10.0 ** rng.uniform(-4.0, math.log10(0.9))
             assert min_servers(a, epsilon) == full_pass(a, epsilon), (a, epsilon)
+
+
+# Loads for the subnormal tail, and server counts past the normal range:
+# about 38 and 45 multiples of sqrt(a) above the load, around 2*round(a),
+# where 5e-324 rounds to 0.0, and 3a, past it.
+_TAIL_LOADS = (1000.5, 1001.5, 12345.678, 1e5)
+
+
+class TestErlangBSubnormalTail:
+    @pytest.mark.parametrize("a", _TAIL_LOADS)
+    def test_bit_identical_to_full_recurrence(self, a):
+        r = math.sqrt(a)
+        two_a = 2 * round(a)
+        counts = [
+            math.floor(a + 38.0 * r),
+            math.floor(a + 45.0 * r),
+            two_a - 1,
+            two_a,
+            two_a + 1,
+            math.floor(3.0 * a),
+        ]
+        for n in counts:
+            assert erlang_b_integer(n, a) == oracles.erlang_b_full(n, a), (n, a)
+
+    def test_far_past_the_load_is_fast(self):
+        # stepping every k to 2e8, where B leaves 5e-324 for 0.0, took 30 s
+        start = time.perf_counter()
+        assert erlang_c_integer(10**15, 1e8).value == 0.0
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("a", [5.0, 1e4])
+    def test_counts_past_the_float_range(self, a):
+        # float(n) overflows; the jumps probe no k far past the end of a run
+        assert erlang_b_integer(10**400, a) == 0.0
 
 
 class TestErlangCInteger:

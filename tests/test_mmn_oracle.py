@@ -4,6 +4,7 @@ import math
 import statistics
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -40,6 +41,16 @@ class TestBirthDeath:
             birth_death_wait_prob(3, 3.0)
         with pytest.raises(DomainError):
             birth_death_wait_prob(2, 5.0)
+
+    @pytest.mark.parametrize("n", [math.inf, math.nan, True, False, 2.5, 0])
+    def test_server_count_domain(self, n):
+        # inf and nan used to escape as OverflowError and a bare ValueError,
+        # and True counted as one server
+        with pytest.raises(DomainError, match="^server count must be a positive integer"):
+            birth_death_wait_prob(n, 0.5)
+
+    def test_integral_float_count(self):
+        assert birth_death_wait_prob(5.0, 4.0) == birth_death_wait_prob(5, 4.0)
 
 
 class TestSimConfig:
@@ -149,6 +160,42 @@ class TestSimulation:
         # the FCFS recursion gives each customer the same variates
         est = simulate_mmn(SimConfig(n=n, lam=lam, mu=1.0, measured_arrivals=20_000, seed=seed))
         assert est == SimEstimate(p_wait=p_wait, ci_halfwidth=ci_halfwidth, batches=32)
+
+    @pytest.mark.parametrize(
+        "n, lam, mu, measured, seed, warmup",
+        [
+            (2, 1.0, 1.0, 32, 0, None),  # the benchmark's set-up call
+            (5, 4.0, 1.0, 20_000, 42, None),
+            (5, 4.0, 1.0, 20_001, 42, None),
+            (100, 90.0, 1.0, 20_000, 7, None),
+            (100, 90.0, 1.0, 20_001, 7, None),
+            (400, 380.0, 1.0, 20_000, 11, None),
+            (400, 380.0, 1.0, 20_001, 11, None),
+            (5, 4.0, 1.0, 1_000, 3, 1),
+            # the warm-up ends inside a chunk, and the run crosses two blocks
+            (5, 4.0, 1.0, 131_077, 5, 65_531),
+            (3, 4.0, 1.7, 20_000, 9, None),
+        ],
+    )
+    def test_same_as_per_arrival_loop(self, n, lam, mu, measured, seed, warmup):
+        # chunked draws and accumulated arrival times give each customer the
+        # same variates through the same float operations in the same order
+        cfg = SimConfig(
+            n=n, lam=lam, mu=mu, measured_arrivals=measured, seed=seed, warmup_arrivals=warmup
+        )
+        assert simulate_mmn(cfg) == oracles.simulate_mmn_per_arrival(cfg)
+
+    def test_memory_flat_in_arrivals(self):
+        # two uniform blocks and one chunk of draws per stream (~1.6 MB);
+        # holding every draw of the run as a float would take ~80 MB
+        simulate_mmn(SimConfig(n=2, lam=1.0, mu=1.0, measured_arrivals=32, seed=0))
+        tracemalloc.start()
+        try:
+            simulate_mmn(SimConfig(n=5, lam=4.0, mu=1.0, measured_arrivals=1_000_000, seed=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000, peak
 
     def test_estimate_fields(self):
         est = simulate_mmn(SimConfig(n=3, lam=1.5, mu=1.0, measured_arrivals=5_000, seed=3))
