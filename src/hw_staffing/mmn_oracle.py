@@ -11,10 +11,12 @@ Two routes that share nothing with the analytic Erlang evaluations:
 
 Randomness is pinned for reproducibility: two PCG64 streams (arrivals,
 services) spawned from one SeedSequence, and exponential variates drawn by
-inverse transform -log1p(-U)/rate with math.log1p. Customer i takes the
-i-th draw of each stream, however the draws are chunked (uniforms come in
-65 536-value blocks and are transformed 4 096 at a time, only as far as the
-run goes), so identical seeds give bit-identical estimates. numpy is
+numpy's C inverse-transform sampler (standard_exponential, method="inv"):
+one next_double per variate, as random() takes, through glibc's log1p,
+which math.log1p also calls, so each draw is -math.log1p(-U) * (1/rate) to
+the bit. numpy's log1p ufunc is not used, as its SIMD paths need not round
+alike. Customer i takes the i-th draw of each stream however the draws are
+chunked, so identical seeds give bit-identical estimates. numpy is
 imported by the simulation alone; the rest of the package loads without it.
 """
 
@@ -24,7 +26,6 @@ import math
 import numbers
 from dataclasses import dataclass
 from heapq import heapreplace
-from itertools import accumulate, chain, islice
 
 from .errors import DomainError, server_count
 
@@ -38,8 +39,7 @@ __all__ = [
 _BATCHES = 32
 # Student-t 0.975 quantile at 31 degrees of freedom (batch-means CI).
 _T_CRIT_31 = 2.0395134463964077
-_UNIFORM_BLOCK = 1 << 16
-_CHUNK = 1 << 12  # draws transformed per list; divides _UNIFORM_BLOCK
+_CHUNK = 1 << 12  # most draws per array
 
 
 @dataclass(frozen=True)
@@ -74,6 +74,8 @@ class SimConfig:
             raise DomainError(
                 f"unstable configuration: lambda={self.lam} >= n*mu={self.n * self.mu}"
             )
+        if self.seed < 0:
+            raise DomainError(f"seed must be non-negative, got {self.seed}")
         if self.measured_arrivals < _BATCHES:
             raise DomainError(
                 f"measured_arrivals must be >= {_BATCHES}, got {self.measured_arrivals}"
@@ -121,20 +123,16 @@ def birth_death_wait_prob(n: int, a: float) -> float:
     return 1.0 / (1.0 + ratio)
 
 
-def _exponential_chunks(stream, rate: float, total: int):
-    """The first `total` draws -log1p(-U)/rate of a PCG64 stream, as lists
-    of at most _CHUNK cut from _UNIFORM_BLOCK-value blocks."""
+def _exponential_chunks(stream, rate: float, sizes):
+    """The draws -log1p(-U) * (1/rate) of a PCG64 stream, segment by segment,
+    as arrays of at most _CHUNK draws cut at the end of each segment."""
     import numpy as np
 
     gen = np.random.Generator(np.random.PCG64(stream))
     scale = 1.0 / rate
-    log1p = math.log1p  # unlike numpy's, its last bit is the same on every build
-    while total > 0:
-        block = gen.random(_UNIFORM_BLOCK)
-        for start in range(0, min(total, _UNIFORM_BLOCK), _CHUNK):
-            chunk = block[start : min(start + _CHUNK, total)].tolist()
-            yield [-log1p(-u) * scale for u in chunk]
-        total -= _UNIFORM_BLOCK
+    for size in sizes:
+        for start in range(0, size, _CHUNK):
+            yield gen.standard_exponential(min(_CHUNK, size - start), method="inv") * scale
 
 
 def simulate_mmn(cfg: SimConfig) -> SimEstimate:
@@ -150,40 +148,42 @@ def simulate_mmn(cfg: SimConfig) -> SimEstimate:
 
     Customer i takes the i-th draw of the arrivals stream as its
     interarrival time and the i-th of the services stream as its service
-    time; the warm-up and then each batch are one loop over the customers.
+    time. The draws come in arrays cut at the ends of the warm-up and of
+    each batch, arrival times are running sums carried across arrays, and
+    each array is one loop over its customers.
     """
     import numpy as np  # ~13 MB and tens of ms to load; only this needs it
 
     arrivals_stream, services_stream = np.random.SeedSequence(cfg.seed).spawn(2)
-    total = cfg.warmup_arrivals + cfg.measured_arrivals
-    # accumulate makes the same left-to-right sums as `time += gap`
-    customers = zip(
-        accumulate(chain.from_iterable(_exponential_chunks(arrivals_stream, cfg.lam, total))),
-        chain.from_iterable(_exponential_chunks(services_stream, cfg.mu, total)),
-    )
     bounds = [(i * cfg.measured_arrivals) // _BATCHES for i in range(_BATCHES + 1)]
     batch_sizes = [hi - lo for lo, hi in zip(bounds, bounds[1:])]
+    segments = [cfg.warmup_arrivals, *batch_sizes]
+    gaps = _exponential_chunks(arrivals_stream, cfg.lam, segments)
+    services = _exponential_chunks(services_stream, cfg.mu, segments)
 
     # min-heap of the times at which each server next falls free; under FCFS
     # services start in arrival order, so each customer's service time is
     # also the next one a server takes up. `time = earliest` on a tie
     # keeps max(time, earliest): the two are the same double.
     free = [-math.inf] * cfg.n
-    for time, service in islice(customers, cfg.warmup_arrivals):
-        earliest = free[0]
-        if earliest >= time:
-            time = earliest
-        heapreplace(free, time + service)
-    batch_waits = []
-    for size in batch_sizes:
+    clock = 0.0
+    segment_waits = []
+    for size in segments:
         waits = 0
-        for time, service in islice(customers, size):
-            earliest = free[0]
-            if earliest >= time:
-                waits += 1
-                time = earliest
-            heapreplace(free, time + service)
-        batch_waits.append(waits)
+        for _ in range(0, size, _CHUNK):
+            times = next(gaps)
+            # add.accumulate makes the same left-to-right sums as `time += gap`
+            times[0] += clock
+            np.cumsum(times, out=times)
+            clock = times[-1]
+            for time, service in zip(times.tolist(), next(services).tolist()):
+                earliest = free[0]
+                if earliest >= time:
+                    waits += 1
+                    time = earliest
+                heapreplace(free, time + service)
+        segment_waits.append(waits)
+    batch_waits = segment_waits[1:]
 
     p_wait = sum(batch_waits) / cfg.measured_arrivals
     means = [w / size for w, size in zip(batch_waits, batch_sizes)]

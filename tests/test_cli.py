@@ -294,6 +294,14 @@ class TestSimulate:
         assert code == 2
         assert "unstable" in err
 
+    def test_negative_seed_rejected(self, capsys):
+        code, out, err = run_cli(
+            capsys, "simulate", "--n", "5", "--lambda", "4", "--mu", "1", "--seed", "-1"
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: seed must be non-negative, got -1\n"
+
 
 class TestEntryPoint:
     def test_module_invocation(self):

@@ -7,8 +7,10 @@ import sys
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from hw_staffing import mmn_oracle
 from hw_staffing.erlang import erlang_c_integer
 from hw_staffing.errors import DomainError
 from hw_staffing.mmn_oracle import SimConfig, SimEstimate, birth_death_wait_prob, simulate_mmn
@@ -75,6 +77,11 @@ class TestSimConfig:
             SimConfig(n=0, lam=0.1, mu=1.0, measured_arrivals=100, seed=1)
         with pytest.raises(DomainError):
             SimConfig(n=2, lam=1.0, mu=1.0, measured_arrivals=100, seed=1, warmup_arrivals=0)
+
+    def test_negative_seed_rejected(self):
+        # checked up front: numpy's SeedSequence raises a bare ValueError
+        with pytest.raises(DomainError, match="^seed must be non-negative"):
+            SimConfig(n=2, lam=1.0, mu=1.0, measured_arrivals=100, seed=-1)
 
     @pytest.mark.parametrize(
         "field,value",
@@ -185,9 +192,29 @@ class TestSimulation:
         )
         assert simulate_mmn(cfg) == oracles.simulate_mmn_per_arrival(cfg)
 
+    @pytest.mark.parametrize("rate", [1.0, 3.7])
+    def test_draws_are_inverse_transform_of_uniforms(self, rate):
+        # numpy's C sampler gives -math.log1p(-u) * (1/rate) to the bit; a
+        # SIMD log1p or another method (such as "zig") need not
+        sizes = [65_531, 3, 4_097]
+        stream = np.random.SeedSequence(17).spawn(2)[1]
+        chunks = list(mmn_oracle._exponential_chunks(stream, rate, sizes))
+        uniforms = np.random.Generator(np.random.PCG64(stream)).random(sum(sizes))
+        expected = [-math.log1p(-u) * (1.0 / rate) for u in uniforms.tolist()]
+        assert [x for chunk in chunks for x in chunk.tolist()] == expected
+        # at most _CHUNK draws per array, cut at each segment's end
+        cuts = [len(chunk) for chunk in chunks]
+        assert cuts == [4096] * 15 + [4091, 3, 4096, 1]
+
+    @pytest.mark.parametrize("chunk", [1, 7, 4096])
+    def test_chunk_size_changes_no_bit(self, monkeypatch, chunk):
+        cfg = SimConfig(n=5, lam=4.0, mu=1.0, measured_arrivals=2_001, seed=8, warmup_arrivals=9)
+        monkeypatch.setattr(mmn_oracle, "_CHUNK", chunk)
+        assert simulate_mmn(cfg) == oracles.simulate_mmn_per_arrival(cfg)
+
     def test_memory_flat_in_arrivals(self):
-        # two uniform blocks and one chunk of draws per stream (~1.6 MB);
-        # holding every draw of the run as a float would take ~80 MB
+        # one array and one list of draws per stream (~0.34 MB); holding
+        # every draw of the run as a float would take ~80 MB
         simulate_mmn(SimConfig(n=2, lam=1.0, mu=1.0, measured_arrivals=32, seed=0))
         tracemalloc.start()
         try:
@@ -195,7 +222,7 @@ class TestSimulation:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2_000_000, peak
+        assert peak < 1_000_000, peak
 
     def test_estimate_fields(self):
         est = simulate_mmn(SimConfig(n=3, lam=1.5, mu=1.0, measured_arrivals=5_000, seed=3))
