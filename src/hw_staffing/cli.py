@@ -227,7 +227,6 @@ def _cmd_simulate(args) -> int:
         mu=args.mu,
         measured_arrivals=args.arrivals,
         seed=args.seed,
-        warmup_arrivals=args.warmup,
     )
     estimate = mmn_oracle.simulate_mmn(cfg)
     analytic = erlang.erlang_c_integer(cfg.n, cfg.offered_load).value
@@ -297,7 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", type=float, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--arrivals", type=int, default=100_000, help="measured arrivals")
-    p.add_argument("--warmup", type=int, default=None)
     p.set_defaults(handler=_cmd_simulate)
 
     return parser

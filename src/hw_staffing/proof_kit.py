@@ -22,6 +22,7 @@ construction rather than by numerical coincidence.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -45,6 +46,9 @@ __all__ = [
 # the series is the accurate path. Both agree to ~1e-14 at the switch.
 _H_SERIES_SWITCH = 20.0
 _H_SERIES_TERMS = 30
+
+# Largest argument math.exp and math.expm1 take without overflow.
+_EXP_MAX_ARG = math.log(sys.float_info.max)
 
 # Combined absolute tolerance when asserting tail dominance: strict
 # inequality cannot be resolved at float-equality scale.
@@ -147,21 +151,35 @@ def tail_y(y: float, a: float) -> float:
         return 1.0
     if math.isinf(y):
         return 0.0
-    return math.exp(_log_survival_x(_y_to_x(y, a), a))
+    u = math.log(y) / math.sqrt(a)
+    if u > _EXP_MAX_ARG:
+        # x = e**u - 1 overflows, and the tail underflows for every a: the
+        # log tail is -a*(e**u - 1 - u), and y >= 1 + 2**-52 gives
+        # a >= (2**-52/u)**2, so it is below -e**u/(4e31 u**2) < -1e270
+        return 0.0
+    return math.exp(_log_survival_x(math.expm1(u), a))
 
 
 def h(x: float) -> float:
     """The monotone core of the tail rewrite: h(x) = x + x**2 (1 - e**(1/x)).
 
     Strictly increasing on x > 0 and bounded above by -1/2. For x > 20 the
-    closed form cancels catastrophically and the series takes over.
+    closed form cancels catastrophically and the series takes over. Below
+    x ~ 1/710, e**(1/x) overflows; h is x + x**2 - e**(1/x + 2 log x), whose
+    first two terms are far below an ulp of the last, and -inf once that
+    passes the largest double (below x ~ 1/723), where every tail it gives
+    is 0.
     """
     x = float(x)
     if not (x > 0.0 and math.isfinite(x)):
         raise DomainError(f"h requires finite x > 0, got {x}")
     if x > _H_SERIES_SWITCH:
         return h_series(x, _H_SERIES_TERMS)
-    return x + x * x * -math.expm1(1.0 / x)
+    inv_x = 1.0 / x
+    if inv_x > _EXP_MAX_ARG:
+        log_magnitude = inv_x + 2.0 * math.log(x)
+        return -math.inf if log_magnitude > _EXP_MAX_ARG else -math.exp(log_magnitude)
+    return x + x * x * -math.expm1(inv_x)
 
 
 def h_series(x: float, terms: int) -> float:

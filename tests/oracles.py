@@ -42,10 +42,11 @@ def erlang_b_full(n: int, a: float) -> float:
 def simulate_mmn_per_arrival(cfg):
     """simulate_mmn as it was with one draw per stream per arrival.
 
-    Each arrival drew its interarrival time and then its service time by
-    inverse transform from a 65 536-value PCG64 block, added the first to
-    the clock, tested the warm-up and the batch boundary, and made one
-    heap step; simulate_mmn must return the same SimEstimate to the bit.
+    The start draws K from pi by a linear scan of its running weights, then
+    each arrival draws its service time and then the time to the next
+    arrival, each by inverse transform from a 65 536-value PCG64 block,
+    tests the batch boundary, makes one heap step and adds the gap to the
+    clock; simulate_mmn must return the same SimEstimate to the bit.
     """
     import numpy as np
 
@@ -55,9 +56,8 @@ def simulate_mmn_per_arrival(cfg):
     t_crit_31 = 2.0395134463964077
     block = 1 << 16
 
-    def exponential_stream(seed_seq, rate):
+    def uniform_stream(seed_seq):
         gen = np.random.Generator(np.random.PCG64(seed_seq))
-        scale = 1.0 / rate
         buffer = gen.random(block)
         index = 0
 
@@ -68,32 +68,61 @@ def simulate_mmn_per_arrival(cfg):
                 index = 0
             u = buffer[index]
             index += 1
-            return -math.log1p(-u) * scale
+            return float(u)
 
         return draw
 
-    arrivals_stream, services_stream = np.random.SeedSequence(cfg.seed).spawn(2)
+    def exponential_stream(seed_seq, rate):
+        uniform = uniform_stream(seed_seq)
+        scale = 1.0 / rate
+        return lambda: -math.log1p(-uniform()) * scale
+
+    arrivals_stream, services_stream, start_stream = np.random.SeedSequence(cfg.seed).spawn(3)
     draw_interarrival = exponential_stream(arrivals_stream, cfg.lam)
     draw_service = exponential_stream(services_stream, cfg.mu)
 
-    total_arrivals = cfg.warmup_arrivals + cfg.measured_arrivals
+    # the stationary start: K from pi, in the same float operations
+    n = cfg.n
+    a = cfg.lam / cfg.mu
+    rho = a / n
+    log_weights = [k * math.log(a) - math.lgamma(k + 1.0) for k in range(n + 1)]
+    top = max(log_weights)
+    weights = [math.exp(w - top) for w in log_weights]
+    weights[n] = weights[n] / (1.0 - rho)
+    running = []
+    total = 0.0
+    for w in weights:
+        total += w
+        running.append(total)
+    draw_start = uniform_stream(start_stream)
+    target = draw_start() * total
+    busy = 0
+    while busy < n and running[busy] <= target:
+        busy += 1
+    queued = 0
+    if busy == n:
+        queued = math.floor(math.log1p(-draw_start()) / math.log(rho))
+    scale = 1.0 / cfg.mu
+    free = [-math.inf] * (n - busy)
+    free += [-math.log1p(-draw_start()) * scale for _ in range(busy)]
+    heapq.heapify(free)
+    for _ in range(queued):
+        heapq.heapreplace(free, free[0] + -math.log1p(-draw_start()) * scale)
+
     boundaries = [(i * cfg.measured_arrivals) // batches for i in range(1, batches + 1)]
     batch_waits = [0] * batches
     batch_sizes = [0] * batches
-    free = [-math.inf] * cfg.n
-    time = 0.0
+    time = 0.0  # customer 0 arrives at the start state
     batch = 0
-    for seen in range(1, total_arrivals + 1):
-        time += draw_interarrival()
+    for index in range(cfg.measured_arrivals):
         earliest = free[0]
-        if seen > cfg.warmup_arrivals:
-            measured_index = seen - cfg.warmup_arrivals - 1
-            if measured_index >= boundaries[batch]:
-                batch += 1
-            batch_sizes[batch] += 1
-            if earliest >= time:
-                batch_waits[batch] += 1
+        if index >= boundaries[batch]:
+            batch += 1
+        batch_sizes[batch] += 1
+        if earliest >= time:
+            batch_waits[batch] += 1
         heapq.heapreplace(free, max(time, earliest) + draw_service())
+        time += draw_interarrival()
 
     p_wait = sum(batch_waits) / cfg.measured_arrivals
     means = [w / size for w, size in zip(batch_waits, batch_sizes)]

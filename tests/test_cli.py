@@ -302,6 +302,13 @@ class TestSimulate:
         assert out == ""
         assert err == "error: seed must be non-negative, got -1\n"
 
+    def test_warmup_option_gone(self, capsys):
+        # replications start at stationarity, so there is no warm-up to set
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--n", "5", "--lambda", "4", "--mu", "1", "--warmup", "5"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --warmup 5" in capsys.readouterr().err
+
 
 class TestEntryPoint:
     def test_module_invocation(self):

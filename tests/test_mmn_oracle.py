@@ -57,14 +57,12 @@ class TestBirthDeath:
 
 class TestSimConfig:
     def test_warmup_default(self):
+        # replications start at stationarity: no warm-up, and none to set
         cfg = SimConfig(n=5, lam=4.0, mu=1.0, measured_arrivals=1000, seed=1)
-        rho = 4.0 / 5.0
-        assert cfg.warmup_arrivals == math.ceil(10.0 * 5 / (1.0 - rho))
+        assert cfg.warmup_arrivals == 0
         assert cfg.offered_load == 4.0
-
-    def test_explicit_warmup_kept(self):
-        cfg = SimConfig(n=2, lam=1.0, mu=1.0, measured_arrivals=64, seed=1, warmup_arrivals=7)
-        assert cfg.warmup_arrivals == 7
+        with pytest.raises(TypeError):
+            SimConfig(n=5, lam=4.0, mu=1.0, measured_arrivals=1000, seed=1, warmup_arrivals=7)
 
     def test_unstable_rejected(self):
         with pytest.raises(DomainError):
@@ -75,8 +73,6 @@ class TestSimConfig:
             SimConfig(n=2, lam=1.0, mu=1.0, measured_arrivals=10, seed=1)
         with pytest.raises(DomainError):
             SimConfig(n=0, lam=0.1, mu=1.0, measured_arrivals=100, seed=1)
-        with pytest.raises(DomainError):
-            SimConfig(n=2, lam=1.0, mu=1.0, measured_arrivals=100, seed=1, warmup_arrivals=0)
 
     def test_negative_seed_rejected(self):
         # checked up front: numpy's SeedSequence raises a bare ValueError
@@ -92,8 +88,6 @@ class TestSimConfig:
             ("measured_arrivals", 100.5),
             ("seed", 1.5),
             ("seed", True),
-            ("warmup_arrivals", 7.0),
-            ("warmup_arrivals", 2.5),
         ],
     )
     def test_non_integer_counts_rejected(self, field, value):
@@ -156,20 +150,19 @@ class TestSimulation:
     @pytest.mark.parametrize(
         "n, lam, seed, p_wait, ci_halfwidth",
         [
-            (1, 0.5, 7, 0.4968, 0.011518606839110077),
-            (5, 4.0, 42, 0.5609, 0.030934027963666757),
-            (100, 90.0, 7, 0.2095, 0.06839138231270277),
-            (400, 380.0, 11, 0.1662, 0.09352502270147314),
+            (1, 0.5, 7, 0.49695, 0.011304946957735455),
+            (5, 4.0, 42, 0.5635, 0.033905566761193474),
+            (100, 90.0, 7, 0.182, 0.06047512661495859),
+            (400, 380.0, 11, 0.1674, 0.10605406660730016),
         ],
     )
     def test_pinned_estimates(self, n, lam, seed, p_wait, ci_halfwidth):
-        # values from an event-heap simulation of the same seeded streams:
-        # the FCFS recursion gives each customer the same variates
+        # values from oracles.simulate_mmn_per_arrival on the same seeds
         est = simulate_mmn(SimConfig(n=n, lam=lam, mu=1.0, measured_arrivals=20_000, seed=seed))
         assert est == SimEstimate(p_wait=p_wait, ci_halfwidth=ci_halfwidth, batches=32)
 
     @pytest.mark.parametrize(
-        "n, lam, mu, measured, seed, warmup",
+        "n, lam, mu, measured, seed, chunk",
         [
             (2, 1.0, 1.0, 32, 0, None),  # the benchmark's set-up call
             (5, 4.0, 1.0, 20_000, 42, None),
@@ -179,17 +172,19 @@ class TestSimulation:
             (400, 380.0, 1.0, 20_000, 11, None),
             (400, 380.0, 1.0, 20_001, 11, None),
             (5, 4.0, 1.0, 1_000, 3, 1),
-            # the warm-up ends inside a chunk, and the run crosses two blocks
+            # one array per batch, and the run crosses two of the oracle's blocks
             (5, 4.0, 1.0, 131_077, 5, 65_531),
             (3, 4.0, 1.7, 20_000, 9, None),
+            (3, 2.9, 1.0, 2_000, 4, None),  # starts with ~30 customers queued
         ],
     )
-    def test_same_as_per_arrival_loop(self, n, lam, mu, measured, seed, warmup):
+    def test_same_as_per_arrival_loop(self, monkeypatch, n, lam, mu, measured, seed, chunk):
         # chunked draws and accumulated arrival times give each customer the
-        # same variates through the same float operations in the same order
-        cfg = SimConfig(
-            n=n, lam=lam, mu=mu, measured_arrivals=measured, seed=seed, warmup_arrivals=warmup
-        )
+        # same variates through the same float operations in the same order,
+        # from the same start; chunk, when given, is the most draws per array
+        if chunk is not None:
+            monkeypatch.setattr(mmn_oracle, "_CHUNK", chunk)
+        cfg = SimConfig(n=n, lam=lam, mu=mu, measured_arrivals=measured, seed=seed)
         assert simulate_mmn(cfg) == oracles.simulate_mmn_per_arrival(cfg)
 
     @pytest.mark.parametrize("rate", [1.0, 3.7])
@@ -206,11 +201,55 @@ class TestSimulation:
         cuts = [len(chunk) for chunk in chunks]
         assert cuts == [4096] * 15 + [4091, 3, 4096, 1]
 
+    def test_arrival_times_are_running_sums(self):
+        # customer 0 arrives at 0.0 and customer i after the gaps of 0..i-1,
+        # with the clock carried across chunk and segment cuts
+        sizes = [4_099, 3, 5]
+        stream = np.random.SeedSequence(23).spawn(3)[0]
+        gap_chunks = list(mmn_oracle._exponential_chunks(stream, 0.01, sizes))
+        gaps = [x for chunk in gap_chunks for x in chunk.tolist()]
+        chunks = list(mmn_oracle._arrival_times(gap_chunks))
+        assert [len(chunk) for chunk in chunks] == [4096, 3, 3, 5]
+        expected = []
+        time = 0.0
+        for gap in gaps:
+            expected.append(time)
+            time += gap
+        assert [t for chunk in chunks for t in chunk.tolist()] == expected
+
     @pytest.mark.parametrize("chunk", [1, 7, 4096])
     def test_chunk_size_changes_no_bit(self, monkeypatch, chunk):
-        cfg = SimConfig(n=5, lam=4.0, mu=1.0, measured_arrivals=2_001, seed=8, warmup_arrivals=9)
+        cfg = SimConfig(n=5, lam=4.0, mu=1.0, measured_arrivals=2_001, seed=8)
         monkeypatch.setattr(mmn_oracle, "_CHUNK", chunk)
         assert simulate_mmn(cfg) == oracles.simulate_mmn_per_arrival(cfg)
+
+    @pytest.mark.parametrize("n, a", [(5, 4.0), (100, 90.0), (400, 380.0)])
+    def test_start_is_stationary(self, n, a):
+        # by PASTA an arrival finds all n busy with probability C(n, a), and
+        # the mean number of busy servers is the offered load a
+        draws = 20_000
+        law = mmn_oracle._stationary_law(n, a)
+        gen = np.random.Generator(np.random.PCG64(n))
+        busy = [n - mmn_oracle._stationary_start(gen, law, 1.0).count(-math.inf)
+                for _ in range(draws)]
+        share = sum(b == n for b in busy) / draws
+        c = erlang_c_integer(n, a).value
+        assert abs(share - c) <= 4.0 * math.sqrt(c * (1.0 - c) / draws), (share, c)
+        se = statistics.stdev(busy) / math.sqrt(draws)
+        assert abs(statistics.fmean(busy) - a) <= 4.0 * se, (statistics.fmean(busy), a)
+
+    @pytest.mark.parametrize("n, lam", [(5, 4.0), (100, 90.0), (400, 380.0)])
+    def test_start_from_wrong_law_forgotten(self, monkeypatch, n, lam):
+        # the start shares pi with birth_death_wait_prob, but the estimate
+        # does not lean on it: a start drawn at load 0.9a still meets the
+        # 1e6-arrival criterion of the acceptance tests
+        law = mmn_oracle._stationary_law
+        monkeypatch.setattr(mmn_oracle, "_stationary_law", lambda n, a: law(n, 0.9 * a))
+        est = simulate_mmn(
+            SimConfig(n=n, lam=lam, mu=1.0, measured_arrivals=1_000_000, seed=20260808)
+        )
+        expected = erlang_c_integer(n, lam).value
+        assert abs(est.p_wait - expected) <= 3.0 * est.ci_halfwidth, (est, expected)
 
     def test_memory_flat_in_arrivals(self):
         # one array and one list of draws per stream (~0.34 MB); holding

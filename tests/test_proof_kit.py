@@ -153,6 +153,14 @@ class TestTailY:
         with pytest.raises(DomainError):
             tail_y(0.999, 1.0)
 
+    @pytest.mark.parametrize("y, a", [(1e10, 1e-4), (1e35, 0.01), (1.0 + 2**-52, 1e-40)])
+    def test_zero_where_h_overflows(self, y, a):
+        # log(y)/sqrt(a) > 710: e**(log(y)/sqrt(a)) - 1 overflows a double
+        # (an OverflowError before), and the tail is far below the smallest
+        assert h(math.sqrt(a) / math.log(y)) == -math.inf
+        assert tail_y(y, a) == 0.0
+        assert tail_y_via_h(y, a) == 0.0
+
 
 class TestH:
     def test_unit_value(self):
@@ -182,6 +190,22 @@ class TestH:
         above = h(20.0 * (1.0 + 1e-12))
         assert below == pytest.approx(above, abs=1e-12)
         assert h(20.0) == pytest.approx(h_series(20.0, 30), abs=1e-12)
+
+    def test_below_exp_overflow(self):
+        # e**(1/x) overflows below x ~ 1/710 (an OverflowError before); h
+        # stays finite to x ~ 1/723 and is -inf below
+        import mpmath
+
+        with mpmath.workdps(30):
+            for x in (1.0 / 711.0, 1.0 / 720.0, 1.0 / 722.5):
+                exact = x + x * x * (1 - mpmath.exp(1 / mpmath.mpf(x)))
+                assert h(x) == pytest.approx(float(exact), rel=1e-13), x
+        for x in (1.0 / 724.0, 1e-3, 1e-300, 5e-324):
+            assert h(x) == -math.inf, x
+        values = [h(1.0 / k) for k in range(730, 700, -1)]  # x increasing
+        finite = [v for v in values if v > -math.inf]
+        assert values[: len(values) - len(finite)] == [-math.inf] * (len(values) - len(finite))
+        assert all(b > a for a, b in zip(finite, finite[1:]))
 
     def test_domain(self):
         with pytest.raises(DomainError):
