@@ -12,11 +12,7 @@ from hw_staffing.svg import polyline_chart
 
 
 def emit(beta, s_lo, s_hi, points, log_x, path):
-    if log_x:
-        grid = default_load_grid(s_lo, s_hi, points)
-    else:
-        grid = [s_lo + (s_hi - s_lo) * i / (points - 1) for i in range(points)]
-    sweep = inverse_sweep(beta, grid)
+    sweep = inverse_sweep(beta, default_load_grid(s_lo, s_hi, points, log_x))
     rows = [r for r in sweep.rows if r.c_value is not None]
     chart = polyline_chart(
         [r.s for r in rows],

@@ -22,7 +22,6 @@ from .erlang import (
 )
 from .errors import BracketError, DomainError, NumericalError, StaffingError
 from .halfin_whitt import (
-    Regime,
     SweepResult,
     SweepRow,
     beta_for_target,
@@ -65,7 +64,6 @@ __all__ = [
     "Method",
     "NumericalError",
     "OrderReport",
-    "Regime",
     "SimConfig",
     "SimEstimate",
     "StaffingError",

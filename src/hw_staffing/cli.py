@@ -14,7 +14,7 @@ import math
 import sys
 
 from . import erlang, halfin_whitt, mmn_oracle, verify
-from .errors import DomainError, NumericalError
+from .errors import DomainError, NumericalError, positive_finite
 from .svg import polyline_chart
 
 _EXIT_OK = 0
@@ -80,30 +80,12 @@ def _cmd_staff(args) -> int:
 # --------------------------------------------------------------------------
 
 
-def _build_grid(lo: float, hi: float, points: int, log_x: bool) -> tuple[float, ...]:
-    if points < 1:
-        raise DomainError(f"--points must be >= 1, got {points}")
-    if points == 1:
-        return (lo,)
-    if not (hi > lo):
-        raise DomainError(f"need --to > --from, got [{lo}, {hi}]")
-    if log_x:
-        if lo <= 0.0:
-            raise DomainError(f"log spacing requires --from > 0, got {lo}")
-        grid = list(halfin_whitt.default_load_grid(lo, hi, points))
-    else:
-        step = (hi - lo) / (points - 1)
-        grid = [lo + step * i for i in range(points)]
-    grid[-1] = hi
-    return tuple(grid)
-
-
-def _sweep_csv(result: halfin_whitt.SweepResult) -> str:
+def _sweep_csv(result: halfin_whitt.SweepResult, args) -> str:
     def cell(v):
         return "" if v is None else fmt(v)
 
     lines = []
-    if result.regime is halfin_whitt.Regime.LOAD_PARAMETRIZED:
+    if args.regime == "hw":
         lines.append("a,s,c,c_star,gap,error")
         for r in result.rows:
             err = r.error or ""
@@ -121,7 +103,7 @@ def _sweep_csv(result: halfin_whitt.SweepResult) -> str:
 def _sweep_svg(result: halfin_whitt.SweepResult, args) -> str:
     ok = [r for r in result.rows if r.c_value is not None]
     beta_text = f"{result.beta:.6g}"
-    if result.regime is halfin_whitt.Regime.LOAD_PARAMETRIZED:
+    if args.regime == "hw":
         xs = [r.a for r in ok]
         title = f"C(a + beta*sqrt(a), a), beta = {beta_text}"
         x_label = "offered load a"
@@ -148,9 +130,7 @@ def _default_sweep_range(regime: str, beta: float) -> tuple[float, float, int]:
 
 
 def _cmd_sweep(args) -> int:
-    beta = args.beta
-    if not (beta > 0.0 and math.isfinite(beta)):
-        raise DomainError(f"--beta must be > 0, got {beta}")
+    beta = positive_finite(args.beta, "--beta", "beta")
 
     default_lo, default_hi, default_points = _default_sweep_range(args.regime, beta)
     lo = args.lo if args.lo is not None else default_lo
@@ -173,7 +153,9 @@ def _cmd_sweep(args) -> int:
     if args.out == "-" and args.format != "csv":
         raise DomainError("svg output cannot go to stdout; give --out PATH")
 
-    grid = _build_grid(lo, hi, points, args.log_x)
+    grid = list(halfin_whitt.default_load_grid(lo, hi, points, args.log_x))
+    if points > 1:
+        grid[-1] = hi
     if args.regime == "hw":
         result = halfin_whitt.hw_sweep(beta, grid)
     else:
@@ -183,7 +165,7 @@ def _cmd_sweep(args) -> int:
         raise NumericalError(f"every sweep row failed; first row: {result.rows[0].error}")
 
     if args.format in ("csv", "both"):
-        text = _sweep_csv(result)
+        text = _sweep_csv(result, args)
         if args.out == "-":
             sys.stdout.write(text)
         else:

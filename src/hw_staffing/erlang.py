@@ -22,7 +22,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .errors import DomainError, server_count
+from .errors import DomainError, delay_target, positive_finite, server_count
 from .numerics import bisect_monotone, integrate_exp_sinh, log1pmx, upper_gamma_regularized
 
 __all__ = [
@@ -77,8 +77,7 @@ class DelayProbability:
 
 
 def _check_stable(s: float, a: float):
-    if not (a > 0.0 and math.isfinite(a)):
-        raise DomainError(f"offered load must be positive and finite, got a={a}")
+    positive_finite(a, "offered load", "a")
     if not math.isfinite(s):
         raise DomainError(f"server count must be finite, got s={s}")
     if a >= s:
@@ -123,8 +122,7 @@ def erlang_b_integer(n: int, a: float) -> float:
     B(1.5e8, 1e8) takes 0.05 s, where stepping every k takes 15 s.
     """
     n = server_count(n, 0)
-    if not (a > 0.0 and math.isfinite(a)):
-        raise DomainError(f"offered load must be positive and finite, got a={a}")
+    positive_finite(a, "offered load", "a")
     k0 = max(0, math.floor(min(n, a) - _WARM_START_SQRTS * math.sqrt(a)))
     b = 1.0 - k0 / a
     tiny = sys.float_info.min
@@ -201,10 +199,8 @@ def erlang_c_slack(d: float, a: float) -> DelayProbability:
     by more than C(a + beta*sqrt(a), a) falls per half decade of a when
     beta is small.
     """
-    if not (a > 0.0 and math.isfinite(a)):
-        raise DomainError(f"offered load must be positive and finite, got a={a}")
-    if not (d > 0.0 and math.isfinite(d)):
-        raise DomainError(f"slack must be positive and finite, got d={d}")
+    positive_finite(a, "offered load", "a")
+    positive_finite(d, "slack", "d")
     return _quadrature(float(d), float(a))
 
 
@@ -212,7 +208,13 @@ def _quadrature(d: float, a: float) -> DelayProbability:
     r = math.sqrt(a)
     inv_r = 1.0 / r
     d1 = d - 1.0
-    z_peak = (d + 1.0 + math.sqrt((d + 1.0) ** 2 + 8.0 * a)) / (2.0 * r)
+    try:
+        z_peak = (d + 1.0 + math.sqrt((d + 1.0) ** 2 + 8.0 * a)) / (2.0 * r)
+    except OverflowError:
+        z_peak = math.inf
+    if z_peak == math.inf:  # (d + 1)**2 + 8a overflowed, from a ~ 2e307
+        u = (d + 1.0) / r
+        z_peak = (u + math.sqrt(u * u + 8.0)) / 2.0
     # the factor 1 - (a + d1)/(r + z_peak)**2 of the second derivative;
     # near 0 (large loads) it is taken with r**2 and a cancelled by hand
     curvature = 1.0 - (a + d1) / (r + z_peak) ** 2
@@ -283,10 +285,8 @@ def min_servers(a: float, epsilon: float) -> int:
     above the load, so a call takes O(sqrt(a)) steps: about 1 ms at
     a = 1e6 and 10 ms at 1e8.
     """
-    if not (a > 0.0 and math.isfinite(a)):
-        raise DomainError(f"offered load must be positive and finite, got a={a}")
-    if not (0.0 < epsilon < 1.0):
-        raise DomainError(f"target must lie in (0, 1), got epsilon={epsilon}")
+    positive_finite(a, "offered load", "a")
+    delay_target(epsilon)
 
     n = math.floor(a)
     b = erlang_b_integer(n, a)
@@ -313,10 +313,8 @@ def real_staffing_level(a: float, epsilon: float) -> float:
     solver's evaluation at the bracket's upper end costs nothing; a call
     takes about 10 quadratures.
     """
-    if not (a > 0.0 and math.isfinite(a)):
-        raise DomainError(f"offered load must be positive and finite, got a={a}")
-    if not (0.0 < epsilon < 1.0):
-        raise DomainError(f"target must lie in (0, 1), got epsilon={epsilon}")
+    positive_finite(a, "offered load", "a")
+    delay_target(epsilon)
 
     @functools.cache
     def log_c(d: float) -> float:

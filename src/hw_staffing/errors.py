@@ -3,12 +3,14 @@
 Domain violations (bad arguments, unstable load points) and numerical
 failures (non-convergence, lost brackets) are distinct: callers such as the
 CLI map them to different exit codes, and sweeps record them per-row instead
-of aborting. server_count is the one check of a server count, shared by
-the analytic routes and the model oracles.
+of aborting. server_count, positive_finite and delay_target are the one
+check each of a server count, of a positive finite parameter and of a
+target delay probability, shared by every module that takes one.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 
 
@@ -52,3 +54,17 @@ def server_count(n, least: int) -> int:
         kind = "nonnegative" if least == 0 else "positive"
         raise DomainError(f"server count must be a {kind} integer, got {n!r}")
     return int(n)
+
+
+def positive_finite(x, what: str, symbol: str):
+    """x, if it is positive and finite (not nan); what and symbol name it."""
+    if not (x > 0.0 and math.isfinite(x)):
+        raise DomainError(f"{what} must be positive and finite, got {symbol}={x}")
+    return x
+
+
+def delay_target(epsilon):
+    """epsilon, if it lies in (0, 1) as a target delay probability must."""
+    if not (0.0 < epsilon < 1.0):
+        raise DomainError(f"target must lie in (0, 1), got epsilon={epsilon}")
+    return epsilon

@@ -7,25 +7,24 @@ share one loop and one row type (SweepRow) and produce the evidence tables
 behind two facts:
 
 * the load-parametrized curve C(a + beta*sqrt(a), a) decreases strictly in
-  a and stays above the limit for every beta > 0 (verified per sweep);
+  a and stays above the limit for every beta > 0 (hw_sweep's SweepResult
+  carries the verdict and the margins it rests on);
 * the server-parametrized curve C(s, s - beta*sqrt(s)) is NOT claimed to be
   monotone -- inverse_sweep only emits the data.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
 from .erlang import erlang_c_slack
-from .errors import DomainError, NumericalError
+from .errors import DomainError, NumericalError, delay_target, positive_finite
 from .numerics import bisect_monotone, normal_cdf, normal_pdf
 
 __all__ = [
-    "Regime",
     "SweepRow",
     "SweepResult",
     "hw_limit",
@@ -36,11 +35,6 @@ __all__ = [
     "inverse_sweep",
     "default_load_grid",
 ]
-
-
-class Regime(enum.Enum):
-    LOAD_PARAMETRIZED = "hw"
-    SERVER_PARAMETRIZED = "inverse"
 
 
 @dataclass(frozen=True)
@@ -66,23 +60,30 @@ class SweepRow:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Ordered sweep rows plus the verification flags (hw regime only).
+    """Ordered sweep rows plus hw_sweep's smallest decrement margin (each
+    decrement less the two rows' summed error bounds; inf for one row) and
+    smallest gap above the limit, and the flags read from those two.
 
-    decreasing/gaps_positive are None for the server-parametrized regime
-    (no monotonicity claim is made there) and None when any row failed,
-    since grid-wide claims are then unverifiable.
+    Both are None from inverse_sweep (no monotonicity claim is made
+    there) and None when any row failed, since grid-wide claims are then
+    unverifiable; the flags are None with them.
     """
 
-    regime: Regime
     beta: float
     rows: tuple[SweepRow, ...]
-    decreasing: bool | None = None
-    gaps_positive: bool | None = None
+    min_margin: float | None = None
+    min_gap: float | None = None
+
+    @property
+    def decreasing(self) -> bool | None:
+        return None if self.min_margin is None else self.min_margin > 0.0
+
+    @property
+    def gaps_positive(self) -> bool | None:
+        return None if self.min_gap is None else self.min_gap > 0.0
 
     @property
     def verified(self) -> bool | None:
-        if self.decreasing is None or self.gaps_positive is None:
-            return None
         return self.decreasing and self.gaps_positive
 
 
@@ -108,20 +109,14 @@ def hw_limit(beta: float) -> float:
 def staffing(a: float, beta: float) -> float:
     """Square-root staffing level s = a + beta*sqrt(a); requires beta > 0
     so the result stays in the validity region a < s."""
-    if not (a > 0.0 and math.isfinite(a)):
-        raise DomainError(f"offered load must be positive and finite, got a={a}")
-    if not (beta > 0.0 and math.isfinite(beta)):
-        raise DomainError(
-            f"staffing requires beta > 0 to keep s > a (validity of the "
-            f"continuous delay formula), got beta={beta}"
-        )
+    positive_finite(a, "offered load", "a")
+    positive_finite(beta, "staffing slack", "beta")
     return a + beta * math.sqrt(a)
 
 
 def inverse_load(n: float, beta: float) -> float:
     """Offered load a = n - beta*sqrt(n); valid only for finite n > beta**2."""
-    if not (beta > 0.0 and math.isfinite(beta)):
-        raise DomainError(f"inverse_load requires beta > 0, got beta={beta}")
+    positive_finite(beta, "staffing slack", "beta")
     if not math.isfinite(n):
         raise DomainError(f"inverse_load requires a finite server count, got n={n}")
     if not (n > beta * beta):
@@ -134,8 +129,7 @@ def inverse_load(n: float, beta: float) -> float:
 
 def beta_for_target(epsilon: float) -> float:
     """Slack beta with hw_limit(beta) = epsilon, to 1e-12 by bisect_monotone."""
-    if not (0.0 < epsilon < 1.0):
-        raise DomainError(f"target must lie in (0, 1), got epsilon={epsilon}")
+    delay_target(epsilon)
     hi = 1.0
     while hw_limit(hi) > epsilon:
         hi *= 2.0
@@ -143,29 +137,36 @@ def beta_for_target(epsilon: float) -> float:
     return root.value
 
 
-def default_load_grid(lo: float = 0.01, hi: float = 1e4, points: int = 40) -> tuple[float, ...]:
-    """Log-spaced grid from lo to hi (0 < lo < hi, both finite; hi may
-    equal lo for a single point), the package's only one; the defaults
-    are verify's load grid, spanning six orders of magnitude."""
+def default_load_grid(
+    lo: float = 0.01, hi: float = 1e4, points: int = 40, log_spaced: bool = True
+) -> tuple[float, ...]:
+    """The package's one grid: log-spaced from lo > 0 to hi, or evenly
+    spaced; finite bounds, hi > lo unless the grid is the single point
+    (lo,). The last point is hi only up to rounding. The defaults are
+    verify's load grid, spanning six orders of magnitude."""
     if isinstance(points, bool) or not isinstance(points, numbers.Integral) or points < 1:
         raise DomainError(f"points must be an integer >= 1, got {points!r}")
-    if not (lo > 0.0 and math.isfinite(lo) and math.isfinite(hi)):
-        raise DomainError(f"need finite bounds with lo > 0, got lo={lo}, hi={hi}")
-    if hi < lo or (points > 1 and hi == lo):
-        raise DomainError(f"need hi > lo for {points} points, got lo={lo}, hi={hi}")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise DomainError(f"grid bounds must be finite, got lo={lo}, hi={hi}")
+    if log_spaced and not lo > 0.0:
+        raise DomainError(f"log spacing needs lo > 0, got lo={lo}")
     if points == 1:
         return (lo,)
-    r = math.log(hi / lo) / (points - 1)
-    return tuple(lo * math.exp(r * i) for i in range(points))
+    if not hi > lo:
+        raise DomainError(f"need hi > lo for {points} points, got lo={lo}, hi={hi}")
+    if log_spaced:
+        r = math.log(hi / lo) / (points - 1)
+        return tuple(lo * math.exp(r * i) for i in range(points))
+    step = (hi - lo) / (points - 1)
+    return tuple(lo + step * i for i in range(points))
 
 
-def _sweep_rows(regime: Regime, beta: float, grid: Sequence[float]):
-    """The loop behind hw_sweep and inverse_sweep: one SweepRow per grid
-    value x, with C evaluated at the slack beta*sqrt(x) itself."""
-    hw = regime is Regime.LOAD_PARAMETRIZED
-    name, grid_name = ("hw_sweep", "a_grid") if hw else ("inverse_sweep", "s_grid")
-    if not (beta > 0.0 and math.isfinite(beta)):
-        raise DomainError(f"{name} requires beta > 0, got beta={beta}")
+def _sweep_rows(beta: float, grid: Sequence[float], hw: bool):
+    """The loop behind hw_sweep (hw, x = a) and inverse_sweep (x = s): one
+    SweepRow per grid value x, with C evaluated at the slack beta*sqrt(x)
+    itself."""
+    grid_name = "a_grid" if hw else "s_grid"
+    positive_finite(beta, "staffing slack", "beta")
     if len(grid) == 0:
         raise DomainError(f"{grid_name} must not be empty")
     for x, y in zip(grid, grid[1:]):
@@ -192,23 +193,21 @@ def hw_sweep(beta: float, a_grid: Sequence[float]) -> SweepResult:
 
     Each row carries c_star = hw_limit(beta) and its gap above it.
     Per-point numerical failures are recorded in-row and do not abort the
-    sweep. The result's flags report whether the successful values were
-    strictly decreasing (successive decrements must exceed the summed error
-    bounds, to separate real monotonicity from quadrature noise) and whether
-    every gap above the limit was positive. C is evaluated at the slack
-    beta*sqrt(a) itself (erlang_c_slack), so the rounding of the row's s
-    cannot make the curve jitter at large loads.
+    sweep. When every row succeeded, the result carries the smallest
+    decrement margin (each decrement less the two rows' summed error
+    bounds, which separates real monotonicity from quadrature noise) and
+    the smallest gap above the limit; the curve is verified when both are
+    positive. C is evaluated at the slack beta*sqrt(a) itself
+    (erlang_c_slack), so the rounding of the row's s cannot make the curve
+    jitter at large loads.
     """
-    rows = _sweep_rows(Regime.LOAD_PARAMETRIZED, beta, a_grid)
+    rows = _sweep_rows(beta, a_grid, hw=True)
     if any(r.c_value is None for r in rows):
         # failed rows leave the grid-wide claims unverifiable
-        return SweepResult(Regime.LOAD_PARAMETRIZED, beta, rows, None, None)
-    decreasing = all(
-        x.c_value - y.c_value > x.error_bound + y.error_bound
-        for x, y in zip(rows, rows[1:])
-    )
-    gaps_positive = all(r.gap > 0.0 for r in rows)
-    return SweepResult(Regime.LOAD_PARAMETRIZED, beta, rows, decreasing, gaps_positive)
+        return SweepResult(beta, rows)
+    margins = [x.c_value - y.c_value - (x.error_bound + y.error_bound)
+               for x, y in zip(rows, rows[1:])]
+    return SweepResult(beta, rows, min(margins, default=math.inf), min(r.gap for r in rows))
 
 
 def inverse_sweep(beta: float, s_grid: Sequence[float]) -> SweepResult:
@@ -221,5 +220,4 @@ def inverse_sweep(beta: float, s_grid: Sequence[float]) -> SweepResult:
     the rounding of the row's a = s - beta*sqrt(s) would move the slack, and
     C with it by ~1e-9 relative, far beyond the quadrature's bound.
     """
-    rows = _sweep_rows(Regime.SERVER_PARAMETRIZED, beta, s_grid)
-    return SweepResult(Regime.SERVER_PARAMETRIZED, beta, rows, None, None)
+    return SweepResult(beta, _sweep_rows(beta, s_grid, hw=False))

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from heapq import heapify, heapreplace
 from itertools import accumulate
 
-from .errors import DomainError, server_count
+from .errors import DomainError, positive_finite, server_count
 
 __all__ = [
     "SimConfig",
@@ -68,10 +68,8 @@ class SimConfig:
                 raise DomainError(f"{name} must be an integer, got {value!r}")
         if self.n < 1:
             raise DomainError(f"server count must be a positive integer, got {self.n}")
-        if not (self.lam > 0.0 and math.isfinite(self.lam)):
-            raise DomainError(f"arrival rate must be positive and finite, got {self.lam}")
-        if not (self.mu > 0.0 and math.isfinite(self.mu)):
-            raise DomainError(f"service rate must be positive and finite, got {self.mu}")
+        positive_finite(self.lam, "arrival rate", "lambda")
+        positive_finite(self.mu, "service rate", "mu")
         if self.lam >= self.n * self.mu:
             raise DomainError(
                 f"unstable configuration: lambda={self.lam} >= n*mu={self.n * self.mu}"

@@ -26,7 +26,7 @@ import sys
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import DomainError
+from .errors import DomainError, positive_finite
 from .numerics import integrate_semi_infinite
 
 __all__ = [
@@ -56,10 +56,7 @@ _ORDER_TOL = 1e-13
 
 
 def _check_load(a: float) -> float:
-    a = float(a)
-    if not (a > 0.0 and math.isfinite(a)):
-        raise DomainError(f"load parameter must be positive and finite, got a={a}")
-    return a
+    return positive_finite(float(a), "load parameter", "a")
 
 
 @dataclass(frozen=True)
@@ -170,9 +167,7 @@ def h(x: float) -> float:
     passes the largest double (below x ~ 1/723), where every tail it gives
     is 0.
     """
-    x = float(x)
-    if not (x > 0.0 and math.isfinite(x)):
-        raise DomainError(f"h requires finite x > 0, got {x}")
+    x = positive_finite(float(x), "h's argument", "x")
     if x > _H_SERIES_SWITCH:
         return h_series(x, _H_SERIES_TERMS)
     inv_x = 1.0 / x
@@ -188,9 +183,7 @@ def h_series(x: float, terms: int) -> float:
     For x >= 1 the omitted tail is positive and below the first omitted
     term, so 30 terms give ~1e-33 truncation error.
     """
-    x = float(x)
-    if not (x > 0.0 and math.isfinite(x)):
-        raise DomainError(f"h_series requires finite x > 0, got {x}")
+    x = positive_finite(float(x), "h_series's argument", "x")
     if terms < 1:
         raise DomainError(f"terms must be >= 1, got {terms}")
     inv_x = 1.0 / x
@@ -225,9 +218,7 @@ def moment_y(a: float, beta: float) -> float:
     route independent of the delay-probability quadrature.
     """
     a = _check_load(a)
-    beta = float(beta)
-    if not (beta > 0.0 and math.isfinite(beta)):
-        raise DomainError(f"moment_y requires beta > 0, got {beta}")
+    beta = positive_finite(float(beta), "moment_y's beta", "beta")
     power = a - 1.0 + beta * math.sqrt(a)
     return integrate_semi_infinite(lambda t: _log_density_x(t, a, power))
 

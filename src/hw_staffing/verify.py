@@ -3,7 +3,9 @@
 Three suites, each a list of (name, passed, detail) records:
 
 * monotonicity -- C(a + beta*sqrt(a), a) decreases strictly in a (every
-  decrement beyond the summed error bounds) and stays above hw_limit(beta);
+  decrement beyond the summed error bounds) and stays above hw_limit(beta),
+  as hw_sweep's SweepResult reports it; a failed row fails both records
+  and is named in their detail;
 * order -- tail dominance of Y_a between successive loads;
 * identities -- density normalizations, the tail rewrite through h, the
   series form of h, the moment identity 1/C = E[Y_a**beta], and agreement
@@ -52,25 +54,14 @@ def _monotonicity():
     grid = halfin_whitt.default_load_grid(0.01, 1e4, 40)
     for beta in _BETAS:
         sweep = halfin_whitt.hw_sweep(beta, grid)
-        ok = [r for r in sweep.rows if r.c_value is not None]
-        margins = [
-            x.c_value - y.c_value - (x.error_bound + y.error_bound)
-            for x, y in zip(ok, ok[1:])
-        ]
-        checks.append(
-            (
-                f"strict-decrease beta={beta:g}",
-                bool(sweep.decreasing),
-                f"min decrement margin {min(margins):.17g}" if margins else "no rows",
-            )
-        )
-        checks.append(
-            (
-                f"above-limit beta={beta:g}",
-                bool(sweep.gaps_positive),
-                f"min gap {min(r.gap for r in ok):.17g}" if ok else "no rows",
-            )
-        )
+        failed = next((r for r in sweep.rows if r.error is not None), None)
+        if failed is not None:
+            margin_detail = gap_detail = f"row a={failed.a:.17g} failed: {failed.error}"
+        else:
+            margin_detail = f"min decrement margin {sweep.min_margin:.17g}"
+            gap_detail = f"min gap {sweep.min_gap:.17g}"
+        checks.append((f"strict-decrease beta={beta:g}", bool(sweep.decreasing), margin_detail))
+        checks.append((f"above-limit beta={beta:g}", bool(sweep.gaps_positive), gap_detail))
     return checks
 
 

@@ -229,6 +229,37 @@ class TestSweep:
             assert len(lines) == 201
             assert all(line.endswith(",") for line in lines[1:])  # empty error column
 
+    def test_hw_loads_to_1e308_complete(self, capsys):
+        code, out, _ = run_cli(
+            capsys,
+            "sweep", "--regime", "hw", "--beta", "1",
+            "--from", "1", "--to", "1e308", "--points", "3",
+        )
+        assert code == 0
+        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+        assert [float(r[0]) for r in rows] == [1.0, 5e307, 1e308]
+        assert all(r[5] == "" for r in rows)
+
+    # beyond each regime's default --to (1e4 and 500): one point ignores it
+    @pytest.mark.parametrize("regime,x", [("hw", "7.5"), ("hw", "20000"), ("inverse", "600")])
+    def test_single_point_is_the_from_bound(self, capsys, regime, x):
+        code, out, _ = run_cli(
+            capsys, "sweep", "--regime", regime, "--beta", "1", "--from", x, "--points", "1"
+        )
+        assert code == 0
+        rows = out.strip().splitlines()[1:]
+        assert len(rows) == 1
+        assert rows[0].split(",")[0] == x  # a for hw rows, s for inverse rows
+
+    @pytest.mark.parametrize("log_x", [[], ["--log-x"]])
+    def test_infinite_bound_is_named(self, capsys, log_x):
+        code, out, err = run_cli(
+            capsys, "sweep", "--regime", "hw", "--beta", "1", "--to", "inf", *log_x
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: grid bounds must be finite, got lo=1.0, hi=inf\n"
+
     def test_hw_loads_past_1e30_complete(self, capsys):
         code, out, _ = run_cli(
             capsys,

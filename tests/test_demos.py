@@ -19,20 +19,34 @@ DEMOS = [
 ]
 
 
-@pytest.mark.parametrize("demo", DEMOS)
-def test_demo_runs(demo, tmp_path):
+def run_demo(demo, cwd):
     # run from an empty directory: 06_figures writes its SVGs there
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
-    result = subprocess.run(
+    return subprocess.run(
         [sys.executable, str(ROOT / "demos" / demo)],
-        cwd=tmp_path,
+        cwd=cwd,
         env=env,
         capture_output=True,
         text=True,
         timeout=120,
     )
+
+
+@pytest.mark.parametrize("demo", DEMOS)
+def test_demo_runs(demo, tmp_path):
+    result = run_demo(demo, tmp_path)
     assert result.returncode == 0, result.stderr
     assert result.stdout
+
+
+def test_figures_demo_draws_the_cli_figures(tmp_path):
+    # 06_figures says the CLI commands it prints draw the same figures;
+    # tests/golden holds what those commands write
+    result = run_demo("06_figures.py", tmp_path)
+    assert result.returncode == 0, result.stderr
+    golden = ROOT / "tests" / "golden"
+    for name, cli_name in (("inverse_beta_0.1.svg", "left.svg"), ("inverse_beta_3.svg", "right.svg")):
+        assert (tmp_path / name).read_bytes() == (golden / cli_name).read_bytes(), name

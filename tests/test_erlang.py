@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -315,11 +316,14 @@ class TestErlangCRealLargeLoads:
         assert 1.0 - 1e-6 < result.value < 1.0
 
     @pytest.mark.parametrize("beta", [0.1, 1.0, 3.0])
-    @pytest.mark.parametrize("a", [1e33, 1e40, 1e100, 1e200, 1e298])
+    @pytest.mark.parametrize(
+        "a", [1e33, 1e40, 1e100, 1e200, 1e298, 2e307, 1e308, sys.float_info.max]
+    )
     def test_staffed_curve_at_extreme_loads(self, a, beta):
         # the width's curvature factor 1 - (a + d - 1)/(sqrt(a) + z)**2
-        # rounds to zero or below here unless taken without cancellation;
-        # the curve has reached its limit to rounding
+        # rounds to zero or below here unless taken without cancellation,
+        # and from 2e307 the peak's (d + 1)**2 + 8a overflows; the curve
+        # has reached its limit to rounding
         result = erlang_c_slack(beta * math.sqrt(a), a)
         assert abs(result.value - hw_limit(beta)) <= result.error_bound
 

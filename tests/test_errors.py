@@ -1,0 +1,43 @@
+"""The shared domain checks, and the public names each module lists."""
+
+import importlib
+import math
+import pkgutil
+
+import pytest
+
+import hw_staffing
+from hw_staffing.errors import DomainError, delay_target, positive_finite
+
+MODULES = ["hw_staffing"] + [
+    f"hw_staffing.{m.name}" for m in pkgutil.iter_modules(hw_staffing.__path__)
+]
+
+
+@pytest.mark.parametrize("x", [0.0, -1.0, math.nan, math.inf, -math.inf])
+def test_positive_finite_rejects(x):
+    with pytest.raises(DomainError, match=f"^offered load must be positive and finite, got a={x}$"):
+        positive_finite(x, "offered load", "a")
+
+
+@pytest.mark.parametrize("x", [5e-324, 1.0, 3, 1.7976931348623157e308])
+def test_positive_finite_returns_its_argument(x):
+    assert positive_finite(x, "offered load", "a") is x
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 1.0, -0.5, 2.0, math.nan])
+def test_delay_target_rejects(epsilon):
+    with pytest.raises(DomainError, match=r"^target must lie in \(0, 1\)"):
+        delay_target(epsilon)
+
+
+def test_delay_target_returns_its_argument():
+    assert delay_target(0.2) == 0.2
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_all_names_resolve(module):
+    # the benchmark's tracer looks each listed name up with getattr
+    mod = importlib.import_module(module)
+    missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
+    assert missing == []

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from hw_staffing import numerics
 from hw_staffing.errors import DomainError
 from hw_staffing.halfin_whitt import (
-    Regime,
     beta_for_target,
     default_load_grid,
     hw_limit,
@@ -120,7 +119,6 @@ class TestBetaForTarget:
 class TestHwSweep:
     def test_decreasing_above_limit(self):
         result = hw_sweep(1.0, (1.0, 10.0, 100.0, 1000.0))
-        assert result.regime is Regime.LOAD_PARAMETRIZED
         assert result.decreasing and result.gaps_positive
         assert result.verified
         for row in result.rows:
@@ -131,6 +129,17 @@ class TestHwSweep:
         result = hw_sweep(1.0, (50.0,))
         assert result.decreasing  # vacuous but defined
         assert result.gaps_positive
+        assert result.min_margin == math.inf
+        assert result.min_gap == result.rows[0].gap
+
+    def test_verdict_figures(self):
+        result = hw_sweep(1.0, (1.0, 10.0, 100.0))
+        x, y, z = result.rows
+        assert result.min_margin == min(
+            x.c_value - y.c_value - (x.error_bound + y.error_bound),
+            y.c_value - z.c_value - (y.error_bound + z.error_bound),
+        )
+        assert result.min_gap == z.gap
 
     @pytest.mark.parametrize("beta", [0.1, 3.0])
     def test_other_slacks(self, beta):
@@ -177,7 +186,6 @@ class TestHwSweep:
 class TestInverseSweep:
     def test_rows_follow_regime(self):
         result = inverse_sweep(3.0, (9.5, 20.0, 100.0, 500.0))
-        assert result.regime is Regime.SERVER_PARAMETRIZED
         assert result.decreasing is None and result.gaps_positive is None
         assert result.verified is None
         for row in result.rows:
@@ -223,6 +231,21 @@ class TestInverseSweep:
 
     def test_default_load_grid_single_point(self):
         assert default_load_grid(3.0, 3.0, 1) == (3.0,)
+
+    def test_default_load_grid_single_point_ignores_hi(self):
+        assert default_load_grid(3.0, 1.0, 1) == (3.0,)
+
+    def test_default_load_grid_evenly_spaced(self):
+        grid = default_load_grid(9.5, 500.0, 200, log_spaced=False)
+        step = (500.0 - 9.5) / 199
+        assert grid == tuple(9.5 + step * i for i in range(200))
+        assert default_load_grid(-1.0, 1.0, 3, log_spaced=False) == (-1.0, 0.0, 1.0)
+
+    @pytest.mark.parametrize("lo,hi", [(math.nan, 10.0), (-math.inf, 10.0), (1.0, math.nan)])
+    def test_default_load_grid_rejects_nonfinite_bounds(self, lo, hi):
+        for log_spaced in (True, False):
+            with pytest.raises(DomainError, match="bounds must be finite"):
+                default_load_grid(lo, hi, 5, log_spaced)
 
     def test_default_load_grid_rejects_zero_lo(self):
         with pytest.raises(DomainError, match="lo > 0"):
