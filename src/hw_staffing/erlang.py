@@ -47,6 +47,11 @@ _LOG_MAX = math.log(sys.float_info.max)
 # route's exponent (see erlang_c_real and erlang_c_gamma).
 _EXPONENT_ULPS = 8.0
 _GAMMA_ULPS = 16.0
+# Where the quadrature's peak overflows, d or a is past 1e154. A slack of
+# more than this many sqrt(a) then puts the integrand's exponent at x = d/a,
+# a*((1 + x)*log1p(x) - x) less log1p(x), above 3e5 (it is at least
+# d**2/(3a) for d <= a and 0.38d for d > a): 1/C overflows.
+_SLACK_SQRTS_UNDERFLOW = 1e3
 
 # erlang_b_integer starts K = _WARM_START_SQRTS multiples of sqrt(a) below
 # min(n, a); its docstring derives the value.
@@ -214,6 +219,8 @@ def _quadrature(d: float, a: float) -> DelayProbability:
         z_peak = math.inf
     if z_peak == math.inf:  # (d + 1)**2 + 8a overflowed, from a ~ 2e307
         u = (d + 1.0) / r
+        if u > _SLACK_SQRTS_UNDERFLOW:  # 1/C overflows: C underflows
+            return DelayProbability(0.0, Method.QUADRATURE, 0.0)
         z_peak = (u + math.sqrt(u * u + 8.0)) / 2.0
     # the factor 1 - (a + d1)/(r + z_peak)**2 of the second derivative;
     # near 0 (large loads) it is taken with r**2 and a cancelled by hand

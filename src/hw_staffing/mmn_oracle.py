@@ -17,14 +17,15 @@ confidence interval (a test checks this at n = 5, 100 and 400).
 
 Randomness is pinned for reproducibility: three PCG64 streams (arrivals,
 services, start state) spawned from one SeedSequence, and exponential
-variates drawn by numpy's C inverse-transform sampler
-(standard_exponential, method="inv"): one next_double per variate, as
-random() takes, through glibc's log1p, which math.log1p also calls, so
-each draw is -math.log1p(-U) * (1/rate) to the bit. numpy's log1p ufunc is
-not used, as its SIMD paths need not round alike. Customer i takes the
-i-th draw of each stream however the draws are chunked, so identical seeds
-give bit-identical estimates. numpy is imported by the simulation alone;
-the rest of the package loads without it.
+variates drawn by numpy's default sampler, standard_exponential, a
+ziggurat (Marsaglia & Tsang, J. Stat. Softw. 5(8), 2000) that takes its
+random bits straight from the stream and keeps no buffer between calls.
+So the k-th variate of a stream is the same double whether it comes from
+one scalar call at a time or from arrays of any size, and customer i
+takes the i-th draw of each stream however the draws are chunked:
+identical seeds give bit-identical estimates. A draw at rate r is
+standard_exponential() * (1/r). numpy is imported by the simulation
+alone; the rest of the package loads without it.
 """
 
 from __future__ import annotations
@@ -105,33 +106,34 @@ def birth_death_wait_prob(n: int, a: float) -> float:
     """Stationary probability that all n servers are busy, from the chain.
 
     With pi_k ~ a**k/k! for k <= n and pi_{n+j} = pi_n rho**j, the waiting
-    probability is 1/(1 + (1 - rho) * sum_{k<n} (a**k/k!) / (a**n/n!)); the
-    sum is accumulated term-by-term in log space so n in the hundreds with
-    small rho stays finite.
+    probability is 1/(1 + (1 - rho) * sum_{k<n} (a**k/k!) / (a**n/n!)). The
+    sum is taken backward from k = n - 1, as sum_{j=1..n} prod_{i<j} (n-i)/a,
+    each term the last times (n - j + 1)/a, so no exponent of size n*log(a)
+    is rounded. Where n >> a the terms overflow to inf, and the probability
+    is 0.0.
     """
     n = server_count(n, 1)
     if not (0.0 < a < n) or not math.isfinite(a):
         raise DomainError(f"requires 0 < a < n for stability, got a={a}, n={n}")
-    rho = a / n
-    log_a = math.log(a)
-    log_top = n * log_a - math.lgamma(n + 1.0)  # log(a**n/n!)
-    log_one_minus_rho = math.log1p(-rho)
+    term = 1.0
     ratio = 0.0
-    for k in range(n):
-        ratio += math.exp(k * log_a - math.lgamma(k + 1.0) + log_one_minus_rho - log_top)
-    return 1.0 / (1.0 + ratio)
+    for k in range(n, 0, -1):
+        term *= k / a
+        ratio += term
+    return 1.0 / (1.0 + (1.0 - a / n) * ratio)
 
 
 def _exponential_chunks(stream, rate: float, sizes):
-    """The draws -log1p(-U) * (1/rate) of a PCG64 stream, segment by segment,
-    as arrays of at most _CHUNK draws cut at the end of each segment."""
+    """The draws standard_exponential() * (1/rate) of a PCG64 stream, segment
+    by segment, as arrays of at most _CHUNK draws cut at the end of each
+    segment."""
     import numpy as np
 
     gen = np.random.Generator(np.random.PCG64(stream))
     scale = 1.0 / rate
     for size in sizes:
         for start in range(0, size, _CHUNK):
-            yield gen.standard_exponential(min(_CHUNK, size - start), method="inv") * scale
+            yield gen.standard_exponential(min(_CHUNK, size - start)) * scale
 
 
 def _arrival_times(gap_chunks):
@@ -182,9 +184,9 @@ def _stationary_start(gen, law: tuple[list[float], float], mu: float) -> list[fl
     queued = math.floor(math.log1p(-gen.random()) / math.log(rho)) if busy == n else 0
     scale = 1.0 / mu
     free = [-math.inf] * (n - busy)
-    free += (gen.standard_exponential(busy, method="inv") * scale).tolist()
+    free += (gen.standard_exponential(busy) * scale).tolist()
     heapify(free)
-    for service in (gen.standard_exponential(queued, method="inv") * scale).tolist():
+    for service in (gen.standard_exponential(queued) * scale).tolist():
         heapreplace(free, free[0] + service)
     return free
 
@@ -204,9 +206,11 @@ def simulate_mmn(cfg: SimConfig) -> SimEstimate:
 
     Customer i takes the i-th draw of the arrivals stream as the time to
     the next arrival and the i-th of the services stream as its service
-    time; a third stream draws the start. The draws come in arrays cut at
-    the end of each batch, arrival times are running sums carried across
-    arrays, and each array is one loop over its customers.
+    time; a third stream draws the start. Each draw is numpy's ziggurat
+    standard_exponential() times 1/rate. The draws come in arrays cut at
+    the end of each batch, which hold the same doubles as one scalar call
+    per customer; arrival times are running sums carried across arrays,
+    and each array is one loop over its customers.
     """
     import numpy as np  # ~13 MB and tens of ms to load; only this needs it
 

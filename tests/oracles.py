@@ -44,9 +44,9 @@ def simulate_mmn_per_arrival(cfg):
 
     The start draws K from pi by a linear scan of its running weights, then
     each arrival draws its service time and then the time to the next
-    arrival, each by inverse transform from a 65 536-value PCG64 block,
-    tests the batch boundary, makes one heap step and adds the gap to the
-    clock; simulate_mmn must return the same SimEstimate to the bit.
+    arrival, each by one scalar standard_exponential() call on its PCG64
+    stream, tests the batch boundary, makes one heap step and adds the gap
+    to the clock; simulate_mmn must return the same SimEstimate to the bit.
     """
     import numpy as np
 
@@ -54,28 +54,11 @@ def simulate_mmn_per_arrival(cfg):
 
     batches = 32
     t_crit_31 = 2.0395134463964077
-    block = 1 << 16
-
-    def uniform_stream(seed_seq):
-        gen = np.random.Generator(np.random.PCG64(seed_seq))
-        buffer = gen.random(block)
-        index = 0
-
-        def draw():
-            nonlocal buffer, index
-            if index == len(buffer):
-                buffer = gen.random(block)
-                index = 0
-            u = buffer[index]
-            index += 1
-            return float(u)
-
-        return draw
 
     def exponential_stream(seed_seq, rate):
-        uniform = uniform_stream(seed_seq)
+        gen = np.random.Generator(np.random.PCG64(seed_seq))
         scale = 1.0 / rate
-        return lambda: -math.log1p(-uniform()) * scale
+        return lambda: gen.standard_exponential() * scale
 
     arrivals_stream, services_stream, start_stream = np.random.SeedSequence(cfg.seed).spawn(3)
     draw_interarrival = exponential_stream(arrivals_stream, cfg.lam)
@@ -94,20 +77,20 @@ def simulate_mmn_per_arrival(cfg):
     for w in weights:
         total += w
         running.append(total)
-    draw_start = uniform_stream(start_stream)
-    target = draw_start() * total
+    start = np.random.Generator(np.random.PCG64(start_stream))
+    target = start.random() * total
     busy = 0
     while busy < n and running[busy] <= target:
         busy += 1
     queued = 0
     if busy == n:
-        queued = math.floor(math.log1p(-draw_start()) / math.log(rho))
+        queued = math.floor(math.log1p(-start.random()) / math.log(rho))
     scale = 1.0 / cfg.mu
     free = [-math.inf] * (n - busy)
-    free += [-math.log1p(-draw_start()) * scale for _ in range(busy)]
+    free += [start.standard_exponential() * scale for _ in range(busy)]
     heapq.heapify(free)
     for _ in range(queued):
-        heapq.heapreplace(free, free[0] + -math.log1p(-draw_start()) * scale)
+        heapq.heapreplace(free, free[0] + start.standard_exponential() * scale)
 
     boundaries = [(i * cfg.measured_arrivals) // batches for i in range(1, batches + 1)]
     batch_waits = [0] * batches

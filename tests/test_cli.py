@@ -57,6 +57,13 @@ class TestCompute:
         assert "numerical error" in err
         assert "integrand evaluations" in err
 
+    def test_quadrature_far_past_overflow(self, capsys):
+        # the peak overflowed into a bare ValueError; C is 0 to the last bit
+        code, out, err = run_cli(
+            capsys, "compute", "--s", "1e160", "--a", "1", "--method", "quadrature"
+        )
+        assert (code, out.split(), err) == (0, ["quadrature", "0", "0"], "")
+
     def test_recurrence_requires_integer_servers(self, capsys):
         code, _, err = run_cli(capsys, "compute", "--s", "2.5", "--a", "1", "--method", "recurrence")
         assert code == 2

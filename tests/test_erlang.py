@@ -327,6 +327,22 @@ class TestErlangCRealLargeLoads:
         result = erlang_c_slack(beta * math.sqrt(a), a)
         assert abs(result.value - hw_limit(beta)) <= result.error_bound
 
+    @pytest.mark.parametrize(
+        "route, first, a",
+        [
+            (erlang_c_real, 1e155, 2.0),
+            (erlang_c_real, sys.float_info.max, 1.0),
+            (erlang_c_real, sys.float_info.max, 1e308),
+            (erlang_c_slack, 1e300, 1e10),
+            (erlang_c_slack, 1e307, sys.float_info.max),
+        ],
+    )
+    def test_slack_far_past_overflow_gives_zero(self, route, first, a):
+        # (d + 1)**2 overflows, and the peak and width from u = (d + 1)/sqrt(a)
+        # raised a bare ValueError or OverflowError; 1/C is far past overflow
+        result = route(first, a)
+        assert result.value == 0.0 and result.error_bound == 0.0
+
 
 class TestErlangCGamma:
     def test_matches_integer_at_two(self):

@@ -37,6 +37,21 @@ class TestBirthDeath:
                 assert birth_death_wait_prob(n, a) == pytest.approx(
                     reference, rel=1e-12
                 ), (n, rho)
+        # past the recurrence's flat bound, against the 30-digit integral;
+        # C(4000, 400) and its neighbours underflow to 0.0 in both
+        for n in (1000, 4000):
+            for rho in (0.1, 0.3, 0.5, 0.7, 0.9, 0.95):
+                a = n * rho
+                reference = oracles.erlang_c_mpmath(float(n), a)
+                assert birth_death_wait_prob(n, a) == pytest.approx(
+                    reference, rel=1e-14, abs=0.0
+                ), (n, rho)
+
+    def test_overflow_returns_zero(self):
+        # n >> a: n!/a**n overflows, so C underflows; the log-space sum
+        # this replaced raised OverflowError from (4000, 2000)
+        assert birth_death_wait_prob(400, 4.0) == 0.0
+        assert birth_death_wait_prob(4000, 2000.0) == 0.0
 
     def test_instability_rejected(self):
         with pytest.raises(DomainError):
@@ -150,11 +165,12 @@ class TestSimulation:
     @pytest.mark.parametrize(
         "n, lam, seed, p_wait, ci_halfwidth",
         [
-            (1, 0.5, 7, 0.49695, 0.011304946957735455),
-            (5, 4.0, 42, 0.5635, 0.033905566761193474),
-            (100, 90.0, 7, 0.182, 0.06047512661495859),
-            (400, 380.0, 11, 0.1674, 0.10605406660730016),
+            (1, 0.5, 7, 0.50115, 0.014983171666882325),
+            (5, 4.0, 42, 0.5793, 0.028753593207089045),
+            (100, 90.0, 7, 0.20125, 0.05396577182265801),
+            (400, 380.0, 11, 0.07625, 0.03926394887375503),
         ],
+        ids=["n1", "n5", "n100", "n400"],  # stable when the draws are re-pinned
     )
     def test_pinned_estimates(self, n, lam, seed, p_wait, ci_halfwidth):
         # values from oracles.simulate_mmn_per_arrival on the same seeds
@@ -172,7 +188,7 @@ class TestSimulation:
             (400, 380.0, 1.0, 20_000, 11, None),
             (400, 380.0, 1.0, 20_001, 11, None),
             (5, 4.0, 1.0, 1_000, 3, 1),
-            # one array per batch, and the run crosses two of the oracle's blocks
+            # one array per batch of 4 096 or 4 097 draws
             (5, 4.0, 1.0, 131_077, 5, 65_531),
             (3, 4.0, 1.7, 20_000, 9, None),
             (3, 2.9, 1.0, 2_000, 4, None),  # starts with ~30 customers queued
@@ -188,14 +204,15 @@ class TestSimulation:
         assert simulate_mmn(cfg) == oracles.simulate_mmn_per_arrival(cfg)
 
     @pytest.mark.parametrize("rate", [1.0, 3.7])
-    def test_draws_are_inverse_transform_of_uniforms(self, rate):
-        # numpy's C sampler gives -math.log1p(-u) * (1/rate) to the bit; a
-        # SIMD log1p or another method (such as "zig") need not
+    def test_draws_are_scalar_ziggurat_calls(self, rate):
+        # the joined arrays are the stream's scalar standard_exponential()
+        # calls times 1/rate, to the bit; the inverse-transform sampler
+        # (method="inv") draws other doubles from the same stream
         sizes = [65_531, 3, 4_097]
         stream = np.random.SeedSequence(17).spawn(2)[1]
         chunks = list(mmn_oracle._exponential_chunks(stream, rate, sizes))
-        uniforms = np.random.Generator(np.random.PCG64(stream)).random(sum(sizes))
-        expected = [-math.log1p(-u) * (1.0 / rate) for u in uniforms.tolist()]
+        gen = np.random.Generator(np.random.PCG64(stream))
+        expected = [gen.standard_exponential() * (1.0 / rate) for _ in range(sum(sizes))]
         assert [x for chunk in chunks for x in chunk.tolist()] == expected
         # at most _CHUNK draws per array, cut at each segment's end
         cuts = [len(chunk) for chunk in chunks]
@@ -253,11 +270,11 @@ class TestSimulation:
 
     def test_memory_flat_in_arrivals(self):
         # one array and one list of draws per stream (~0.34 MB); holding
-        # every draw of the run as a float would take ~80 MB
+        # every draw of the run, even as packed doubles, would take 3.2 MB
         simulate_mmn(SimConfig(n=2, lam=1.0, mu=1.0, measured_arrivals=32, seed=0))
         tracemalloc.start()
         try:
-            simulate_mmn(SimConfig(n=5, lam=4.0, mu=1.0, measured_arrivals=1_000_000, seed=1))
+            simulate_mmn(SimConfig(n=5, lam=4.0, mu=1.0, measured_arrivals=200_000, seed=1))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
