@@ -52,6 +52,9 @@ _GAMMA_ULPS = 16.0
 # a*((1 + x)*log1p(x) - x) less log1p(x), above 3e5 (it is at least
 # d**2/(3a) for d <= a and 0.38d for d > a): 1/C overflows.
 _SLACK_SQRTS_UNDERFLOW = 1e3
+# The quadrature returns C = 0 untried when the log of its integrand's
+# peak height times width passes log(max double) by this many nats.
+_PEAK_OVERFLOW_NATS = 40.0
 
 # erlang_b_integer starts K = _WARM_START_SQRTS multiples of sqrt(a) below
 # min(n, a); its docstring derives the value.
@@ -189,7 +192,7 @@ def erlang_c_real(s: float, a: float) -> DelayProbability:
     The error bound is the gap between the last two trapezoid sums, but
     never below the rounding of the exponent: 1e-14 plus a few ulps of
     the size of its two terms at the peak. When 1/C overflows, C is
-    returned as 0 with bound 0.
+    returned as 0 with bound 0; far past overflow, without a quadrature.
     """
     _check_stable(s, a)
     return _quadrature(float(s) - float(a), float(a))
@@ -224,10 +227,21 @@ def _quadrature(d: float, a: float) -> DelayProbability:
         z_peak = (u + math.sqrt(u * u + 8.0)) / 2.0
     # the factor 1 - (a + d1)/(r + z_peak)**2 of the second derivative;
     # near 0 (large loads) it is taken with r**2 and a cancelled by hand
-    curvature = 1.0 - (a + d1) / (r + z_peak) ** 2
+    try:
+        curvature = 1.0 - (a + d1) / (r + z_peak) ** 2
+    except OverflowError:  # z_peak past 1.3e154: a tiny, or d huge against it
+        curvature = 1.0 - (a + d1) / (r + z_peak) / (r + z_peak)
     if curvature < 1e-3:
         curvature = (2.0 * r * z_peak + z_peak**2 - d1) / (r + z_peak) ** 2
     width = 1.0 / math.sqrt(r * z_peak * curvature)
+    # the exponent's two terms at the peak size its rounding in the bound;
+    # with log(z_peak**2 * width) they give log(1/C) to a few nats, so 1/C
+    # far past overflow shows before any quadrature
+    x_peak = z_peak * inv_r
+    peak_a, peak_d = a * log1pmx(x_peak), d1 * math.log1p(x_peak)
+    log_inv_c = 2.0 * math.log(z_peak) + peak_a + peak_d + math.log(width)
+    if log_inv_c > _LOG_MAX + _PEAK_OVERFLOW_NATS:
+        return DelayProbability(0.0, Method.QUADRATURE, 0.0)
 
     def log_integrand(w: float) -> float:  # z * e**exponent * dz/dw, at z = e**w
         x = math.exp(w) * inv_r
@@ -237,8 +251,7 @@ def _quadrature(d: float, a: float) -> DelayProbability:
     if shift + math.log(total) > _LOG_MAX:  # 1/C overflows: C underflows
         return DelayProbability(0.0, Method.QUADRATURE, 0.0, evaluations)
     value = 1.0 / (total * math.exp(shift))
-    x_peak = z_peak * inv_r
-    exponent_size = abs(a * log1pmx(x_peak)) + abs(d1 * math.log1p(x_peak))
+    exponent_size = abs(peak_a) + abs(peak_d)
     rel_bound = max(err / total, 1e-14 + _EXPONENT_ULPS * _EPS * exponent_size)
     return DelayProbability(value, Method.QUADRATURE, value * rel_bound, evaluations)
 

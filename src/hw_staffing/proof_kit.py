@@ -11,12 +11,13 @@ g(t, a) = a t e**(-a t) (1 + t)**(a - 1) on t >= 0. This module exposes:
 * tail_y_via_h / h        -- the rewrite tail_y = exp((log y)**2 * h(sqrt(a)/log y))
                              with h(x) = x + x**2 (1 - e**(1/x));
 * h_series                -- the equivalent series -sum x**-n/(n+2)!;
-* moment_y                -- E[Y_a**beta] by quadrature;
+* moment_y                -- E[Y_a**beta] by quadrature of Y_a's tail through h;
 * check_stochastic_order  -- first-order dominance of Y_a in a over a grid.
 
 Every tail/CDF evaluation goes through one shared log-space survival
 kernel, so the algebraic identities between them hold to rounding error by
-construction rather than by numerical coincidence.
+construction rather than by numerical coincidence. It and the density
+kernel take a*(log1p(x) - x) from log1pmx, free of cancellation at any load.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import DomainError, positive_finite
-from .numerics import integrate_semi_infinite
+from .numerics import integrate_semi_infinite, log1pmx
 
 __all__ = [
     "OrderReport",
@@ -75,17 +76,16 @@ class OrderReport:
 
 
 def _log_survival_x(x: float, a: float) -> float:
-    """log Pr{X_a > x} = a*log1p(x) - a*x; the single shared tail kernel."""
-    return a * math.log1p(x) - a * x
+    """log Pr{X_a > x} = a*(log1p(x) - x); the single shared tail kernel."""
+    return a * log1pmx(x)
 
 
-def _log_density_x(t: float, a: float, power: float) -> float:
-    """log(a t e**(-a t) (1 + t)**power), -inf for t <= 0: X_a's log
-    density at power = a - 1, and the integrand of E[Y_a**beta] at
-    power = a - 1 + beta*sqrt(a)."""
+def _log_density_x(t: float, a: float) -> float:
+    """log g(t, a) = log(a) + log(t) + a*(log1p(t) - t) - log1p(t), -inf
+    for t <= 0. log(a) and log(t) stay apart: a*t may underflow."""
     if t <= 0.0:
         return -math.inf
-    return math.log(a) + math.log(t) - a * t + power * math.log1p(t)
+    return math.log(a) + math.log(t) + a * log1pmx(t) - math.log1p(t)
 
 
 def density_g(t: float, a: float) -> float:
@@ -94,7 +94,7 @@ def density_g(t: float, a: float) -> float:
     t = float(t)
     if t < 0.0 or not math.isfinite(t):
         raise DomainError(f"t must be finite and >= 0, got {t}")
-    return math.exp(_log_density_x(t, a, a - 1.0))
+    return math.exp(_log_density_x(t, a))
 
 
 def cdf_x(x: float, a: float) -> float:
@@ -119,8 +119,8 @@ def _y_to_x(y: float, a: float) -> float:
 
 
 def density_y(y: float, a: float) -> float:
-    """Density of Y_a: sqrt(a) y**(sqrt(a)-1) (y**(1/sqrt(a)) - 1)
-    e**(-a (y**(1/sqrt(a)) - 1)), in log space."""
+    """Density of Y_a: g(x, a) * dx/dy at x = y**(1/sqrt(a)) - 1, where
+    dx/dy = (1 + x)/(sqrt(a)*y), in log space."""
     a = _check_load(a)
     y = float(y)
     if not (y > 1.0):
@@ -128,10 +128,7 @@ def density_y(y: float, a: float) -> float:
     if math.isinf(y):
         return 0.0
     x = _y_to_x(y, a)
-    sqrt_a = math.sqrt(a)
-    return math.exp(
-        0.5 * math.log(a) + (sqrt_a - 1.0) * math.log(y) + math.log(x) - a * x
-    )
+    return math.exp(_log_density_x(x, a) + math.log1p(x) - 0.5 * math.log(a) - math.log(y))
 
 
 def tail_y(y: float, a: float) -> float:
@@ -211,16 +208,16 @@ def tail_y_via_h(y: float, a: float) -> float:
 
 
 def moment_y(a: float, beta: float) -> float:
-    """E[Y_a**beta] = integral of (1 + t)**(beta*sqrt(a)) g(t, a) dt.
+    """E[Y_a**beta] = 1 + beta * integral_0^inf exp(beta*u + u**2 * h(sqrt(a)/u)) du.
 
-    Its reciprocal is the delay probability at s = a + beta*sqrt(a); the
-    integral is evaluated directly in t (no substitution) so it provides a
-    route independent of the delay-probability quadrature.
+    Y_a's tail, through h as in tail_y_via_h, integrated by parts in
+    u = log y. Its reciprocal is C(a + beta*sqrt(a), a), which the Erlang
+    routes take from another integral, so the two check each other.
     """
     a = _check_load(a)
     beta = positive_finite(float(beta), "moment_y's beta", "beta")
-    power = a - 1.0 + beta * math.sqrt(a)
-    return integrate_semi_infinite(lambda t: _log_density_x(t, a, power))
+    r = math.sqrt(a)
+    return 1.0 + beta * integrate_semi_infinite(lambda u: beta * u + u**2 * h(r / u))
 
 
 def check_stochastic_order(

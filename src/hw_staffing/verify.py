@@ -96,7 +96,7 @@ def _identities():
 
     worst = 0.0
     for a in (0.25, 1.0, 9.0, 100.0, 2500.0):
-        worst = max(worst, abs(integrate(lambda t: log_density_x(t, a, a - 1.0)) - 1.0))
+        worst = max(worst, abs(integrate(lambda t: log_density_x(t, a)) - 1.0))
         worst = max(worst, abs(integrate(lambda v: _log_density_y_shifted(v, a)) - 1.0))
     checks.append(("density-normalization", worst <= 1e-10, f"worst |integral - 1| {worst:.17g}"))
 

@@ -343,6 +343,38 @@ class TestErlangCRealLargeLoads:
         result = route(first, a)
         assert result.value == 0.0 and result.error_bound == 0.0
 
+    @pytest.mark.parametrize(
+        "d, a",
+        [(1e153, 1.0), (1.3e154, 1.0), (1e-5, 1e-310), (1.0, 5e-324), (1e10, 1e-300),
+         (1e150, 1e-300)],
+    )
+    def test_extreme_slack_or_load_answers_or_fails_fast(self, d, a):
+        # the first two spent 4 096 evaluations and raised NumericalError
+        # where C underflows; the others, with z_peak ~ 1/sqrt(a) or
+        # d/sqrt(a) past 1.3e154, raised a bare OverflowError from the width
+        try:
+            result = erlang_c_slack(d, a)
+        except NumericalError as err:  # x = z/sqrt(a) overflows at the peak
+            assert err.iterations == 1
+        else:
+            assert result.value == 0.0 and result.error_bound == 0.0
+            assert result.evaluations == 0
+
+    @pytest.mark.parametrize("a, slacks", [(1.0, (170.0, 185.0)), (1e4, (38.0, 45.0)),
+                                           (1e8, (36.0, 41.0))])
+    def test_peak_overflow_check_spares_every_representable_value(self, a, slacks):
+        # the check before integrating returns C = 0 untried; across its
+        # threshold in d/sqrt(a) it must fire only where mpmath puts C
+        # below the least subnormal, 5e-324 (the check is monotone in d)
+        from mpmath import mpf
+
+        lo, hi = slacks
+        grid = [math.sqrt(a) * (lo + (hi - lo) * k / 400) for k in range(401)]
+        untried = [erlang_c_slack(d, a).evaluations == 0 for d in grid]
+        first = untried.index(True)
+        assert 0 < first and all(untried[first:])
+        assert oracles.erlang_c_mpmath(mpf(a) + mpf(grid[first]), a) < 5e-324
+
 
 class TestErlangCGamma:
     def test_matches_integer_at_two(self):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hw_staffing.erlang import erlang_c_real
+from hw_staffing.erlang import erlang_c_real, erlang_c_slack
 from hw_staffing.errors import DomainError
 from hw_staffing.halfin_whitt import staffing
 from hw_staffing.numerics import integrate_semi_infinite
@@ -23,6 +23,10 @@ from hw_staffing.proof_kit import (
 )
 
 import oracles
+
+
+# Loads from 1e-2 to the top of the double range.
+_LOADS = (1e-2, 1.0, 1e4, 1e8, 1e15, 1e20, 1e50, 1e100, 1e300)
 
 
 def _geom_grid(lo, hi, points):
@@ -153,6 +157,21 @@ class TestTailY:
         with pytest.raises(DomainError):
             tail_y(0.999, 1.0)
 
+    @pytest.mark.parametrize("a", _LOADS)
+    def test_matches_mpmath_at_every_load(self, a):
+        # the log tail a*(log1p(x) - x) cancels unless taken through
+        # log1pmx: a*log1p(x) - a*x was off by 6.8e-7 at 1e20; the
+        # reference needs log10(a) + 40 digits, or it reads 1.0 at 1e300
+        import mpmath
+
+        with mpmath.workdps(40 + max(0, int(math.log10(a)))):
+            for y in (1.01, 1.5, 3.0, 30.0, 1e3):
+                x = mpmath.expm1(mpmath.log(y) / mpmath.sqrt(a))
+                log_tail = a * (mpmath.log1p(x) - x)
+                want = float(mpmath.exp(log_tail))
+                tol = 1e-15 * (1.0 + abs(float(log_tail)))
+                assert tail_y(y, a) == pytest.approx(want, rel=tol, abs=0.0), (a, y)
+
     @pytest.mark.parametrize("y, a", [(1e10, 1e-4), (1e35, 0.01), (1.0 + 2**-52, 1e-40)])
     def test_zero_where_h_overflows(self, y, a):
         # log(y)/sqrt(a) > 710: e**(log(y)/sqrt(a)) - 1 overflows a double
@@ -271,6 +290,12 @@ class TestMomentY:
             for beta in (0.5, 1.0, 3.0):
                 c = erlang_c_real(staffing(a, beta), a).value
                 assert 1.0 / moment_y(a, beta) == pytest.approx(c, rel=1e-8), (a, beta)
+        # through Y's tail the moment holds at every load; in t it raised
+        # from 1e12, where its mass sits near the scan's floor t = 2**-52
+        for a in _LOADS:
+            for beta in (0.1, 0.5, 1.0, 2.0, 3.0):
+                c = erlang_c_slack(beta * math.sqrt(a), a).value
+                assert 1.0 / moment_y(a, beta) == pytest.approx(c, rel=4e-15), (a, beta)
 
     def test_at_least_one(self):
         for a in (0.5, 5.0):
@@ -278,11 +303,18 @@ class TestMomentY:
                 assert moment_y(a, beta) >= 1.0
 
 
+_LARGE_LOAD_PAIRS = ((1e15, 1e20), (1e20, 1e50), (1e100, 1e300))
+
+
 class TestStochasticOrder:
     def test_ordered_pair_passes(self):
         report = check_stochastic_order(1.0, 4.0, _geom_grid(1.01, 50.0, 40))
         assert report.passed
         assert report.violations == ()
+        # (1e15, 1e20) reported a violation while the tail cancelled
+        for a_low, a_high in _LARGE_LOAD_PAIRS:
+            report = check_stochastic_order(a_low, a_high, _geom_grid(1.01, 50.0, 40))
+            assert report.passed, (a_low, a_high)
 
     def test_equal_loads_pass_trivially(self):
         grid = _geom_grid(1.1, 10.0, 10)
@@ -294,6 +326,13 @@ class TestStochasticOrder:
         report = check_stochastic_order(4.0, 1.0, grid)
         assert not report.passed
         assert len(report.violations) == len(grid)
+        # the log tails differ by about u**3/(6*sqrt(a)), u = log y: seen
+        # up to 1e50, and below rounding between 1e100 and 1e300
+        grid = _geom_grid(1.01, 50.0, 40)
+        for a_low, a_high in _LARGE_LOAD_PAIRS[:2]:
+            assert not check_stochastic_order(a_high, a_low, grid).passed, (a_low, a_high)
+        swapped = check_stochastic_order(1e300, 1e100, grid)
+        assert swapped.passed and abs(swapped.worst_excess) <= 1e-15
 
     def test_worst_excess_matches_violations(self):
         grid = _geom_grid(1.1, 10.0, 10)
