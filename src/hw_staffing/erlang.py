@@ -52,8 +52,8 @@ _GAMMA_ULPS = 16.0
 # a*((1 + x)*log1p(x) - x) less log1p(x), above 3e5 (it is at least
 # d**2/(3a) for d <= a and 0.38d for d > a): 1/C overflows.
 _SLACK_SQRTS_UNDERFLOW = 1e3
-# The quadrature returns C = 0 untried when the log of its integrand's
-# peak height times width passes log(max double) by this many nats.
+# C = 0 without a quadrature once log(1/C), read at the peak, passes
+# _LOG_MAX by this many nats (the reading is good to a few nats).
 _PEAK_OVERFLOW_NATS = 40.0
 
 # erlang_b_integer starts K = _WARM_START_SQRTS multiples of sqrt(a) below
@@ -234,9 +234,8 @@ def _quadrature(d: float, a: float) -> DelayProbability:
     if curvature < 1e-3:
         curvature = (2.0 * r * z_peak + z_peak**2 - d1) / (r + z_peak) ** 2
     width = 1.0 / math.sqrt(r * z_peak * curvature)
-    # the exponent's two terms at the peak size its rounding in the bound;
-    # with log(z_peak**2 * width) they give log(1/C) to a few nats, so 1/C
-    # far past overflow shows before any quadrature
+    # the exponent's two terms at the peak size its rounding in the bound,
+    # and with log(z_peak**2 * width) give log(1/C) to a few nats
     x_peak = z_peak * inv_r
     peak_a, peak_d = a * log1pmx(x_peak), d1 * math.log1p(x_peak)
     log_inv_c = 2.0 * math.log(z_peak) + peak_a + peak_d + math.log(width)

@@ -335,30 +335,27 @@ class TestErlangCRealLargeLoads:
             (erlang_c_real, sys.float_info.max, 1e308),
             (erlang_c_slack, 1e300, 1e10),
             (erlang_c_slack, 1e307, sys.float_info.max),
+            (erlang_c_slack, 1e153, 1.0),
+            (erlang_c_slack, 1.3e154, 1.0),
         ],
     )
     def test_slack_far_past_overflow_gives_zero(self, route, first, a):
         # (d + 1)**2 overflows, and the peak and width from u = (d + 1)/sqrt(a)
-        # raised a bare ValueError or OverflowError; 1/C is far past overflow
+        # raised a bare ValueError or OverflowError; 1/C is far past overflow.
+        # The last two spent 4 096 evaluations and raised NumericalError;
+        # the exponent at the peak now shows the overflow without a quadrature
         result = route(first, a)
         assert result.value == 0.0 and result.error_bound == 0.0
+        assert result.evaluations == 0
 
-    @pytest.mark.parametrize(
-        "d, a",
-        [(1e153, 1.0), (1.3e154, 1.0), (1e-5, 1e-310), (1.0, 5e-324), (1e10, 1e-300),
-         (1e150, 1e-300)],
-    )
-    def test_extreme_slack_or_load_answers_or_fails_fast(self, d, a):
-        # the first two spent 4 096 evaluations and raised NumericalError
-        # where C underflows; the others, with z_peak ~ 1/sqrt(a) or
-        # d/sqrt(a) past 1.3e154, raised a bare OverflowError from the width
-        try:
-            result = erlang_c_slack(d, a)
-        except NumericalError as err:  # x = z/sqrt(a) overflows at the peak
-            assert err.iterations == 1
-        else:
-            assert result.value == 0.0 and result.error_bound == 0.0
-            assert result.evaluations == 0
+    @pytest.mark.parametrize("d, a", [(1e-5, 1e-310), (1.0, 5e-324), (1e10, 1e-300),
+                                      (1e150, 1e-300)])
+    def test_tiny_loads_fail_typed_after_one_evaluation(self, d, a):
+        # z_peak ~ 1/sqrt(a) or d/sqrt(a) passes 1.3e154, where the width
+        # raised a bare OverflowError; x = z/sqrt(a) overflows at the peak
+        with pytest.raises(NumericalError) as excinfo:
+            erlang_c_slack(d, a)
+        assert excinfo.value.iterations == 1
 
     @pytest.mark.parametrize("a, slacks", [(1.0, (170.0, 185.0)), (1e4, (38.0, 45.0)),
                                            (1e8, (36.0, 41.0))])
