@@ -41,6 +41,9 @@ CASES = {
     "staff_real": (["staff", "--a", "100", "--epsilon", "0.2", "--mode", "real"], None),
     "sweep_hw": (["sweep", "--regime", "hw", "--beta", "1", "--from", "1", "--to", "10000",
                   "--points", "40", "--log-x"], None),
+    "sweep_hw_svg": (["sweep", "--regime", "hw", "--beta", "1", "--from", "1", "--to", "10000",
+                      "--points", "40", "--log-x", "--format", "svg", "--out", "hw.svg"],
+                     "hw.svg"),
     "sweep_left_csv": (_LEFT, None),
     "sweep_right_csv": (_RIGHT, None),
     "sweep_left_svg": (_LEFT + ["--format", "svg", "--out", "left.svg"], "left.svg"),
