@@ -38,7 +38,7 @@ def _cmd_compute(args) -> int:
 
     method = args.method
     if method == "auto":
-        method = "recurrence" if float(s).is_integer() else "gamma"
+        method = "recurrence" if float(s).is_integer() else "quadrature"
     if method == "recurrence" and not float(s).is_integer():
         raise DomainError(f"the recurrence method needs an integer server count, got s={s}")
 
@@ -117,28 +117,23 @@ def _sweep_svg(result: halfin_whitt.SweepResult, args) -> str:
         title=title,
         x_label=x_label,
         y_label="delay probability C",
-        width=args.svg_width,
-        height=args.svg_height,
         log_x=args.log_x,
     )
-
-
-def _default_sweep_range(regime: str, beta: float) -> tuple[float, float, int]:
-    if regime == "hw":
-        return 1.0, 1e4, 40
-    return beta * beta * (1.0 + 1e-9), 500.0, 200
 
 
 def _cmd_sweep(args) -> int:
     beta = positive_finite(args.beta, "--beta", "beta")
 
-    default_lo, default_hi, default_points = _default_sweep_range(args.regime, beta)
+    if args.regime == "hw":
+        default_lo, default_hi, default_points = 1.0, 1e4, 40
+    else:  # the inverse regime starts just above its validity floor s = beta**2
+        floor = beta * beta * (1.0 + 1e-9)
+        default_lo, default_hi, default_points = floor, 500.0, 200
     lo = args.lo if args.lo is not None else default_lo
     hi = args.hi if args.hi is not None else default_hi
     points = args.points if args.points is not None else default_points
 
     if args.regime == "inverse":
-        floor = beta * beta * (1.0 + 1e-9)
         if lo < floor:
             print(
                 f"warning: --from {fmt(lo)} is at or below beta**2; clamped to {fmt(floor)}",
@@ -146,10 +141,6 @@ def _cmd_sweep(args) -> int:
             )
             lo = floor
 
-    if args.svg_width <= 0 or args.svg_height <= 0:
-        raise DomainError(
-            f"svg dimensions must be positive, got {args.svg_width}x{args.svg_height}"
-        )
     if args.out == "-" and args.format != "csv":
         raise DomainError("svg output cannot go to stdout; give --out PATH")
 
@@ -262,8 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--log-x", dest="log_x", action="store_true")
     p.add_argument("--format", choices=["csv", "svg", "both"], default="csv")
     p.add_argument("--out", default="-", help="output path; '-' writes CSV to stdout")
-    p.add_argument("--svg-width", type=int, default=640)
-    p.add_argument("--svg-height", type=int, default=480)
     p.set_defaults(handler=_cmd_sweep)
 
     p = sub.add_parser("verify", help="run the property verification suites")

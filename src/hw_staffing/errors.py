@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 
 
 class StaffingError(Exception):
@@ -64,7 +65,14 @@ def positive_finite(x, what: str, symbol: str):
 
 
 def delay_target(epsilon):
-    """epsilon, if it lies in (0, 1) as a target delay probability must."""
+    """epsilon, if it lies in (0, 1) as a target delay probability must,
+    and is no smaller than sys.float_info.min: below that the routes return
+    C as 0.0 and cannot tell such targets apart."""
     if not (0.0 < epsilon < 1.0):
         raise DomainError(f"target must lie in (0, 1), got epsilon={epsilon}")
+    if epsilon < sys.float_info.min:
+        raise DomainError(
+            f"target must be at least sys.float_info.min = {sys.float_info.min!r}, "
+            f"got epsilon={epsilon}"
+        )
     return epsilon

@@ -23,12 +23,11 @@ kernel take a*(log1p(x) - x) from log1pmx, free of cancellation at any load.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import DomainError, positive_finite
-from .numerics import integrate_semi_infinite, log1pmx
+from .numerics import _LOG_MAX, integrate_semi_infinite, log1pmx
 
 __all__ = [
     "OrderReport",
@@ -47,9 +46,6 @@ __all__ = [
 # the series is the accurate path. Both agree to ~1e-14 at the switch.
 _H_SERIES_SWITCH = 20.0
 _H_SERIES_TERMS = 30
-
-# Largest argument math.exp and math.expm1 take without overflow.
-_EXP_MAX_ARG = math.log(sys.float_info.max)
 
 # Combined absolute tolerance when asserting tail dominance: strict
 # inequality cannot be resolved at float-equality scale.
@@ -146,7 +142,7 @@ def tail_y(y: float, a: float) -> float:
     if math.isinf(y):
         return 0.0
     u = math.log(y) / math.sqrt(a)
-    if u > _EXP_MAX_ARG:
+    if u > _LOG_MAX:
         # x = e**u - 1 overflows, and the tail underflows for every a: the
         # log tail is -a*(e**u - 1 - u), and y >= 1 + 2**-52 gives
         # a >= (2**-52/u)**2, so it is below -e**u/(4e31 u**2) < -1e270
@@ -168,9 +164,9 @@ def h(x: float) -> float:
     if x > _H_SERIES_SWITCH:
         return h_series(x, _H_SERIES_TERMS)
     inv_x = 1.0 / x
-    if inv_x > _EXP_MAX_ARG:
+    if inv_x > _LOG_MAX:
         log_magnitude = inv_x + 2.0 * math.log(x)
-        return -math.inf if log_magnitude > _EXP_MAX_ARG else -math.exp(log_magnitude)
+        return -math.inf if log_magnitude > _LOG_MAX else -math.exp(log_magnitude)
     return x + x * x * -math.expm1(inv_x)
 
 

@@ -2,8 +2,8 @@
 
 No plotting dependency: the chart is assembled as a list of SVG 1.1
 elements in a fixed order with fixed number formatting, so identical data
-always produces identical bytes. One polyline per chart; linear or decade
-log scale on x.
+always produces identical bytes. One polyline per chart, 640x480; linear or
+decade log scale on x.
 """
 
 from __future__ import annotations
@@ -15,6 +15,8 @@ from .errors import DomainError
 
 __all__ = ["polyline_chart"]
 
+_WIDTH = 640
+_HEIGHT = 480
 _MARGIN_LEFT = 78.0
 _MARGIN_RIGHT = 24.0
 _MARGIN_TOP = 46.0
@@ -61,13 +63,9 @@ def polyline_chart(
     title: str,
     x_label: str,
     y_label: str,
-    width: int = 640,
-    height: int = 480,
     log_x: bool = False,
 ) -> str:
     """Render one (x, y) series as a standalone SVG 1.1 document."""
-    if width <= 0 or height <= 0:
-        raise DomainError(f"svg dimensions must be positive, got {width}x{height}")
     if len(xs) != len(ys) or not xs:
         raise DomainError("chart needs equally sized, non-empty x and y data")
     if log_x and min(xs) <= 0.0:
@@ -83,8 +81,8 @@ def polyline_chart(
         else:
             x_lo, x_hi = x_lo - 0.5, x_hi + 0.5
 
-    plot_w = width - _MARGIN_LEFT - _MARGIN_RIGHT
-    plot_h = height - _MARGIN_TOP - _MARGIN_BOTTOM
+    plot_w = _WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
+    plot_h = _HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
 
     def x_pos(x: float) -> float:
         if log_x:
@@ -106,9 +104,9 @@ def polyline_chart(
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">',
-        f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
-        f'<text x="{_fmt_coord(width / 2)}" y="24" text-anchor="middle" '
+        f'width="{_WIDTH}" height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">',
+        f'<rect x="0" y="0" width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
+        f'<text x="{_fmt_coord(_WIDTH / 2)}" y="24" text-anchor="middle" '
         f'font-family="monospace" font-size="15">{title}</text>',
     ]
 
@@ -141,7 +139,7 @@ def polyline_chart(
         f'height="{_fmt_coord(plot_h)}" fill="none" stroke="black"/>'
     )
     parts.append(
-        f'<text x="{_fmt_coord(x0 + plot_w / 2)}" y="{_fmt_coord(height - 14)}" '
+        f'<text x="{_fmt_coord(x0 + plot_w / 2)}" y="{_fmt_coord(_HEIGHT - 14)}" '
         f'text-anchor="middle" font-family="monospace" font-size="13">{x_label}</text>'
     )
     parts.append(

@@ -31,7 +31,8 @@ def erlang_b_full(n: int, a: float) -> float:
     """B(n, a) by the float recurrence run from B(0, a) = 1 through every k.
 
     The same steps as erlang_b_integer without its start below the load
-    or its stop at underflow, so the two must agree to the bit.
+    or its stop below the normal range, so the two must agree to the bit
+    wherever this value is at least sys.float_info.min.
     """
     b = 1.0
     for k in range(1, n + 1):

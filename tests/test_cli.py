@@ -37,11 +37,19 @@ class TestCompute:
         for v in values:
             assert v == pytest.approx(oracles.C_110_100, rel=1e-10)
 
-    def test_fractional_servers_defaults_to_gamma(self, capsys):
+    def test_fractional_servers_defaults_to_quadrature(self, capsys):
         code, out, _ = run_cli(capsys, "compute", "--s", "5.5", "--a", "4")
         assert code == 0
-        assert out.split()[0] == "gamma"
+        assert out.split()[0] == "quadrature"
         assert float(out.split()[1]) == pytest.approx(oracles.C_55_4, rel=1e-10)
+
+    def test_fractional_servers_past_the_gamma_range(self, capsys):
+        # the gamma route raises from a ~ 1.8e6; auto no longer takes it
+        code, out, err = run_cli(capsys, "compute", "--s", "2000000.5", "--a", "2e6")
+        method, value, bound = out.split()
+        assert (code, method, err) == (0, "quadrature", "")
+        assert float(value) == pytest.approx(0.99955704117930633, rel=1e-13)
+        assert float(bound) < 1e-13
 
     def test_instability_is_domain_error(self, capsys):
         code, _, err = run_cli(capsys, "compute", "--s", "1", "--a", "1")
@@ -110,6 +118,14 @@ class TestStaff:
     def test_epsilon_domain_error(self, capsys):
         code, _, _ = run_cli(capsys, "staff", "--epsilon", "1", "--mode", "beta")
         assert code == 2
+
+    @pytest.mark.parametrize("mode", ["integer", "real", "beta"])
+    def test_epsilon_below_the_normal_range(self, capsys, mode):
+        code, out, err = run_cli(
+            capsys, "staff", "--a", "1e4", "--epsilon", "1e-315", "--mode", mode
+        )
+        assert (code, out) == (2, "")
+        assert "sys.float_info.min" in err
 
     def test_missing_load_is_domain_error(self, capsys):
         code, _, _ = run_cli(capsys, "staff", "--epsilon", "0.5", "--mode", "integer")
@@ -208,14 +224,6 @@ class TestSweep:
         )
         assert code == 2
         assert err == "error: svg output cannot go to stdout; give --out PATH\n"
-
-    def test_nonpositive_svg_size_rejected(self, tmp_path, capsys):
-        code, _, err = run_cli(
-            capsys, "sweep", "--regime", "hw", "--beta", "1", "--format", "svg",
-            "--out", str(tmp_path / "f.svg"), "--svg-width", "0",
-        )
-        assert code == 2
-        assert err == "error: svg dimensions must be positive, got 0x480\n"
 
     def test_every_row_failing_is_numerical_error(self, capsys, monkeypatch):
         monkeypatch.setattr(numerics, "_REL_TOL", 1e-30)
@@ -326,6 +334,18 @@ class TestSimulate:
         _, first, _ = run_cli(capsys, *args)
         _, second, _ = run_cli(capsys, *args)
         assert first == second
+
+    def test_zero_width_interval_gives_infinite_discrepancy(self, capsys):
+        # no arrival of 64 waits at 50 servers and load 1, so every batch
+        # reads 0 and the interval has no width; C(50, 1) is 1.2e-65
+        code, out, err = run_cli(
+            capsys, "simulate", "--n", "50", "--lambda", "1", "--mu", "1", "--arrivals", "64"
+        )
+        lines = out.splitlines()
+        assert (code, err) == (0, "")
+        assert lines[0] == "p_wait = 0 +/- 0 (95% CI, 32 batches)"
+        assert float(lines[1].split("=")[1]) == pytest.approx(1.2342540755009953e-65, rel=1e-12)
+        assert lines[2] == "standardized discrepancy = inf"
 
     def test_unstable_config_rejected(self, capsys):
         code, _, err = run_cli(capsys, "simulate", "--n", "2", "--lambda", "3", "--mu", "1")

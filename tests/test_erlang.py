@@ -67,11 +67,18 @@ class TestErlangB:
         assert erlang_b_integer(5.0, 4.0) == erlang_b_integer(5, 4.0)
 
     def test_underflow_stops_the_recurrence(self):
-        # 10**12 steps would take hours; B reaches 0.0 near k = 2a, past
-        # its subnormal runs, and the recurrence stops there
+        # 10**12 steps would take hours; B leaves the normal range about
+        # 38*sqrt(a) above the load, and the recurrence stops there
         start = time.perf_counter()
         assert erlang_b_integer(10**12, 1e4) == 0.0
         assert time.perf_counter() - start < 1.0
+
+
+def _full_recurrence_or_zero(n, a):
+    """The recurrence from k = 1, where it stays in the normal range; 0.0
+    where it falls below sys.float_info.min, as erlang_b_integer returns."""
+    b = oracles.erlang_b_full(n, a)
+    return b if b >= sys.float_info.min else 0.0
 
 
 # Loads across the warm start's threshold K**2 = 100 (k0 = 0 up to a = 100,
@@ -92,12 +99,12 @@ class TestErlangBWarmStart:
 
     @pytest.mark.parametrize("a", _WARM_START_LOADS)
     def test_bit_identical_to_full_recurrence(self, a):
-        # the start 10*sqrt(a) below min(n, a) and the stop at underflow
-        # leave the double unchanged, for n below the load's own start k0
-        # (k0 // 2 starts below itself), around k0 and a + 10*sqrt(a), and
-        # far above a, where B has underflowed
+        # the start 10*sqrt(a) below min(n, a) leaves the double unchanged,
+        # for n below the load's own start k0 (k0 // 2 starts below
+        # itself), around k0 and a + 10*sqrt(a); far above a, where B has
+        # left the normal range, the stop returns 0.0
         for n in self._counts(a):
-            assert erlang_b_integer(n, a) == oracles.erlang_b_full(n, a), (n, a)
+            assert erlang_b_integer(n, a) == _full_recurrence_or_zero(n, a), (n, a)
 
     def test_min_servers_matches_full_pass(self):
         # min_servers as it was with the recurrence run from k = 1
@@ -118,9 +125,9 @@ class TestErlangBWarmStart:
             assert min_servers(a, epsilon) == full_pass(a, epsilon), (a, epsilon)
 
 
-# Loads for the subnormal tail, and server counts past the normal range:
+# Loads for the stop below the normal range, and server counts around it:
 # about 38 and 45 multiples of sqrt(a) above the load, around 2*round(a),
-# where 5e-324 rounds to 0.0, and 3a, past it.
+# where the full recurrence's subnormal B rounds to 0.0, and 3a, past it.
 _TAIL_LOADS = (1000.5, 1001.5, 12345.678, 1e5)
 
 
@@ -138,17 +145,18 @@ class TestErlangBSubnormalTail:
             math.floor(3.0 * a),
         ]
         for n in counts:
-            assert erlang_b_integer(n, a) == oracles.erlang_b_full(n, a), (n, a)
+            assert erlang_b_integer(n, a) == _full_recurrence_or_zero(n, a), (n, a)
 
     def test_far_past_the_load_is_fast(self):
-        # stepping every k to 2e8, where B leaves 5e-324 for 0.0, took 30 s
+        # stepping every k to 2e8, where the full recurrence's B reaches
+        # 0.0, took 30 s; the stop comes about 38*sqrt(a) above the load
         start = time.perf_counter()
         assert erlang_c_integer(10**15, 1e8).value == 0.0
         assert time.perf_counter() - start < 1.0
 
     @pytest.mark.parametrize("a", [5.0, 1e4])
     def test_counts_past_the_float_range(self, a):
-        # float(n) overflows; the jumps probe no k far past the end of a run
+        # float(n) overflows; the stop comes long before n
         assert erlang_b_integer(10**400, a) == 0.0
 
 
@@ -237,6 +245,10 @@ class TestErlangCReal:
     def test_validity_error_quotes_condition(self):
         with pytest.raises(DomainError, match="0 < a < s"):
             erlang_c_real(2.0, 2.0)
+
+    def test_rejects_infinite_servers(self):
+        with pytest.raises(DomainError, match="finite"):
+            erlang_c_real(math.inf, 1.0)
 
     def test_error_bound_reported(self):
         result = erlang_c_real(7.0, 4.0)
@@ -452,6 +464,13 @@ class TestMinServers:
         with pytest.raises(DomainError):
             min_servers(4.0, epsilon)
 
+    @pytest.mark.parametrize("a, epsilon", [(1e6, 5e-324), (1e4, 1e-315)])
+    def test_target_below_the_normal_range(self, a, epsilon):
+        # once stepped through subnormal B to n = 2a (1e6) or stopped short
+        # of the quadrature's answer (1e4); both targets now raise
+        with pytest.raises(DomainError, match="sys.float_info.min"):
+            min_servers(a, epsilon)
+
     @staticmethod
     def _scan(a, epsilon):
         # first n > a whose own erlang_c_integer value meets the target,
@@ -512,6 +531,18 @@ class TestRealStaffingLevel:
         for a, epsilon in ((4.0, 0.5), (30.0, 0.15)):
             s = real_staffing_level(a, epsilon)
             assert min_servers(a, epsilon) == math.ceil(s - 1e-9)
+
+    @pytest.mark.parametrize("a", [4.0, 1e2, 1e4, 1e6])
+    def test_consistency_at_the_smallest_target(self, a):
+        # the least target the inversions take; B and C stay normal there
+        epsilon = sys.float_info.min
+        assert min_servers(a, epsilon) == math.ceil(real_staffing_level(a, epsilon))
+
+    @pytest.mark.parametrize("a, epsilon", [(1e4, 1e-315), (1e4, 5e-324), (4.0, 5e-324)])
+    def test_target_below_the_normal_range(self, a, epsilon):
+        # both once returned the quadrature's underflow edge, 13 984.33 at 1e4
+        with pytest.raises(DomainError, match="sys.float_info.min"):
+            real_staffing_level(a, epsilon)
 
     @staticmethod
     def _count_quadratures(monkeypatch):

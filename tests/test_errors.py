@@ -3,6 +3,7 @@
 import importlib
 import math
 import pkgutil
+import sys
 
 import pytest
 
@@ -31,8 +32,15 @@ def test_delay_target_rejects(epsilon):
         delay_target(epsilon)
 
 
+@pytest.mark.parametrize("epsilon", [5e-324, 1e-315, math.nextafter(sys.float_info.min, 0.0)])
+def test_delay_target_rejects_below_the_normal_range(epsilon):
+    with pytest.raises(DomainError, match=r"^target must be at least sys\.float_info\.min"):
+        delay_target(epsilon)
+
+
 def test_delay_target_returns_its_argument():
     assert delay_target(0.2) == 0.2
+    assert delay_target(sys.float_info.min) == sys.float_info.min
 
 
 @pytest.mark.parametrize("module", MODULES)

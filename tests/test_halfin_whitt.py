@@ -49,6 +49,14 @@ class TestHwLimit:
         with pytest.raises(DomainError):
             hw_limit(-0.5)
 
+    def test_rejects_nan(self):
+        with pytest.raises(DomainError):
+            hw_limit(math.nan)
+
+    def test_underflows_to_zero(self):
+        # phi(40) = e**-800/sqrt(2*pi) underflows
+        assert hw_limit(40.0) == 0.0
+
 
 class TestStaffing:
     def test_arithmetic(self):
@@ -113,6 +121,11 @@ class TestBetaForTarget:
     @pytest.mark.parametrize("epsilon", [0.0, 1.0, -0.2, 2.0])
     def test_domain(self, epsilon):
         with pytest.raises(DomainError):
+            beta_for_target(epsilon)
+
+    @pytest.mark.parametrize("epsilon", [5e-324, 1e-315])
+    def test_target_below_the_normal_range(self, epsilon):
+        with pytest.raises(DomainError, match="sys.float_info.min"):
             beta_for_target(epsilon)
 
 
@@ -181,6 +194,8 @@ class TestHwSweep:
             hw_sweep(1.0, ())
         with pytest.raises(DomainError):
             hw_sweep(0.0, (1.0, 2.0))
+        with pytest.raises(DomainError, match="positive"):
+            hw_sweep(1.0, [0.0, 1.0])
 
 
 class TestInverseSweep:

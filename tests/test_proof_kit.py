@@ -95,6 +95,10 @@ class TestCdfX:
             for x in (0.1, 1.0, 3.0):
                 assert cdf_x(x, a) < 1.0
 
+    def test_rejects_negative(self):
+        with pytest.raises(DomainError):
+            cdf_x(-1.0, 1.0)
+
 
 class TestDensityY:
     def test_vanishes_at_lower_boundary(self):
@@ -114,6 +118,9 @@ class TestDensityY:
                 step = 1e-5 * y
                 diff = (tail_y(y + step, a) - tail_y(y - step, a)) / (2 * step)
                 assert -diff == pytest.approx(density_y(y, a), abs=1e-6), (a, y)
+
+    def test_vanishes_at_infinity(self):
+        assert density_y(math.inf, 1.0) == 0.0
 
     def test_rejects_boundary(self):
         with pytest.raises(DomainError):
