@@ -126,20 +126,18 @@ def _cmd_sweep(args) -> int:
 
     if args.regime == "hw":
         default_lo, default_hi, default_points = 1.0, 1e4, 40
-    else:  # the inverse regime starts just above its validity floor s = beta**2
-        floor = beta * beta * (1.0 + 1e-9)
-        default_lo, default_hi, default_points = floor, 500.0, 200
+    else:  # the inverse regime starts at its validity floor, just above beta**2
+        default_lo, default_hi, default_points = beta * beta * (1.0 + 1e-9), 500.0, 200
     lo = args.lo if args.lo is not None else default_lo
     hi = args.hi if args.hi is not None else default_hi
     points = args.points if args.points is not None else default_points
 
-    if args.regime == "inverse":
-        if lo < floor:
-            print(
-                f"warning: --from {fmt(lo)} is at or below beta**2; clamped to {fmt(floor)}",
-                file=sys.stderr,
-            )
-            lo = floor
+    if args.regime == "inverse" and lo < default_lo:
+        print(
+            f"warning: --from {fmt(lo)} is at or below beta**2; clamped to {fmt(default_lo)}",
+            file=sys.stderr,
+        )
+        lo = default_lo
 
     if args.out == "-" and args.format != "csv":
         raise DomainError("svg output cannot go to stdout; give --out PATH")

@@ -44,7 +44,7 @@ class TestCompute:
         assert float(out.split()[1]) == pytest.approx(oracles.C_55_4, rel=1e-10)
 
     def test_fractional_servers_past_the_gamma_range(self, capsys):
-        # the gamma route raises from a ~ 1.8e6; auto no longer takes it
+        # the gamma route raises from a ~ 1.8e6; the quadrature holds its bound
         code, out, err = run_cli(capsys, "compute", "--s", "2000000.5", "--a", "2e6")
         method, value, bound = out.split()
         assert (code, method, err) == (0, "quadrature", "")

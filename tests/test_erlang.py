@@ -466,8 +466,8 @@ class TestMinServers:
 
     @pytest.mark.parametrize("a, epsilon", [(1e6, 5e-324), (1e4, 1e-315)])
     def test_target_below_the_normal_range(self, a, epsilon):
-        # once stepped through subnormal B to n = 2a (1e6) or stopped short
-        # of the quadrature's answer (1e4); both targets now raise
+        # below sys.float_info.min the routes read C as 0.0, and the
+        # recurrence and the quadrature disagreed on these targets
         with pytest.raises(DomainError, match="sys.float_info.min"):
             min_servers(a, epsilon)
 
@@ -540,7 +540,7 @@ class TestRealStaffingLevel:
 
     @pytest.mark.parametrize("a, epsilon", [(1e4, 1e-315), (1e4, 5e-324), (4.0, 5e-324)])
     def test_target_below_the_normal_range(self, a, epsilon):
-        # both once returned the quadrature's underflow edge, 13 984.33 at 1e4
+        # the quadrature's C underflows to 0.0 at one slack for all three
         with pytest.raises(DomainError, match="sys.float_info.min"):
             real_staffing_level(a, epsilon)
 
