@@ -105,7 +105,7 @@ def upper_gamma_regularized(s: float, x: float) -> float:
             denom += 1.0
             term *= x / denom
             total += term
-            if abs(term) < abs(total) * _GAMMA_EPS:
+            if term < total * _GAMMA_EPS:  # both positive: s > 0, x > 0
                 return 1.0 - math.exp(log_prefactor) * total
         raise NumericalError(
             f"lower-gamma series failed to converge for s={s}, x={x}",
@@ -220,6 +220,16 @@ def _unscale(x: float, shift: float) -> float:
     return math.exp(log_value)
 
 
+def _give_up(why, evaluations, h, total, error, shift):
+    return NumericalError(
+        f"quadrature did not reach tolerance: {why} "
+        f"({evaluations} integrand evaluations, step {h:g})",
+        estimate=_unscale(total, shift),
+        error_bound=_unscale(error, shift),
+        iterations=evaluations,
+    )
+
+
 def _trapezoid(log_term: Callable[[float], float]):
     """Trapezoid rule for the integral of exp(log_term(v)) over the real line.
 
@@ -237,7 +247,12 @@ def _trapezoid(log_term: Callable[[float], float]):
     sums (never below _SUM_ROUNDING * total). The evaluation cap is the
     only other stopping rule: NumericalError, with the last sum and its
     gap, once a walk or the next halving would pass _MAX_EVALUATIONS.
+
+    Each node is summed in line, in the walks and in the halving loop
+    alike: a term below the running maximum adds e**(f - shift) to acc,
+    and a new maximum rescales acc to itself and becomes the shift.
     """
+    exp = math.exp
     h = _FIRST_STEP
     shift = log_term(0.0)
     if not (-math.inf < shift < math.inf):
@@ -246,56 +261,56 @@ def _trapezoid(log_term: Callable[[float], float]):
         )
     acc = 1.0  # sum of exp(log_term(v) - shift) over every node so far
     evaluations = 1
-    total, error = h, math.inf
-
-    def give_up(why):
-        return NumericalError(
-            f"quadrature did not reach tolerance: {why} "
-            f"({evaluations} integrand evaluations, step {h:g})",
-            estimate=_unscale(total, shift),
-            error_bound=_unscale(error, shift),
-            iterations=evaluations,
-        )
-
-    def visit(v):
-        nonlocal shift, acc, evaluations
-        f = log_term(v)
-        evaluations += 1
-        if f > shift:
-            acc = acc * math.exp(shift - f) + 1.0
-            shift = f
-        else:
-            acc += math.exp(f - shift)
-        return f
-
-    def walk(k, step, f):
-        # extend one side from node k (log term f) until it has decayed
-        while f >= shift - _TRUNCATION_LOG_CUTOFF:
-            if evaluations >= _MAX_EVALUATIONS:
-                raise give_up("the integrand tail did not decay")
-            k += step
-            f = visit(k * h)
-        return k, f
-
-    right, f_right = walk(0, 1, shift)
-    left, f_left = walk(0, -1, shift)
-    total = h * acc
+    total, error, previous = h, math.inf, None
+    right = left = 0  # the outermost nodes, in units of h
+    f_right = f_left = math.inf  # their log terms; each side takes a first step
     while True:
+        # extend each side until its outermost term has decayed
+        while f_right >= shift - _TRUNCATION_LOG_CUTOFF:
+            if evaluations >= _MAX_EVALUATIONS:
+                raise _give_up("the integrand tail did not decay",
+                               evaluations, h, total, error, shift)
+            right += 1
+            f_right = f = log_term(right * h)
+            evaluations += 1
+            if f > shift:
+                acc = acc * exp(shift - f) + 1.0
+                shift = f
+            else:
+                acc += exp(f - shift)
+        while f_left >= shift - _TRUNCATION_LOG_CUTOFF:
+            if evaluations >= _MAX_EVALUATIONS:
+                raise _give_up("the integrand tail did not decay",
+                               evaluations, h, total, error, shift)
+            left -= 1
+            f_left = f = log_term(left * h)
+            evaluations += 1
+            if f > shift:
+                acc = acc * exp(shift - f) + 1.0
+                shift = f
+            else:
+                acc += exp(f - shift)
+        total = h * acc
+        if previous is not None:
+            error = max(abs(total - previous * exp(previous_shift - shift)),
+                        _SUM_ROUNDING * total)
+            if error <= _REL_TOL * total:
+                return shift, total, error, evaluations
         if evaluations + right - left > _MAX_EVALUATIONS:
-            raise give_up("evaluation cap reached")
+            raise _give_up("evaluation cap reached", evaluations, h, total, error, shift)
         previous, previous_shift = total, shift
+        # halve h: the new nodes are the odd multiples of the new step
         h *= 0.5
         right *= 2
         left *= 2
         for k in range(left + 1, right, 2):
-            visit(k * h)
-        right, f_right = walk(right, 1, f_right)
-        left, f_left = walk(left, -1, f_left)
-        total = h * acc
-        error = max(abs(total - previous * math.exp(previous_shift - shift)),
-                    _SUM_ROUNDING * total)
-        if error <= _REL_TOL * total:
-            return shift, total, error, evaluations
+            f = log_term(k * h)
+            if f > shift:
+                acc = acc * exp(shift - f) + 1.0
+                shift = f
+            else:
+                acc += exp(f - shift)
+        evaluations += (right - left) // 2
 
 
 def integrate_exp_sinh(log_integrand: Callable[[float], float], centre: float, scale: float):

@@ -2,7 +2,9 @@
 
 Exact-rational Erlang recurrences (fractions never round, so these are
 ground truth for any rational load), a frozen copy of the simulator's
-one-customer-at-a-time loop, plus the frozen high-precision
+one-customer-at-a-time loop, frozen copies of the numerical kernels as
+they were before their inner loops were tightened (the library must
+match them to the bit), plus the frozen high-precision
 constants the tests assert against. The frozen values were produced by a
 50-digit evaluation of the defining expressions and rounded to the nearest
 double once, before the implementation existed; they must never be
@@ -16,6 +18,7 @@ from __future__ import annotations
 import functools
 import heapq
 import math
+import sys
 from fractions import Fraction
 
 
@@ -38,6 +41,224 @@ def erlang_b_full(n: int, a: float) -> float:
     for k in range(1, n + 1):
         b = a * b / (k + a * b)
     return b
+
+
+def erlang_b_plain(n: int, a: float) -> float:
+    """erlang_b_integer with the step written a*b/(k + a*b), as it was.
+
+    The same warm start and stop rule; the library forms a*b once per
+    step, which must not move a bit.
+    """
+    k0 = max(0, math.floor(min(n, a) - 10 * math.sqrt(a)))
+    b = 1.0 - k0 / a
+    for k in range(k0 + 1, n + 1):
+        b = a * b / (k + a * b)
+        if b < sys.float_info.min:
+            return 0.0
+    return b
+
+
+def min_servers_plain(a: float, epsilon: float) -> int:
+    """min_servers as it was: the plain B step and the tie test per step."""
+    n = math.floor(a)
+    b = erlang_b_plain(n, a)
+    while True:
+        n += 1
+        b = a * b / (n + a * b)
+        rho = a / n
+        if b / (1.0 - rho * (1.0 - b)) <= epsilon * (1.0 + 1e-12):
+            return n
+
+
+def upper_gamma_regularized_abs(s: float, x: float) -> float:
+    """upper_gamma_regularized as it was, its series test taken in abs().
+
+    For s > 0 and x > 0, where every series term is positive, so the
+    library's test without abs() must give the same value, or the same
+    NumericalError, to the bit.
+    """
+    from hw_staffing.errors import NumericalError
+
+    log_prefactor = s * math.log(x) - x - math.lgamma(s)
+    if x < s + 1.0:
+        term = 1.0 / s
+        total = term
+        denom = s
+        for _ in range(10_000):
+            denom += 1.0
+            term *= x / denom
+            total += term
+            if abs(term) < abs(total) * 1e-16:
+                return 1.0 - math.exp(log_prefactor) * total
+        raise NumericalError(
+            f"lower-gamma series failed to converge for s={s}, x={x}",
+            iterations=10_000,
+        )
+    tiny = 1e-300
+    b = x + 1.0 - s
+    c = 1.0 / tiny
+    d = 1.0 / b if b != 0.0 else 1.0 / tiny
+    f = d
+    for i in range(1, 10_001):
+        an = -i * (i - s)
+        b += 2.0
+        d = an * d + b
+        if d == 0.0:
+            d = tiny
+        c = b + an / c
+        if c == 0.0:
+            c = tiny
+        d = 1.0 / d
+        delta = d * c
+        f *= delta
+        if abs(delta - 1.0) < 1e-16:
+            return math.exp(log_prefactor) * f
+    raise NumericalError(
+        f"upper-gamma continued fraction failed to converge for s={s}, x={x}",
+        iterations=10_000,
+    )
+
+
+def trapezoid_visit(log_term):
+    """numerics._trapezoid as it was: every node through a visit() closure.
+
+    Reads the engine's settings from numerics at call time, so a test that
+    patches one patches both. numerics._trapezoid, which sums each node in
+    line, must return the same (shift, total, error, evaluations), or
+    raise the same NumericalError, to the bit.
+    """
+    from hw_staffing import numerics
+    from hw_staffing.errors import NumericalError
+
+    h = numerics._FIRST_STEP
+    shift = log_term(0.0)
+    if not (-math.inf < shift < math.inf):
+        raise NumericalError(
+            f"log integrand is {shift} at the centre of the quadrature map", iterations=1
+        )
+    acc = 1.0
+    evaluations = 1
+    total, error = h, math.inf
+
+    def give_up(why):
+        return NumericalError(
+            f"quadrature did not reach tolerance: {why} "
+            f"({evaluations} integrand evaluations, step {h:g})",
+            estimate=numerics._unscale(total, shift),
+            error_bound=numerics._unscale(error, shift),
+            iterations=evaluations,
+        )
+
+    def visit(v):
+        nonlocal shift, acc, evaluations
+        f = log_term(v)
+        evaluations += 1
+        if f > shift:
+            acc = acc * math.exp(shift - f) + 1.0
+            shift = f
+        else:
+            acc += math.exp(f - shift)
+        return f
+
+    def walk(k, step, f):
+        while f >= shift - numerics._TRUNCATION_LOG_CUTOFF:
+            if evaluations >= numerics._MAX_EVALUATIONS:
+                raise give_up("the integrand tail did not decay")
+            k += step
+            f = visit(k * h)
+        return k, f
+
+    right, f_right = walk(0, 1, shift)
+    left, f_left = walk(0, -1, shift)
+    total = h * acc
+    while True:
+        if evaluations + right - left > numerics._MAX_EVALUATIONS:
+            raise give_up("evaluation cap reached")
+        previous, previous_shift = total, shift
+        h *= 0.5
+        right *= 2
+        left *= 2
+        for k in range(left + 1, right, 2):
+            visit(k * h)
+        right, f_right = walk(right, 1, f_right)
+        left, f_left = walk(left, -1, f_left)
+        total = h * acc
+        error = max(abs(total - previous * math.exp(previous_shift - shift)),
+                    numerics._SUM_ROUNDING * total)
+        if error <= numerics._REL_TOL * total:
+            return shift, total, error, evaluations
+
+
+def integrate_exp_sinh_visit(log_integrand, centre, scale):
+    """numerics.integrate_exp_sinh over trapezoid_visit: the map and the
+    integrand as two calls per node, as erlang_c_real made them."""
+    from hw_staffing import numerics
+
+    log_scale = math.log(scale)
+
+    def log_term(v):
+        if v < numerics._V_MIN:
+            return -math.inf
+        ev = math.exp(-v)
+        w = centre + scale * (v + 1.0 - ev)
+        if w > numerics._LOG_MAX:
+            return -math.inf
+        return log_integrand(w) + log_scale + math.log1p(ev)
+
+    return trapezoid_visit(log_term)
+
+
+def erlang_c_slack_visit(d: float, a: float):
+    """erlang_c_slack as it was, for 0 < d and 0 < a: the Erlang log
+    integrand in w integrated by integrate_exp_sinh_visit.
+
+    Where x = z/sqrt(a) overflows at the peak (a tiny) it raises
+    NumericalError after one evaluation. Everywhere else the library
+    must return the same DelayProbability, or raise the same
+    NumericalError, to the bit.
+    """
+    from hw_staffing import erlang
+    from hw_staffing.erlang import DelayProbability, Method
+    from hw_staffing.numerics import _EPS, _LOG_MAX, log1pmx
+
+    r = math.sqrt(a)
+    inv_r = 1.0 / r
+    d1 = d - 1.0
+    try:
+        z_peak = (d + 1.0 + math.sqrt((d + 1.0) ** 2 + 8.0 * a)) / (2.0 * r)
+    except OverflowError:
+        z_peak = math.inf
+    if z_peak == math.inf:
+        u = (d + 1.0) / r
+        if u > erlang._SLACK_SQRTS_UNDERFLOW:
+            return DelayProbability(0.0, Method.QUADRATURE, 0.0)
+        z_peak = (u + math.sqrt(u * u + 8.0)) / 2.0
+    try:
+        curvature = 1.0 - (a + d1) / (r + z_peak) ** 2
+    except OverflowError:
+        curvature = 1.0 - (a + d1) / (r + z_peak) / (r + z_peak)
+    if curvature < 1e-3:
+        curvature = (2.0 * r * z_peak + z_peak**2 - d1) / (r + z_peak) ** 2
+    width = 1.0 / math.sqrt(r * z_peak * curvature)
+    x_peak = z_peak * inv_r
+    peak_a, peak_d = a * log1pmx(x_peak), d1 * math.log1p(x_peak)
+    log_inv_c = 2.0 * math.log(z_peak) + peak_a + peak_d + math.log(width)
+    if log_inv_c > _LOG_MAX + erlang._PEAK_OVERFLOW_NATS:
+        return DelayProbability(0.0, Method.QUADRATURE, 0.0)
+
+    def log_integrand(w):
+        x = math.exp(w) * inv_r
+        return 2.0 * w + a * log1pmx(x) + d1 * math.log1p(x)
+
+    shift, total, err, evaluations = integrate_exp_sinh_visit(
+        log_integrand, math.log(z_peak), width
+    )
+    if shift + math.log(total) > _LOG_MAX:
+        return DelayProbability(0.0, Method.QUADRATURE, 0.0, evaluations)
+    value = 1.0 / (total * math.exp(shift))
+    exponent_size = abs(peak_a) + abs(peak_d)
+    rel_bound = max(err / total, 1e-14 + erlang._EXPONENT_ULPS * _EPS * exponent_size)
+    return DelayProbability(value, Method.QUADRATURE, value * rel_bound, evaluations)
 
 
 def simulate_mmn_per_arrival(cfg):

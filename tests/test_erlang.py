@@ -362,12 +362,22 @@ class TestErlangCRealLargeLoads:
 
     @pytest.mark.parametrize("d, a", [(1e-5, 1e-310), (1.0, 5e-324), (1e10, 1e-300),
                                       (1e150, 1e-300)])
-    def test_tiny_loads_fail_typed_after_one_evaluation(self, d, a):
-        # z_peak ~ 1/sqrt(a) or d/sqrt(a) passes 1.3e154, where the width
-        # raised a bare OverflowError; x = z/sqrt(a) overflows at the peak
-        with pytest.raises(NumericalError) as excinfo:
-            erlang_c_slack(d, a)
-        assert excinfo.value.iterations == 1
+    def test_tiny_loads_computed_in_log_x(self, d, a):
+        # z_peak ~ 1/sqrt(a) or d/sqrt(a) passes 1.3e154, and x = z/sqrt(a)
+        # overflows at the peak, so the exponent is taken in log x; these
+        # raised NumericalError after one evaluation. The reference is the
+        # closed form 1/C = 1 + d*e**a*a**-s*Gamma(s, a) at 40 digits.
+        from mpmath import mp, mpf
+
+        result = erlang_c_slack(d, a)
+        with mp.workdps(40):
+            s = mpf(a) + mpf(d)
+            want = 1 / (1 + mpf(d) * mp.exp(a) * mp.power(a, -s) * mp.gammainc(s, a))
+        if want > 1 / mpf(sys.float_info.max):
+            assert abs(result.value - want) <= result.error_bound
+            assert result.evaluations > 1
+        else:  # 1/C overflows
+            assert result.value == 0.0 and result.error_bound == 0.0
 
     @pytest.mark.parametrize("a, slacks", [(1.0, (170.0, 185.0)), (1e4, (38.0, 45.0)),
                                            (1e8, (36.0, 41.0))])

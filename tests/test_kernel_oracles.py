@@ -1,0 +1,169 @@
+"""The tightened inner loops against frozen copies of the loops they replaced.
+
+The lower-gamma series, the trapezoid engine with the Erlang integrand and
+the Erlang-B step were rewritten for speed only, so every result must be
+the same double as before: value, error bound and work count, and for a
+NumericalError its message, estimate, bound and count. The frozen copies
+live in oracles.py.
+"""
+
+import math
+import random
+
+import pytest
+
+from hw_staffing import erlang, numerics, proof_kit
+from hw_staffing.erlang import (
+    erlang_b_integer,
+    erlang_c_gamma,
+    erlang_c_slack,
+    min_servers,
+    real_staffing_level,
+)
+from hw_staffing.errors import NumericalError
+from hw_staffing.numerics import upper_gamma_regularized
+
+import oracles
+
+
+def outcome(f, *args):
+    """f(*args), or the fields of the NumericalError it raises, as reprs
+    so that nan fields compare equal."""
+    try:
+        return repr(f(*args))
+    except NumericalError as err:
+        return ("NumericalError", str(err), repr(err.estimate), repr(err.error_bound),
+                err.iterations)
+
+
+def _slack_cases():
+    rng = random.Random(20240917)
+    cases = []
+    for i in range(2000):
+        a = 10.0 ** rng.uniform(-2.0, 300.0)
+        if i % 2:  # around the staffed curve, past C's underflow at the top
+            d = 10.0 ** rng.uniform(-3.0, 2.0) * math.sqrt(a)
+        else:
+            d = 10.0 ** rng.uniform(-5.0, 5.0)
+        cases.append((d, a))
+    return cases
+
+
+class TestQuadratureKernel:
+    def test_erlang_slack_matches_frozen_kernel(self):
+        cases = _slack_cases()
+        evaluated = 0
+        for d, a in cases:
+            got = outcome(erlang_c_slack, d, a)
+            assert got == outcome(oracles.erlang_c_slack_visit, d, a), (d, a)
+            evaluated += erlang_c_slack(d, a).evaluations > 0
+        # most cases reach the trapezoid engine, not just the overflow checks
+        assert evaluated > len(cases) // 2
+
+    def test_cap_error_matches_frozen_kernel(self, monkeypatch):
+        # no double-precision sum agrees to 1e-30: both give up at the cap
+        monkeypatch.setattr(numerics, "_REL_TOL", 1e-30)
+        for d, a in ((1.0, 4.0), (10.0, 100.0), (3e5, 1e10)):
+            got = outcome(erlang_c_slack, d, a)
+            assert got[0] == "NumericalError" and "evaluation cap reached" in got[1]
+            assert got == outcome(oracles.erlang_c_slack_visit, d, a)
+
+    @pytest.mark.parametrize(
+        "log_term",
+        [
+            lambda v: -v * v,
+            lambda v: -abs(v),  # a kink: the sums converge slowly, cap reached
+            lambda v: 0.0,  # no decay: the walk gives up
+            lambda v: -1e-3 * v * v,  # too wide for the evaluation cap
+            lambda v: math.nan if v > 3.0 else -v * v / 8.0,
+            lambda v: math.nan,  # the centre itself
+            lambda v: 1e20 - v * v,  # the cutoff is below an ulp of the shift
+            lambda v: -math.exp(v) - math.exp(-v) + 40.0 * v,  # peak off the centre
+        ],
+        ids=["gauss", "kink", "flat", "wide", "nan-tail", "nan-centre", "huge", "shifted"],
+    )
+    def test_trapezoid_matches_frozen_engine(self, log_term):
+        assert outcome(numerics._trapezoid, log_term) == outcome(
+            oracles.trapezoid_visit, log_term
+        )
+
+    def test_moment_y_matches_frozen_engine(self, monkeypatch):
+        rng = random.Random(7)
+        cases = [(10.0 ** rng.uniform(-2.0, 300.0), rng.uniform(0.1, 3.0)) for _ in range(40)]
+        got = [outcome(proof_kit.moment_y, a, beta) for a, beta in cases]
+        monkeypatch.setattr(numerics, "_trapezoid", oracles.trapezoid_visit)
+        assert got == [outcome(proof_kit.moment_y, a, beta) for a, beta in cases]
+
+
+class TestGammaSeries:
+    def test_matches_frozen_series(self):
+        rng = random.Random(11)
+        cases = []
+        for _ in range(600):
+            x = 10.0 ** rng.uniform(-3.0, 6.6)
+            cases.append((x * rng.uniform(0.3, 3.0), x))  # series and fraction
+            cases.append((x + rng.uniform(0.0, 3.0) * math.sqrt(x), x))  # staffed curve
+        failed = 0
+        for s, x in cases:
+            got = outcome(upper_gamma_regularized, s, x)
+            assert got == outcome(oracles.upper_gamma_regularized_abs, s, x), (s, x)
+            failed += got[0] == "NumericalError"
+        assert failed > 0  # the 10 000-term cap was reached and compared
+
+    def test_erlang_gamma_matches_frozen_series(self, monkeypatch):
+        rng = random.Random(13)
+        cases = []
+        for _ in range(200):
+            a = 10.0 ** rng.uniform(-2.0, 6.6)
+            cases.append((a + rng.uniform(0.1, 3.0) * math.sqrt(a), a))
+        got = [outcome(erlang_c_gamma, s, a) for s, a in cases]
+        monkeypatch.setattr(erlang, "upper_gamma_regularized", oracles.upper_gamma_regularized_abs)
+        assert got == [outcome(erlang_c_gamma, s, a) for s, a in cases]
+
+
+def _staffing_cases():
+    rng = random.Random(29)
+    return [(10.0 ** rng.uniform(-2.0, 5.5), 10.0 ** rng.uniform(-12.0, -0.01))
+            for _ in range(400)]
+
+
+class TestRecurrenceStep:
+    def test_erlang_b_matches_plain_step(self):
+        rng = random.Random(17)
+        for _ in range(400):
+            a = 10.0 ** rng.uniform(-2.0, 6.0)
+            n = math.floor(a) + rng.randrange(0, 40 + 40 * math.isqrt(math.floor(a) + 1))
+            assert erlang_b_integer(n, a) == oracles.erlang_b_plain(n, a), (n, a)
+
+    def test_min_servers_matches_plain_step(self):
+        for a, epsilon in _staffing_cases():
+            assert min_servers(a, epsilon) == oracles.min_servers_plain(a, epsilon), (a, epsilon)
+
+    def test_min_servers_ties_match_plain_step(self):
+        # targets set to C itself, and one ulp either side
+        for n, a in ((5, 4.0), (12, 10.0), (130, 100.0), (10_150, 1e4)):
+            c = erlang.erlang_c_integer(n, a).value
+            for epsilon in (c, math.nextafter(c, 0.0), math.nextafter(c, 1.0)):
+                assert min_servers(a, epsilon) == oracles.min_servers_plain(a, epsilon)
+
+    def test_real_staffing_level_matches_frozen_kernel(self, monkeypatch):
+        cases = _staffing_cases()
+        got = [real_staffing_level(a, epsilon) for a, epsilon in cases]
+        monkeypatch.setattr(erlang, "erlang_c_slack", oracles.erlang_c_slack_visit)
+        assert got == [real_staffing_level(a, epsilon) for a, epsilon in cases]
+
+
+class TestExactWork:
+    """Work counts that hold on any machine: a change that makes the kernels
+    do more work fails here even where timings are noisy."""
+
+    @pytest.mark.parametrize("a", [4.0, 1e2, 1e4, 1e6])
+    def test_quadrature_evaluations_on_the_staffed_curve(self, a):
+        assert erlang.erlang_c_real(a + math.sqrt(a), a).evaluations == 65
+
+    def test_gamma_series_stops_at_its_cap(self):
+        a = 3e6
+        with pytest.raises(NumericalError) as excinfo:
+            erlang_c_gamma(a + math.sqrt(a), a)
+        assert excinfo.value.iterations == 10_000
+        assert "lower-gamma series" in str(excinfo.value)
