@@ -23,7 +23,7 @@ from typing import Callable
 
 from .errors import BracketError, DomainError, NumericalError
 
-# log1pmx and integrate_exp_sinh are building blocks of erlang_c_real:
+# log1pmx, _trapezoid and integrate_exp_sinh are building blocks of erlang_c_real:
 # importable, but outside the package API, so that profiles charge their
 # work to the public function that calls them.
 __all__ = [
