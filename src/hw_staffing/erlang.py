@@ -15,9 +15,8 @@ recurrence reports a flat 1e-13, and the quadrature about 1.5e-14
 relative on the staffed curves s = a + beta*sqrt(a) at any load. The gamma
 route's relative bound grows with the load, from 5e-14 at a = 4 to 7.6e-8
 at 1e6 on s = a + sqrt(a), and its series raises NumericalError from
-a ~ 1.7e6 (see erlang_c_gamma). Staffing inversions
-(smallest integer server count, continuous staffing level) sit on top of
-them.
+a ~ 1.7e6 (see erlang_c_gamma). Staffing inversions (smallest integer
+server count, continuous staffing level) sit on top of them.
 """
 
 from __future__ import annotations
