@@ -8,15 +8,17 @@ Three independent evaluation routes are exposed and cross-validated:
   integral 1/C(s,a) = integral_0^inf a*t*(1+t)**(s-1)*e**(-a*t) dt, taken
   in the Halfin-Whitt variable z = sqrt(a)*t;
 * ``erlang_c_gamma`` -- the closed form obtained from that integral by
-  parts, 1/C(s,a) = 1 + (s-a) * e**a * a**(-s) * Gamma(s) * Q(s,a).
+  parts, 1/C(s,a) = 1 + (s-a) * e**a * a**(-s) * Gamma(s) * Q(s,a), taken
+  in Temme's normalized variables for s >= 1000 near the load.
 
 Each result carries an error bound, and the routes agree within them. The
 recurrence reports a flat 1e-13, and the quadrature about 1.5e-14
 relative on the staffed curves s = a + beta*sqrt(a) at any load. The gamma
-route's relative bound grows with the load, from 5e-14 at a = 4 to 7.6e-8
-at 1e6 on s = a + sqrt(a), and its series raises NumericalError from
-a ~ 1.7e6 (see erlang_c_gamma). Staffing inversions (smallest integer
-server count, continuous staffing level) sit on top of them.
+route's relative bound there is at most 2e-14 from s = 1000 up to any
+load; below that it grows with the load, from 5e-14 at a = 4 to 3.8e-11
+at s = 1000 on s = a + sqrt(a) (see erlang_c_gamma). Staffing inversions
+(smallest integer server count, continuous staffing level) sit on top of
+them.
 """
 
 from __future__ import annotations
@@ -31,7 +33,9 @@ from .errors import DomainError, delay_target, positive_finite, server_count
 from .numerics import (
     _EPS,
     _LOG_MAX,
+    _TEMME_C4_MAX,
     _V_MIN,
+    _temme_upper_gamma,
     _trapezoid,
     bisect_monotone,
     integrate_exp_sinh,
@@ -59,11 +63,18 @@ _NOMINAL_BOUND = 1e-13
 # route's exponent (see erlang_c_real and erlang_c_gamma).
 _EXPONENT_ULPS = 8.0
 _GAMMA_ULPS = 16.0
+# The gamma route forms e**(s*eta**2/2) itself up to here; past it, in logs.
+_TEMME_LINEAR_MAX = 700.0
 # Where the quadrature's peak overflows, d or a is past 1e154. A slack of
 # more than this many sqrt(a) then puts the integrand's exponent at x = d/a,
 # a*((1 + x)*log1p(x) - x) less log1p(x), above 3e5 (it is at least
 # d**2/(3a) for d <= a and 0.38d for d > a): 1/C overflows.
 _SLACK_SQRTS_UNDERFLOW = 1e3
+# Past the peak, for x >> 1, the log integrand falls by
+# (d + 1 + a)*(m - 1 - log m) where x = m*x_peak, and d + 1 + a > 1: the
+# right walk stops 40 nats down by m = 46, one node of at most e in x
+# later. Where x_peak exceeds this, x can overflow at a node of the walk.
+_X_TAIL_GUARD = sys.float_info.max / 1024.0
 # C = 0 without a quadrature once log(1/C), read at the peak, passes
 # _LOG_MAX by this many nats (the reading is good to a few nats).
 _PEAK_OVERFLOW_NATS = 40.0
@@ -171,11 +182,17 @@ def erlang_c_real(s: float, a: float) -> DelayProbability:
     and scaled by that width, and applied with the integrand in one log
     term per node. Where x overflows at the peak, (s - a + 1)/a past about
     1.8e308, the exponent is taken in log x instead: log1p(x) = log x.
+    Where x is finite at the peak but can overflow in the right tail,
+    (s - a + 1)/a past about 1.8e305, the nodes where it does are taken
+    in log x and the others as before.
 
     The error bound is the gap between the last two trapezoid sums, but
     never below the rounding of the exponent: 1e-14 plus a few ulps of
-    the size of its two terms at the peak. When 1/C overflows, C is
-    returned as 0 with bound 0; far past overflow, without a quadrature.
+    the size of its two terms at the peak, and a few ulps of its 2*log z
+    term, which is larger only at tiny loads (log z near 350 at the peak,
+    and the two terms small where s - a is near 1). When 1/C overflows, C
+    is returned as 0 with bound 0; far past overflow, without a
+    quadrature.
     """
     _check_stable(s, a)
     return _quadrature(float(s) - float(a), float(a))
@@ -244,6 +261,20 @@ def _quadrature(d: float, a: float) -> DelayProbability:
             x = math.exp(w) * inv_r
             return 2.0 * w + a * log1pmx(x) + d1 * math.log1p(x) + log_width + math.log1p(ev)
 
+        if x_peak > _X_TAIL_GUARD:  # x can overflow in the right tail
+            finite_x_term, log_r = log_term, math.log(r)
+
+            def log_term(v: float) -> float:
+                f = finite_x_term(v)
+                if f == f:
+                    return f
+                # x overflowed to inf (the only way to a nan): take it in log x
+                ev = math.exp(-v)
+                w = centre + width * (v + 1.0 - ev)
+                log1p_x = w - log_r
+                return (2.0 * w + (a * log1p_x - math.exp(w) * r) + d1 * log1p_x + log_width
+                        + math.log1p(ev))
+
         shift, total, err, evaluations = _trapezoid(log_term)
     else:
         def log_integrand(w: float) -> float:  # in log x, which is finite
@@ -255,7 +286,8 @@ def _quadrature(d: float, a: float) -> DelayProbability:
         return DelayProbability(0.0, Method.QUADRATURE, 0.0, evaluations)
     value = 1.0 / (total * math.exp(shift))
     exponent_size = abs(peak_a) + abs(peak_d)
-    rel_bound = max(err / total, 1e-14 + _EXPONENT_ULPS * _EPS * exponent_size)
+    rel_bound = max(err / total, 1e-14 + _EXPONENT_ULPS * _EPS * exponent_size,
+                    _EXPONENT_ULPS * _EPS * 2.0 * abs(centre))
     return DelayProbability(value, Method.QUADRATURE, value * rel_bound, evaluations)
 
 
@@ -264,39 +296,77 @@ def erlang_c_gamma(s: float, a: float) -> DelayProbability:
 
     Integrating the defining integral by parts against
     d/dt[(1+t)**a e**(-a t)] = -a t (1+t)**(a-1) e**(-a t) gives
-    1/C(s,a) = 1 + (s-a) * e**a * a**(-s) * Gamma(s) * Q(s,a),
-    assembled in log space so s in the hundreds stays in range.
+    1/C(s,a) = 1 + (s-a) * e**a * a**(-s) * Gamma(s) * Q(s,a).
 
-    Error bound: C = 1/(1 + e**L) with
-    L = log(s - a) + a - s*log(a) + lgamma(s) + log(Q), and dC/dL =
-    -C*(1 - C). Each term of L is rounded to about an ulp of its own size,
+    For s >= 1000 and |eta| <= 0.3, with d = s - a and eta**2/2 =
+    -log1pmx(-d/s) (a between about 0.73s and s), the same closed form is
+    taken in Temme's normalized variables:
+    1/C = 1 + d*sqrt(2*pi/s) * Gamma*(s) * e**(s*eta**2/2) * Q(s, a),
+    with Gamma*(s) = exp(1/(12s) - 1/(360s**3)) from Stirling's series and
+    e**(s*eta**2/2) * Q from numerics._temme_upper_gamma. No terms of size
+    a cancel: on the staffed curves s*eta**2/2 is about beta**2/2. Past
+    s*eta**2/2 = 700 the product is taken in logs, and C = e**-log(1/C).
+    Error bound: C = 1/(1 + E), dC = -C*(1 - C)*dE/E. The relative error
+    of E is at most _GAMMA_ULPS*eps*(1 + s*eta**2/2) plus the truncation:
+    s*eta**2/2 carries 9 ulps of its size (log1pmx's direct difference
+    near |d/s| = 0.27 loses 3 bits, and d/s rounds once), the prefactor 4
+    ulps, Q 8 (erfc, its rounded argument |eta|*sqrt(s/2), and the sum),
+    and exp, log and the products 2. The expansion stops at c_3: twice its
+    first omitted term, over Q >= 1/2, gives a relative
+    4*max|c_4|/(s**4*sqrt(2*pi*s)), and Stirling's series stops below
+    1/(1260*s**5). The bound is C*((1 - C)*that + 2*eps), the last term
+    the final addition and division: on the staffed curves for betas 0.1
+    to 3, at most 2e-14 relative at any load.
+
+    Elsewhere Q(s, a) comes from the lower-gamma series (a < s + 1) or
+    the continued fraction of upper_gamma_regularized, and the closed form
+    is assembled in log space, L = log(s - a) + a - s*log(a) + lgamma(s)
+    + log(Q). Each term of L is rounded to about an ulp of its own size,
     and Q carries the same prefactor s*log(a) - a - lgamma(s) inside, so
     |dL| <= K*eps*(1 + |log(s - a)| + a + s*|log a| + |lgamma(s)|) for a
     modest K; the bound is C*(1 - C)*|dL| plus the final division's
     rounding. On 170 points of the staffed curves s = a + beta*sqrt(a)
-    (beta from 0.1 to 3, a = 10**(k/4) from 1e-2 to 3.2e6, wherever the
-    series converges) the error against a 30-digit mpmath quadrature
-    stayed below 5 of these eps units; K = 16. The size term makes the
-    relative bound grow about linearly in a: 7.6e-8 at a = 1e6 on
-    s = a + sqrt(a).
+    (beta from 0.1 to 3, a = 10**(k/4) from 1e-2 to 3.2e6) the error of
+    this form against a 30-digit mpmath quadrature stayed below 5 of these
+    eps units; K = _GAMMA_ULPS = 16. Its relative bound grows about
+    linearly in a on the staffed curve s = a + sqrt(a): 4.8e-14 at a = 4,
+    2.8e-12 at 1e2 and 3.8e-11 just below the switch.
 
-    Reach: Q(s, a) comes from the lower-gamma series when a < s + 1, and
-    that series stops at 10 000 terms. On the staffed curves it runs out
-    from a ~ 1.74e6, 2.15e6 and 3.46e6 at beta 0.1, 1 and 3, where the
-    route raises NumericalError after about 1 ms.
+    Reach: every s > a > 0. Below the switch the series' terms fall at
+    least as fast as (a/s)**k once s >= 1000, and for smaller s it ends
+    within a few hundred terms, so its 10 000-term cap is not reached;
+    above the switch no series runs. A call costs about 7 us at a = 4 and
+    13 us at 1e2, 6-7 us above the switch at any load, and at most about
+    35 us just below it.
     """
     _check_stable(s, a)
     s = float(s)
     a = float(a)
+    d = s - a
+    temme = _temme_upper_gamma(s, d)
+    if temme is not None:
+        half_s_eta2, q = temme
+        inv_s = 1.0 / s
+        # d*sqrt(2*pi/s)*Gamma*(s)
+        prefactor = d * math.sqrt(2.0 * math.pi * inv_s) * math.exp(
+            inv_s * (1.0 / 12.0 - inv_s * inv_s / 360.0))
+        if half_s_eta2 < _TEMME_LINEAR_MAX:
+            value = 1.0 / (1.0 + prefactor * math.exp(half_s_eta2) * q)
+        else:  # 1 + E is E: C = 1/E, taken in logs
+            value = math.exp(-(math.log(prefactor) + half_s_eta2 + math.log(q)))
+        truncation = 4.0 * _TEMME_C4_MAX * inv_s**4 / math.sqrt(2.0 * math.pi * s)
+        rel_e = _GAMMA_ULPS * _EPS * (1.0 + half_s_eta2) + truncation
+        return DelayProbability(value, Method.GAMMA_CLOSED_FORM,
+                                value * ((1.0 - value) * rel_e + 2.0 * _EPS))
     q = upper_gamma_regularized(s, a)
     log_a = math.log(a)
     lgamma_s = math.lgamma(s)
-    log_term = math.log(s - a) + a - s * log_a + lgamma_s + math.log(q)
+    log_term = math.log(d) + a - s * log_a + lgamma_s + math.log(q)
     if log_term > 40.0:  # 1 + e**L is e**L beyond double precision
         value = math.exp(-log_term)  # underflows gracefully past e**-745
     else:
         value = 1.0 / (1.0 + math.exp(log_term))
-    size = 1.0 + abs(math.log(s - a)) + a + s * abs(log_a) + abs(lgamma_s)
+    size = 1.0 + abs(math.log(d)) + a + s * abs(log_a) + abs(lgamma_s)
     bound = _EPS * value * (_GAMMA_ULPS * (1.0 - value) * size + 2.0)
     return DelayProbability(value, Method.GAMMA_CLOSED_FORM, bound)
 

@@ -77,13 +77,89 @@ def normal_cdf(x: float) -> float:
 _GAMMA_MAX_ITER = 10_000
 _GAMMA_EPS = 1e-16
 
+# Temme's uniform expansion serves s >= _TEMME_MIN_S with |eta| <= 0.3,
+# that is eta**2/2 <= _TEMME_MAX_HALF_ETA2.
+_TEMME_MIN_S = 1000.0
+_TEMME_MAX_HALF_ETA2 = 0.045
+# Taylor coefficients in eta of Temme's c_0 .. c_3, lowest degree first,
+# as tests/temme_coefficients.py derives them in exact rationals (c_k(0) =
+# -1/3, -1/540, 25/6048, 101/155520). Each is cut where its dropped terms,
+# at |eta| = 0.3 and s = 1000, sum below 2**-66.
+_TEMME_C = (
+    (-0.3333333333333333, 0.08333333333333333, -0.014814814814814815,
+     0.0011574074074074073, 0.0003527336860670194, -0.0001787551440329218,
+     3.919263178522438e-05, -2.185448510679992e-06, -1.85406221071516e-06,
+     8.296711340953087e-07, -1.7665952736826078e-07, 6.707853543401498e-09,
+     1.0261809784240309e-08, -4.382036018453353e-09, 9.14769958223679e-10,
+     -2.5514193994946248e-11, -5.830772132550426e-11, 2.4361948020667415e-11),
+    (-0.001851851851851852, -0.003472222222222222, 0.0026455026455026454,
+     -0.0009902263374485596, 0.00020576131687242798, -4.018775720164609e-07,
+     -1.8098550334489977e-05, 7.64916091608111e-06, -1.6120900894563446e-06,
+     4.647127802807434e-09, 1.378633446915721e-07, -5.752545603517705e-08,
+     1.1951628599778148e-08, -1.7543241719747647e-11, -1.0091543710600413e-09),
+    (0.004133597883597883, -0.0026813271604938273, 0.0007716049382716049,
+     2.0093878600823047e-06, -0.0001073665322636516, 5.2923448829120125e-05,
+     -1.2760635188618728e-05, 3.423578734096138e-08, 1.3721957309062934e-06,
+     -6.298992138380055e-07, 1.4280614206064242e-07),
+    (0.0006494341563786008, 0.00022947209362139917, -0.0004691894943952557,
+     0.00026772063206283885, -7.561801671883977e-05, -2.396505113867297e-07,
+     1.1082654115347302e-05, -5.6749528269915965e-06, 1.4230900732435883e-06),
+)
+_TEMME_HORNER = tuple(row[::-1] for row in _TEMME_C)
+# |c_4(eta)| <= this for |eta| <= 0.3 (tests/temme_coefficients.py): the
+# first term the expansion omits.
+_TEMME_C4_MAX = 0.0011246989202084807
+_SQRT_2PI = 2.5066282746310002  # sqrt(2*pi)
+
+
+def _temme_upper_gamma(s: float, d: float):
+    """Q(s, s - d) by Temme's uniform expansion, for s >= 1000, |eta| <= 0.3.
+
+    With lambda = (s - d)/s, eta**2/2 = lambda - 1 - log(lambda) =
+    -log1pmx(-d/s) and sign(eta) = -sign(d), Temme (SIAM J. Math. Anal. 10,
+    1979; DLMF 8.12) gives the scaled function
+    e**(s*eta**2/2) * Q = e**(s*eta**2/2) * erfc(eta*sqrt(s/2))/2
+                          + sum_k c_k(eta) s**-k / sqrt(2*pi*s).
+    e**(s*eta**2/2) overflows once s*eta**2/2 passes about 700, so the
+    scaled function is returned as its two factors: (s*eta**2/2, Q), with
+    Q = erfc/2 + e**(-s*eta**2/2) * sum / sqrt(2*pi*s). The sum keeps
+    c_0..c_3; the first omitted term, |c_4| s**-4 / sqrt(2*pi*s), is
+    below 1.5e-17 at s = 1000. Returns None outside the expansion's range
+    (including |d| >= s/2, where log1pmx(-d/s) is not needed).
+    """
+    if s < _TEMME_MIN_S or not -0.5 * s < d < 0.5 * s:
+        return None
+    half_eta2 = -log1pmx(-d / s)
+    if half_eta2 > _TEMME_MAX_HALF_ETA2:
+        return None
+    half_s_eta2 = s * half_eta2
+    eta = math.sqrt(2.0 * half_eta2)
+    root = math.sqrt(half_s_eta2)  # |eta|*sqrt(s/2)
+    if d > 0.0:
+        eta, root = -eta, -root
+    inv_s = 1.0 / s
+    series = 0.0
+    for row in reversed(_TEMME_HORNER):
+        c = 0.0
+        for coefficient in row:
+            c = c * eta + coefficient
+        series = series * inv_s + c
+    q = 0.5 * math.erfc(root) + math.exp(-half_s_eta2) * series / (_SQRT_2PI * math.sqrt(s))
+    return half_s_eta2, q
+
 
 def upper_gamma_regularized(s: float, x: float) -> float:
     """Regularized upper incomplete gamma Q(s, x) = Gamma(s, x)/Gamma(s).
 
-    Uses the lower-gamma power series for x < s + 1 and the continued
-    fraction (modified Lentz) otherwise; both are evaluated against the
-    scaled prefactor x**s e**-x / Gamma(s) assembled in log space.
+    For s >= 1000 and |eta| <= 0.3 (x between about 0.73s and 1.34s, where
+    eta**2/2 = x/s - 1 - log(x/s)), Q comes from Temme's uniform expansion
+    (_temme_upper_gamma): about 10 us at any s, with no term of size s to
+    cancel. Elsewhere it uses the lower-gamma power series for x < s + 1
+    and the continued fraction (modified Lentz) otherwise; both are
+    evaluated against the scaled prefactor x**s e**-x / Gamma(s) assembled
+    in log space, and each stops at 10 000 terms (NumericalError). Outside
+    the expansion's range the series' terms fall at least as fast as
+    (x/s)**k, so neither branch comes near that cap.
     """
     s = _require_finite(s, "s")
     x = _require_finite(x, "x")
@@ -93,6 +169,9 @@ def upper_gamma_regularized(s: float, x: float) -> float:
         raise DomainError(f"upper_gamma_regularized requires x >= 0, got x={x}")
     if x == 0.0:
         return 1.0
+    temme = _temme_upper_gamma(s, s - x)
+    if temme is not None:
+        return temme[1]
 
     log_prefactor = s * math.log(x) - x - math.lgamma(s)
 

@@ -349,9 +349,15 @@ def erlang_c_mpmath(s: float, a: float) -> float:
     """C(s, a) for real s > a from a 30-digit mpmath quadrature.
 
     Integrates 1/C = integral_0^inf z*exp((s-1)*log1p(z/sqrt(a)) - sqrt(a)*z) dz
-    (the defining integral in z = sqrt(a)*t) with breakpoints at the peak
-    of the log integrand and a few widths past it, so that one layout
-    serves loads from 1e-2 to 1e15. s and a may be floats or mpmath
+    (the defining integral in z = sqrt(a)*t), scaled by z = z_mass*u, where
+    z_mass is the peak of the mass z**2 * integrand in log z:
+    sqrt(a)*z**2 - (d + 1)*z - 2*sqrt(a) = 0 with d = s - a. The mass lies
+    within a few multiples of z_mass: near the integrand's own peak at
+    moderate loads, and spread up to z ~ 1/sqrt(a), where e**(-sqrt(a)*z)
+    cuts it off, at tiny loads. Breakpoints sit at sqrt(a)/z_mass (where
+    (1 + z/sqrt(a))**(s-1) turns over), at u = 1 and a few widths past it,
+    so that one layout serves loads from 1e-310 to 1e15, and mpmath's
+    infinite tail has a unit scale. s and a may be floats or mpmath
     numbers. Returns the double nearest C.
     """
     from mpmath import mp, mpf
@@ -361,11 +367,18 @@ def erlang_c_mpmath(s: float, a: float) -> float:
         r = mp.sqrt(a_)
         s1 = s_ - 1
         d = s_ - a_
-        z_peak = (d + mp.sqrt(d * d + 4 * a_)) / (2 * r)
-        width = 1 / mp.sqrt(1 / z_peak**2 + s1 / (r + z_peak) ** 2)
-        points = [0, z_peak, z_peak + 8 * width, z_peak + 30 * width, mp.inf]
+        z_mass = (d + 1 + mp.sqrt((d + 1) ** 2 + 8 * a_)) / (2 * r)
+        # z_mass**2 times minus the log integrand's second derivative there;
+        # where it is at most 1 (s <= 1) the width in u is capped at 1
+        curvature = 1 + s1 * (z_mass / (r + z_mass)) ** 2
+        width = 1 / mp.sqrt(curvature) if curvature > 1 else mpf(1)
+        points = [0, 1, 1 + 8 * width, 1 + 30 * width, mp.inf]
+        if r < z_mass / 2:
+            points.insert(1, r / z_mass)
+        log_scale = 2 * mp.log(z_mass)
         inv_c, error = mp.quad(
-            lambda z: z * mp.exp(s1 * mp.log1p(z / r) - r * z), points, error=True
+            lambda u: u * mp.exp(log_scale + s1 * mp.log1p(u * z_mass / r) - r * z_mass * u),
+            points, error=True,
         )
         assert error < mpf("1e-25") * inv_c, (s, a, error)
         return float(1 / inv_c)

@@ -95,7 +95,16 @@ class TestQuadratureKernel:
         assert got == [outcome(proof_kit.moment_y, a, beta) for a, beta in cases]
 
 
+def _below_the_switch(s, x):
+    """Inputs that upper_gamma_regularized still takes through the series
+    or the continued fraction, not Temme's expansion."""
+    return numerics._temme_upper_gamma(s, s - x) is None
+
+
 class TestGammaSeries:
+    """Below Temme's switch (s >= 1000 with |eta| <= 0.3) the series and the
+    continued fraction keep their bits; above it neither runs (TestExactWork)."""
+
     def test_matches_frozen_series(self):
         rng = random.Random(11)
         cases = []
@@ -103,12 +112,16 @@ class TestGammaSeries:
             x = 10.0 ** rng.uniform(-3.0, 6.6)
             cases.append((x * rng.uniform(0.3, 3.0), x))  # series and fraction
             cases.append((x + rng.uniform(0.0, 3.0) * math.sqrt(x), x))  # staffed curve
-        failed = 0
-        for s, x in cases:
-            got = outcome(upper_gamma_regularized, s, x)
-            assert got == outcome(oracles.upper_gamma_regularized_abs, s, x), (s, x)
-            failed += got[0] == "NumericalError"
-        assert failed > 0  # the 10 000-term cap was reached and compared
+        below = [(s, x) for s, x in cases if _below_the_switch(s, x)]
+        for s, x in below:
+            assert outcome(upper_gamma_regularized, s, x) == outcome(
+                oracles.upper_gamma_regularized_abs, s, x), (s, x)
+        # both branches compared, on both sides of s = 1000
+        assert any(x < s + 1.0 and s >= 1000.0 for s, x in below)
+        assert any(x >= s + 1.0 and s >= 1000.0 for s, x in below)
+        assert any(x < s + 1.0 and s < 1000.0 for s, x in below)
+        assert any(x >= s + 1.0 and s < 1000.0 for s, x in below)
+        assert len(below) < len(cases)
 
     def test_erlang_gamma_matches_frozen_series(self, monkeypatch):
         rng = random.Random(13)
@@ -116,6 +129,11 @@ class TestGammaSeries:
         for _ in range(200):
             a = 10.0 ** rng.uniform(-2.0, 6.6)
             cases.append((a + rng.uniform(0.1, 3.0) * math.sqrt(a), a))
+        for _ in range(100):  # far from the curve, where s >= 1000 stays below the switch
+            a = 10.0 ** rng.uniform(2.0, 6.6)
+            cases.append((a * rng.uniform(1.4, 3.0), a))
+        cases = [(s, a) for s, a in cases if _below_the_switch(s, a)]
+        assert any(s >= 1000.0 for s, _ in cases)
         got = [outcome(erlang_c_gamma, s, a) for s, a in cases]
         monkeypatch.setattr(erlang, "upper_gamma_regularized", oracles.upper_gamma_regularized_abs)
         assert got == [outcome(erlang_c_gamma, s, a) for s, a in cases]
@@ -161,9 +179,27 @@ class TestExactWork:
     def test_quadrature_evaluations_on_the_staffed_curve(self, a):
         assert erlang.erlang_c_real(a + math.sqrt(a), a).evaluations == 65
 
-    def test_gamma_series_stops_at_its_cap(self):
+    def test_gamma_route_runs_no_series_above_the_switch(self, monkeypatch):
+        # the lower-gamma series hit its 10 000-term cap here and raised;
+        # above the switch neither the series nor the continued fraction runs
+        from mpmath import mpf
+
         a = 3e6
-        with pytest.raises(NumericalError) as excinfo:
-            erlang_c_gamma(a + math.sqrt(a), a)
-        assert excinfo.value.iterations == 10_000
-        assert "lower-gamma series" in str(excinfo.value)
+        s = a + math.sqrt(a)
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return upper_gamma_regularized(*args)
+
+        monkeypatch.setattr(erlang, "upper_gamma_regularized", spy)
+        result = erlang_c_gamma(s, a)
+        assert calls == []
+        assert abs(result.value - oracles.erlang_c_mpmath(mpf(s), mpf(a))) <= result.error_bound
+        assert result.error_bound <= 1e-13 * result.value
+        # with no term allowed to either loop, Q above the switch still comes back
+        monkeypatch.setattr(numerics, "_GAMMA_MAX_ITER", 0)
+        for x in (a, s, 0.75 * s, 1.3 * s):
+            assert 0.0 <= upper_gamma_regularized(s, x) <= 1.0
+        with pytest.raises(NumericalError, match="lower-gamma series"):
+            upper_gamma_regularized(999.0, 990.0)
