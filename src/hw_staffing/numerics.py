@@ -153,13 +153,15 @@ def upper_gamma_regularized(s: float, x: float) -> float:
 
     For s >= 1000 and |eta| <= 0.3 (x between about 0.73s and 1.34s, where
     eta**2/2 = x/s - 1 - log(x/s)), Q comes from Temme's uniform expansion
-    (_temme_upper_gamma): about 10 us at any s, with no term of size s to
+    (_temme_upper_gamma): about 4 us at any s, with no term of size s to
     cancel. Elsewhere it uses the lower-gamma power series for x < s + 1
     and the continued fraction (modified Lentz) otherwise; both are
     evaluated against the scaled prefactor x**s e**-x / Gamma(s) assembled
     in log space, and each stops at 10 000 terms (NumericalError). Outside
     the expansion's range the series' terms fall at least as fast as
-    (x/s)**k, so neither branch comes near that cap.
+    (x/s)**k, so the series stays far below that cap; the continued
+    fraction reaches it for s past about 2e16 with x past 1.34s, where Q
+    is below e**(-0.045*s) and underflows to 0.
     """
     s = _require_finite(s, "s")
     x = _require_finite(x, "x")

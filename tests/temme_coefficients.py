@@ -24,7 +24,7 @@ Every step here is a truncated power series in exact rationals:
 
 hw_staffing.numerics keeps c_0..c_3 as literal doubles, each truncated
 where the dropped terms, at |eta| = 0.3 and s = 1000 (the route's
-switch), sum below 2**-66; tests/test_temme.py re-runs this script and
+switch), sum below 2**-66; tests/test_gamma_route.py re-runs this script and
 compares. The script also bounds |c_4(eta)| on |eta| <= 0.3, the first
 term the route omits. Run it to print the tables:
 
@@ -33,6 +33,7 @@ term the route omits. Run it to print the tables:
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -93,8 +94,9 @@ def stirling_coefficients():
     return g
 
 
-def temme_series(count=KEPT + 1):
-    """Taylor coefficients in eta of c_0 .. c_(count-1), exact rationals."""
+@functools.cache
+def temme_series():
+    """Taylor coefficients in eta of c_0 .. c_4, exact rationals."""
     # 2*(mu - log(1 + mu))/mu**2 = sum_n 2*(-1)**n mu**n/(n + 2)
     h = [Fraction(2 * (-1) ** n, n + 2) for n in range(ORDER)]
     phi = _reciprocal(_sqrt_one_plus(h))  # mu/eta as a series in mu
@@ -107,7 +109,7 @@ def temme_series(count=KEPT + 1):
     g = stirling_coefficients()
     c = psi[1:]  # (psi - 1)/eta
     out = [c]
-    for k in range(1, count):
+    for k in range(1, KEPT + 1):
         bracket = [(n + 1) * c[n + 1] + (-1) ** k * g[k] * psi[n] for n in range(len(c) - 1)]
         assert bracket[0] == 0, (k, bracket[0])
         c = bracket[1:]
@@ -124,7 +126,7 @@ def tables():
     """The literal tables of numerics: for k = 0..3, the doubles nearest the
     Taylor coefficients of c_k, lowest degree first, up to the truncation."""
     out = []
-    for k, coefficients in enumerate(temme_series(KEPT)):
+    for k, coefficients in enumerate(temme_series()[:KEPT]):
         n = next(n for n in range(len(coefficients))
                  if _dropped(coefficients, n, k) < TRUNCATION)
         out.append(tuple(float(x) for x in coefficients[:n]))
@@ -134,7 +136,7 @@ def tables():
 def first_omitted_bound():
     """An upper bound on |c_4(eta)| for |eta| <= 0.3: the sum of its Taylor
     terms' magnitudes at 0.3 (those past ORDER - 8 are below 1e-40)."""
-    return float(_dropped(temme_series(KEPT + 1)[KEPT], 0, 0))
+    return float(_dropped(temme_series()[KEPT], 0, 0))
 
 
 if __name__ == "__main__":

@@ -44,7 +44,9 @@ class TestCompute:
         assert float(out.split()[1]) == pytest.approx(oracles.C_55_4, rel=1e-10)
 
     def test_fractional_servers_past_the_gamma_range(self, capsys):
-        # the gamma route raises from a ~ 1.8e6; the quadrature holds its bound
+        # auto takes the quadrature for a real s, here within 1e-13 of the
+        # closed form; the gamma route raised here until it took Temme's
+        # expansion above s = 1000
         code, out, err = run_cli(capsys, "compute", "--s", "2000000.5", "--a", "2e6")
         method, value, bound = out.split()
         assert (code, method, err) == (0, "quadrature", "")

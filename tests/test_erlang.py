@@ -379,6 +379,26 @@ class TestErlangCRealLargeLoads:
         else:  # 1/C overflows
             assert result.value == 0.0 and result.error_bound == 0.0
 
+    @pytest.mark.parametrize("d", [1e-5, 0.1, 1.0, 1.5])
+    @pytest.mark.parametrize("ratio", [3.4e306, 1e308, 1.79e308])
+    def test_tail_overflow_band(self, d, ratio):
+        # x = z/sqrt(a) finite at the peak but overflowing in the right tail,
+        # (d + 1)/a from about 3.5e306 (by d) to 1.8e308: the tail's nan
+        # terms ran the engine to its cap, NumericalError after 2 561
+        # evaluations. Those nodes are now taken in log x.
+        from mpmath import mp, mpf
+
+        a = (d + 1.0) / ratio
+        result = erlang_c_slack(d, a)
+        with mp.workdps(40):
+            s = mpf(a) + mpf(d)
+            want = 1 / (1 + mpf(d) * mp.exp(a) * mp.power(a, -s) * mp.gammainc(s, a))
+        if want > 1 / mpf(sys.float_info.max):
+            assert abs(result.value - want) <= result.error_bound
+            assert 1 < result.evaluations <= 65
+        else:  # 1/C overflows
+            assert result.value == 0.0 and result.error_bound == 0.0
+
     @pytest.mark.parametrize("a, slacks", [(1.0, (170.0, 185.0)), (1e4, (38.0, 45.0)),
                                            (1e8, (36.0, 41.0))])
     def test_peak_overflow_check_spares_every_representable_value(self, a, slacks):
@@ -393,6 +413,23 @@ class TestErlangCRealLargeLoads:
         first = untried.index(True)
         assert 0 < first and all(untried[first:])
         assert oracles.erlang_c_mpmath(mpf(a) + mpf(grid[first]), a) < 5e-324
+
+
+class TestMpmathOracle:
+    @pytest.mark.parametrize("a", [1e-310, 1e-100, 1e-5])
+    @pytest.mark.parametrize("d", [1e-5, 1.0, 3.0, "curve"])
+    def test_tiny_loads_match_the_closed_form(self, a, d):
+        # erlang_c_mpmath(1e-310 + 1e-5, 1e-310) read 10.97: its breakpoints
+        # sat at the density's peak, z = d/sqrt(a), while the mass lies up to
+        # z ~ 1/sqrt(a); the reference is the closed form with gammainc
+        from mpmath import mp, mpf
+
+        with mp.workdps(40):
+            d = mp.sqrt(mpf(a)) if d == "curve" else mpf(d)
+            s = mpf(a) + d
+            want = 1 / (1 + d * mp.exp(a) * mp.power(a, -s) * mp.gammainc(s, a))
+            want = float(want)  # 0.0 where C underflows, as the oracle returns
+        assert abs(oracles.erlang_c_mpmath(s, a) - want) <= 1e-15 * want
 
 
 class TestErlangCGamma:
@@ -418,9 +455,10 @@ class TestErlangCGamma:
 
     @pytest.mark.parametrize("beta", [0.1, 1.0, 3.0])
     def test_within_own_bound_of_mpmath(self, beta):
-        # the rounding of the closed form grows with a; up to the series
-        # cap near a = 1.8e6 the reported bound must grow with it
-        for a in (1e-2, 1.0, 1e2, 2.5e2, 1e3, 1e4, 1e5, 1e6):
+        # below s = 1000 the rounding of the closed form grows with a, and
+        # the reported bound must grow with it; above, Temme's normalized
+        # form holds it flat (the series raised from a ~ 1.8e6)
+        for a in (1e-2, 1.0, 1e2, 2.5e2, 1e3, 1e4, 1e5, 1e6, 1e9, 1e15):
             s = a + beta * math.sqrt(a)
             result = erlang_c_gamma(s, a)
             want = oracles.erlang_c_mpmath(s, a)

@@ -60,6 +60,27 @@ class TestQuadratureKernel:
         # most cases reach the trapezoid engine, not just the overflow checks
         assert evaluated > len(cases) // 2
 
+    # (d, the smallest load below the tail-overflow band at that d that
+    # the frozen kernel returns for, and the next double down, for which
+    # it raised), found by bisection
+    BAND_EDGES = [(1e-5, 2.8895877256210474e-307, 2.889587725621047e-307),
+                  (0.1, 2.6448149097664373e-307, 2.644814909766437e-307),
+                  (1.0, 3.768362774527998e-307, 3.768362774527996e-307)]
+
+    @pytest.mark.parametrize("d, kept, band", BAND_EDGES)
+    def test_band_edges(self, d, kept, band):
+        # the band now returns; just outside it the value and the work keep
+        # their bits, and the bound can only grow, by the rounding of the
+        # exponent's 2*log z term (about 700 here)
+        old, new = oracles.erlang_c_slack_visit(d, kept), erlang_c_slack(d, kept)
+        assert (repr(new.value), new.evaluations) == (repr(old.value), old.evaluations)
+        assert new.error_bound >= old.error_bound
+        if d < 1e-3:  # the exponent's d - 1 term outweighs that rounding
+            assert repr(new) == repr(old)
+        with pytest.raises(NumericalError):
+            oracles.erlang_c_slack_visit(d, band)
+        assert erlang_c_slack(d, band).evaluations > 1
+
     def test_cap_error_matches_frozen_kernel(self, monkeypatch):
         # no double-precision sum agrees to 1e-30: both give up at the cap
         monkeypatch.setattr(numerics, "_REL_TOL", 1e-30)
@@ -112,10 +133,17 @@ class TestGammaSeries:
             x = 10.0 ** rng.uniform(-3.0, 6.6)
             cases.append((x * rng.uniform(0.3, 3.0), x))  # series and fraction
             cases.append((x + rng.uniform(0.0, 3.0) * math.sqrt(x), x))  # staffed curve
+        # the continued fraction reaches its 10 000-term cap far above the
+        # switch in s, with x past 1.34s
+        cases += [(2.117766613380527e103, 6.8599782981174835e103),
+                  (2.4056560513571972e213, 8.087709427876856e215)]
         below = [(s, x) for s, x in cases if _below_the_switch(s, x)]
+        failed = 0
         for s, x in below:
-            assert outcome(upper_gamma_regularized, s, x) == outcome(
-                oracles.upper_gamma_regularized_abs, s, x), (s, x)
+            got = outcome(upper_gamma_regularized, s, x)
+            assert got == outcome(oracles.upper_gamma_regularized_abs, s, x), (s, x)
+            failed += got[0] == "NumericalError"
+        assert failed > 0  # the cap was reached and compared
         # both branches compared, on both sides of s = 1000
         assert any(x < s + 1.0 and s >= 1000.0 for s, x in below)
         assert any(x >= s + 1.0 and s >= 1000.0 for s, x in below)
