@@ -263,7 +263,7 @@ def _quadrature(d: float, a: float) -> DelayProbability:
             return 2.0 * w + a * log1pmx(x) + d1 * math.log1p(x) + log_width + math.log1p(ev)
 
         if x_peak > _X_TAIL_GUARD:  # x can overflow in the right tail
-            finite_x_term, log_r = log_term, math.log(r)
+            finite_x_term, in_log_x = log_term, _log_x_integrand(a, r, d1)
 
             def log_term(v: float) -> float:
                 f = finite_x_term(v)
@@ -272,17 +272,12 @@ def _quadrature(d: float, a: float) -> DelayProbability:
                 # x overflowed to inf (the only way to a nan): take it in log x
                 ev = math.exp(-v)
                 w = centre + width * (v + 1.0 - ev)
-                log1p_x = w - log_r
-                return (2.0 * w + (a * log1p_x - math.exp(w) * r) + d1 * log1p_x + log_width
-                        + math.log1p(ev))
+                return in_log_x(w) + log_width + math.log1p(ev)
 
         shift, total, err, evaluations = _trapezoid(log_term)
     else:
-        def log_integrand(w: float) -> float:  # in log x, which is finite
-            log1p_x = w - log_r
-            return 2.0 * w + (a * log1p_x - math.exp(w) * r) + d1 * log1p_x
-
-        shift, total, err, evaluations = integrate_exp_sinh(log_integrand, centre, width)
+        shift, total, err, evaluations = integrate_exp_sinh(
+            _log_x_integrand(a, r, d1), centre, width)
     if shift + math.log(total) > _LOG_MAX:  # 1/C overflows: C underflows
         return DelayProbability(0.0, Method.QUADRATURE, 0.0, evaluations)
     value = 1.0 / (total * math.exp(shift))
@@ -290,6 +285,19 @@ def _quadrature(d: float, a: float) -> DelayProbability:
     rel_bound = max(err / total, 1e-14 + _EXPONENT_ULPS * _EPS * exponent_size,
                     _EXPONENT_ULPS * _EPS * 2.0 * abs(centre))
     return DelayProbability(value, Method.QUADRATURE, value * rel_bound, evaluations)
+
+
+def _log_x_integrand(a: float, r: float, d1: float):
+    """The quadrature's log integrand in w = log z, for z where x = z/r
+    overflows (r = sqrt(a), d1 = s - a - 1): there log1p(x) = log x =
+    w - log r, and a*log1pmx(x) = a*log x - e**w*r."""
+    log_r = math.log(r)
+
+    def log_integrand(w: float) -> float:
+        log1p_x = w - log_r
+        return 2.0 * w + (a * log1p_x - math.exp(w) * r) + d1 * log1p_x
+
+    return log_integrand
 
 
 def erlang_c_gamma(s: float, a: float) -> DelayProbability:
@@ -312,8 +320,9 @@ def erlang_c_gamma(s: float, a: float) -> DelayProbability:
     s*eta**2/2 carries 9 ulps of its size (log1pmx's direct difference
     near |d/s| = 0.27 loses 3 bits, and d/s rounds once), the prefactor 4
     ulps, Q 8 (erfc, its rounded argument |eta|*sqrt(s/2), and the sum),
-    and exp, log and the products 2. The expansion stops at c_3: twice its
-    first omitted term, over Q >= 1/2, gives a relative
+    and exp, log and the products 2 (in logs, the sums add 3 ulps of
+    s*eta**2/2's size, which leads there). The expansion stops at c_3:
+    twice its first omitted term, over Q >= 1/2, gives a relative
     4*max|c_4|/(s**4*sqrt(2*pi*s)), and Stirling's series stops below
     1/(1260*s**5). The bound is C*((1 - C)*that + 2*eps), the last term
     the final addition and division: on the staffed curves for betas 0.1
