@@ -6,7 +6,8 @@ Three independent evaluation routes are exposed and cross-validated:
   by the B-to-C conversion (integer servers only);
 * ``erlang_c_real`` -- trapezoid quadrature of the continuous-server
   integral 1/C(s,a) = integral_0^inf a*t*(1+t)**(s-1)*e**(-a*t) dt, taken
-  in the Halfin-Whitt variable z = sqrt(a)*t;
+  in the Halfin-Whitt variable z = sqrt(a)*t, and in log t at the nodes
+  where t overflows (tiny loads);
 * ``erlang_c_gamma`` -- the closed form obtained from that integral by
   parts, 1/C(s,a) = 1 + (s-a) * e**a * a**(-s) * Gamma(s) * Q(s,a), taken
   in Temme's normalized variables for s >= 1000 near the load.
@@ -38,7 +39,6 @@ from .numerics import (
     _temme_upper_gamma,
     _trapezoid,
     bisect_monotone,
-    integrate_exp_sinh,
     log1pmx,
     upper_gamma_regularized,
 )
@@ -70,12 +70,6 @@ _TEMME_LINEAR_MAX = 700.0
 # a*((1 + x)*log1p(x) - x) less log1p(x), above 3e5 (it is at least
 # d**2/(3a) for d <= a and 0.38d for d > a): 1/C overflows.
 _SLACK_SQRTS_UNDERFLOW = 1e3
-# Past the peak, for x >> 1, the log integrand falls by
-# (d + 1 + a)*(m - 1 - log m) where x = m*x_peak, and d + 1 + a > 1: the
-# right walk is 40 nats down by m = 46 and stops within one more node, a
-# step of at most e in x, so its nodes stay below 125*x_peak. Where x_peak
-# exceeds this, x can overflow at a node of the walk.
-_X_TAIL_GUARD = sys.float_info.max / 1024.0
 # C = 0 without a quadrature once log(1/C), read at the peak, passes
 # _LOG_MAX by this many nats (the reading is good to a few nats).
 _PEAK_OVERFLOW_NATS = 40.0
@@ -179,13 +173,12 @@ def erlang_c_real(s: float, a: float) -> DelayProbability:
     cancellation. In w = log z the integrand z**2 * e**exponent peaks where
     sqrt(a)*z**2 - (s - a + 1)*z - 2*sqrt(a) = 0, and its second
     derivative there, sqrt(a)*z*((s - 1)/(sqrt(a) + z)**2 - 1), sets the
-    width; the exp-sinh map of integrate_exp_sinh is centred on that peak
-    and scaled by that width, and applied with the integrand in one log
-    term per node. Where x overflows at the peak, (s - a + 1)/a past about
-    1.8e308, the exponent is taken in log x instead: log1p(x) = log x.
-    Where x is finite at the peak but can overflow in the right tail,
-    (s - a + 1)/a past about 1.8e305, the nodes where it does are taken
-    in log x and the others as before.
+    width; the exp-sinh map of integrate_semi_infinite is centred on that
+    peak and scaled by that width, and applied with the integrand in one
+    log term per node. At a node where x = e**w/sqrt(a) overflows, which
+    takes (s - a + 1)/a past about 3.5e306, the exponent is taken in log x
+    instead: log1p(x) = log x = w - log sqrt(a), and a*log1pmx(x) =
+    a*log x - e**w*sqrt(a). The reading at the peak follows the same rule.
 
     The error bound is the gap between the last two trapezoid sums, but
     never below the rounding of the exponent: 1e-14 plus a few ulps of
@@ -238,46 +231,34 @@ def _quadrature(d: float, a: float) -> DelayProbability:
     # the exponent's two terms at the peak size its rounding in the bound,
     # and with log(z_peak**2 * width) give log(1/C) to a few nats
     centre, log_width = math.log(z_peak), math.log(width)
+    log_r = math.log(r)
     x_peak = z_peak * inv_r
     if x_peak < math.inf:
         peak_a, peak_d = a * log1pmx(x_peak), d1 * math.log1p(x_peak)
-    else:  # a tiny: x overflows, so log1p(x) = log x, taken as log z - log sqrt(a)
-        log_r = math.log(r)
+    else:  # x overflows: log1p(x) = log x, taken as log z - log sqrt(a)
         log1p_peak = centre - log_r
         peak_a, peak_d = a * log1p_peak - z_peak * r, d1 * log1p_peak
     log_inv_c = 2.0 * centre + peak_a + peak_d + log_width
     if log_inv_c > _LOG_MAX + _PEAK_OVERFLOW_NATS:
         return DelayProbability(0.0, Method.QUADRATURE, 0.0)
 
-    if x_peak < math.inf:
-        def log_term(v: float) -> float:
-            # the exp-sinh map w = centre + width*(v + 1 - e**-v) of
-            # integrate_exp_sinh, times z * e**exponent * dz/dw at z = e**w
-            if v < _V_MIN:
-                return -math.inf
-            ev = math.exp(-v)
-            w = centre + width * (v + 1.0 - ev)
-            if w > _LOG_MAX:
-                return -math.inf
-            x = math.exp(w) * inv_r
+    def log_term(v: float) -> float:
+        # the exp-sinh map w = centre + width*(v + 1 - e**-v), times
+        # z * e**exponent * dz/dw at z = e**w; where x overflows, in log x
+        if v < _V_MIN:
+            return -math.inf
+        ev = math.exp(-v)
+        w = centre + width * (v + 1.0 - ev)
+        if w > _LOG_MAX:
+            return -math.inf
+        z = math.exp(w)
+        x = z * inv_r
+        if x < math.inf:
             return 2.0 * w + a * log1pmx(x) + d1 * math.log1p(x) + log_width + math.log1p(ev)
+        log1p_x = w - log_r
+        return 2.0 * w + (a * log1p_x - z * r) + d1 * log1p_x + log_width + math.log1p(ev)
 
-        if x_peak > _X_TAIL_GUARD:  # x can overflow in the right tail
-            finite_x_term, in_log_x = log_term, _log_x_integrand(a, r, d1)
-
-            def log_term(v: float) -> float:
-                f = finite_x_term(v)
-                if f == f:
-                    return f
-                # x overflowed to inf (the only way to a nan): take it in log x
-                ev = math.exp(-v)
-                w = centre + width * (v + 1.0 - ev)
-                return in_log_x(w) + log_width + math.log1p(ev)
-
-        shift, total, err, evaluations = _trapezoid(log_term)
-    else:
-        shift, total, err, evaluations = integrate_exp_sinh(
-            _log_x_integrand(a, r, d1), centre, width)
+    shift, total, err, evaluations = _trapezoid(log_term)
     if shift + math.log(total) > _LOG_MAX:  # 1/C overflows: C underflows
         return DelayProbability(0.0, Method.QUADRATURE, 0.0, evaluations)
     value = 1.0 / (total * math.exp(shift))
@@ -285,19 +266,6 @@ def _quadrature(d: float, a: float) -> DelayProbability:
     rel_bound = max(err / total, 1e-14 + _EXPONENT_ULPS * _EPS * exponent_size,
                     _EXPONENT_ULPS * _EPS * 2.0 * abs(centre))
     return DelayProbability(value, Method.QUADRATURE, value * rel_bound, evaluations)
-
-
-def _log_x_integrand(a: float, r: float, d1: float):
-    """The quadrature's log integrand in w = log z, for z where x = z/r
-    overflows (r = sqrt(a), d1 = s - a - 1): there log1p(x) = log x =
-    w - log r, and a*log1pmx(x) = a*log x - e**w*r."""
-    log_r = math.log(r)
-
-    def log_integrand(w: float) -> float:
-        log1p_x = w - log_r
-        return 2.0 * w + (a * log1p_x - math.exp(w) * r) + d1 * log1p_x
-
-    return log_integrand
 
 
 def erlang_c_gamma(s: float, a: float) -> DelayProbability:

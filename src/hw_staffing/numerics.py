@@ -7,11 +7,11 @@ concurrently. One quadrature engine serves every integral: a trapezoid
 rule whose step is halved until two successive sums agree to a fixed
 relative tolerance, 1e-12 (or 4096 integrand evaluations are spent),
 applied after an exp-sinh change of variables centred on the integrand's
-peak in log t (integrate_exp_sinh). The real-server delay probability
-supplies that peak in closed form; integrate_semi_infinite finds it for
-any integrand by a geometric scan. Integrands arrive as *log* integrands
-so that peaks of magnitude e**(+-600) can be handled by max-shifting
-before exponentiation.
+peak in log t. The real-server delay probability supplies that peak in
+closed form and applies the map itself; integrate_semi_infinite finds
+the peak for any integrand by a geometric scan. Integrands arrive as
+*log* integrands so that peaks of magnitude e**(+-600) can be handled by
+max-shifting before exponentiation.
 """
 
 from __future__ import annotations
@@ -23,9 +23,9 @@ from typing import Callable
 
 from .errors import BracketError, DomainError, NumericalError
 
-# log1pmx, _trapezoid and integrate_exp_sinh are building blocks of erlang_c_real:
-# importable, but outside the package API, so that profiles charge their
-# work to the public function that calls them.
+# log1pmx and _trapezoid are building blocks of erlang_c_real: importable,
+# but outside the package API, so that profiles charge their work to the
+# public function that calls them.
 __all__ = [
     "BracketedRoot",
     "normal_pdf",
@@ -159,9 +159,10 @@ def upper_gamma_regularized(s: float, x: float) -> float:
     evaluated against the scaled prefactor x**s e**-x / Gamma(s) assembled
     in log space, and each stops at 10 000 terms (NumericalError). Outside
     the expansion's range the series' terms fall at least as fast as
-    (x/s)**k, so the series stays far below that cap; the continued
-    fraction reaches it for s past about 2e16 with x past 1.34s, where Q
-    is below e**(-0.045*s) and underflows to 0.
+    (x/s)**k, so the series stays far below that cap. Where the prefactor
+    underflows, Q, which is below it, returns 0 without the continued
+    fraction; that covers s past about 2e16 with x past 1.34s, where the
+    fraction would reach the cap.
     """
     s = _require_finite(s, "s")
     x = _require_finite(x, "x")
@@ -194,6 +195,10 @@ def upper_gamma_regularized(s: float, x: float) -> float:
         )
 
     # Q(s,x) = prefactor * 1/(x+1-s- 1*(1-s)/(x+3-s- 2*(2-s)/(x+5-s- ...)))
+    # the fraction is below 1 (x >= s + 1), so Q underflows with the prefactor
+    prefactor = math.exp(log_prefactor)
+    if prefactor == 0.0:
+        return 0.0
     tiny = 1e-300
     b = x + 1.0 - s
     c = 1.0 / tiny
@@ -212,7 +217,7 @@ def upper_gamma_regularized(s: float, x: float) -> float:
         delta = d * c
         f *= delta
         if abs(delta - 1.0) < _GAMMA_EPS:
-            return math.exp(log_prefactor) * f
+            return prefactor * f
     raise NumericalError(
         f"upper-gamma continued fraction failed to converge for s={s}, x={x}",
         iterations=_GAMMA_MAX_ITER,
@@ -394,34 +399,6 @@ def _trapezoid(log_term: Callable[[float], float]):
         evaluations += (right - left) // 2
 
 
-def integrate_exp_sinh(log_integrand: Callable[[float], float], centre: float, scale: float):
-    """Integral of exp(log_integrand(w)) dw over the real line.
-
-    The integrand should be unimodal with its peak near w = centre and a
-    width of about scale, decaying at least exponentially to the right and
-    at all to the left. The exp-sinh map w = centre + scale*(v + 1 - e**-v)
-    fixes v = 0 at the centre, stretches the right side linearly and
-    compresses the left side double-exponentially, and the trapezoid rule
-    in v does the rest (Takahasi & Mori, 1974). Nodes where e**w
-    overflows count as zero.
-
-    Returns (shift, total, error, evaluations) as the trapezoid core
-    does: the integral is total * e**shift within error * e**shift.
-    """
-    log_scale = math.log(scale)
-
-    def log_term(v: float) -> float:
-        if v < _V_MIN:
-            return -math.inf
-        ev = math.exp(-v)
-        w = centre + scale * (v + 1.0 - ev)
-        if w > _LOG_MAX:
-            return -math.inf
-        return log_integrand(w) + log_scale + math.log1p(ev)
-
-    return _trapezoid(log_term)
-
-
 def _golden_peak(f: Callable[[float], float], lo: float, hi: float) -> float:
     """Maximiser of a unimodal f on [lo, hi] to within _PEAK_TOL."""
     x1 = hi - _INV_PHI * (hi - lo)
@@ -482,9 +459,14 @@ def integrate_semi_infinite(log_integrand: Callable[[float], float]) -> float:
 
     The integrand must be given in log space (may return -inf where it
     vanishes) with an eventually decaying tail. It is integrated in
-    w = log t by integrate_exp_sinh, centred on the peak and width that a
-    geometric scan finds. Raises NumericalError with the best estimate
-    attached if the evaluation cap is hit first.
+    w = log t, where a geometric scan finds its peak and width. The
+    exp-sinh map w = centre + scale*(v + 1 - e**-v) fixes v = 0 at that
+    peak, stretches the right side linearly and compresses the left side
+    double-exponentially, and the trapezoid rule in v does the rest
+    (Takahasi & Mori, 1974); log_mass counts nodes where t overflows as
+    zero.
+    Raises NumericalError with the best estimate attached if the
+    evaluation cap is hit first.
     """
 
     def log_mass(w: float) -> float:
@@ -493,13 +475,23 @@ def integrate_semi_infinite(log_integrand: Callable[[float], float]) -> float:
     peak = _peak_and_scale(log_mass)
     if peak is None:  # integrand vanishes on the whole scan range
         return 0.0
+    centre, scale = peak
     # log_mass drops the mass below t = 2**-52, about e**log_mass(_W_MIN);
     # it must not matter at the quadrature's (or, below it, attainable) accuracy
-    if log_mass(_W_MIN) > log_mass(peak[0]) + math.log(max(_REL_TOL, _SUM_ROUNDING)):
+    if log_mass(_W_MIN) > log_mass(centre) + math.log(max(_REL_TOL, _SUM_ROUNDING)):
         raise NumericalError(
             f"integrand mass below t = 2**{_T_MIN_EXP} is not negligible", iterations=1
         )
-    shift, total, _, _ = integrate_exp_sinh(log_mass, *peak)
+    log_scale = math.log(scale)
+
+    def log_term(v: float) -> float:
+        if v < _V_MIN:
+            return -math.inf
+        ev = math.exp(-v)
+        w = centre + scale * (v + 1.0 - ev)
+        return log_mass(w) + log_scale + math.log1p(ev)
+
+    shift, total, _, _ = _trapezoid(log_term)
     return _unscale(total, shift)
 
 

@@ -190,8 +190,10 @@ def trapezoid_visit(log_term):
 
 
 def integrate_exp_sinh_visit(log_integrand, centre, scale):
-    """numerics.integrate_exp_sinh over trapezoid_visit: the map and the
-    integrand as two calls per node, as erlang_c_real made them."""
+    """The exp-sinh map as numerics.integrate_exp_sinh applied it, over
+    trapezoid_visit: the map and the integrand as two calls per node, as
+    erlang_c_real made them. The library now applies the map inside
+    integrate_semi_infinite and erlang._quadrature."""
     from hw_staffing import numerics
 
     log_scale = math.log(scale)
@@ -261,6 +263,92 @@ def erlang_c_slack_visit(d: float, a: float):
     value = 1.0 / (total * math.exp(shift))
     exponent_size = abs(peak_a) + abs(peak_d)
     rel_bound = max(err / total, 1e-14 + erlang._EXPONENT_ULPS * _EPS * exponent_size)
+    return DelayProbability(value, Method.QUADRATURE, value * rel_bound, evaluations)
+
+
+def erlang_c_slack_three_paths(d: float, a: float):
+    """erlang_c_slack as it was with three node paths, for 0 < d and 0 < a.
+
+    Where x = z/sqrt(a) is finite at the peak, the map and the exponent in
+    one log term per node; where x_peak also passes sys.float_info.max/1024,
+    that term wrapped so that a node whose x overflows (its nan) is taken
+    in log x; where x overflows at the peak, every node in log x through a
+    separate map over the log-x integrand. The library chooses per node,
+    so it must match this to the bit wherever x_peak is finite, and take
+    the same work where it is not.
+    """
+    from hw_staffing import erlang
+    from hw_staffing.erlang import DelayProbability, Method
+    from hw_staffing.numerics import _EPS, _LOG_MAX, _V_MIN, _trapezoid, log1pmx
+
+    r = math.sqrt(a)
+    inv_r = 1.0 / r
+    d1 = d - 1.0
+    try:
+        z_peak = (d + 1.0 + math.sqrt((d + 1.0) ** 2 + 8.0 * a)) / (2.0 * r)
+    except OverflowError:
+        z_peak = math.inf
+    if z_peak == math.inf:
+        u = (d + 1.0) / r
+        if u > erlang._SLACK_SQRTS_UNDERFLOW:
+            return DelayProbability(0.0, Method.QUADRATURE, 0.0)
+        z_peak = (u + math.sqrt(u * u + 8.0)) / 2.0
+    try:
+        curvature = 1.0 - (a + d1) / (r + z_peak) ** 2
+    except OverflowError:
+        curvature = 1.0 - (a + d1) / (r + z_peak) / (r + z_peak)
+    if curvature < 1e-3:
+        curvature = (2.0 * r * z_peak + z_peak**2 - d1) / (r + z_peak) ** 2
+    width = 1.0 / math.sqrt(r * z_peak * curvature)
+    centre, log_width = math.log(z_peak), math.log(width)
+    x_peak = z_peak * inv_r
+    if x_peak < math.inf:
+        peak_a, peak_d = a * log1pmx(x_peak), d1 * math.log1p(x_peak)
+    else:
+        log_r = math.log(r)
+        log1p_peak = centre - log_r
+        peak_a, peak_d = a * log1p_peak - z_peak * r, d1 * log1p_peak
+    log_inv_c = 2.0 * centre + peak_a + peak_d + log_width
+    if log_inv_c > _LOG_MAX + erlang._PEAK_OVERFLOW_NATS:
+        return DelayProbability(0.0, Method.QUADRATURE, 0.0)
+
+    def in_x(w):
+        x = math.exp(w) * inv_r
+        return 2.0 * w + a * log1pmx(x) + d1 * math.log1p(x)
+
+    def in_log_x(w):
+        log1p_x = w - math.log(r)
+        return 2.0 * w + (a * log1p_x - math.exp(w) * r) + d1 * log1p_x
+
+    def exp_sinh(log_integrand):
+        def log_term(v):
+            if v < _V_MIN:
+                return -math.inf
+            ev = math.exp(-v)
+            w = centre + width * (v + 1.0 - ev)
+            if w > _LOG_MAX:
+                return -math.inf
+            return log_integrand(w) + log_width + math.log1p(ev)
+
+        return log_term
+
+    if x_peak == math.inf:
+        log_term = exp_sinh(in_log_x)
+    elif x_peak > sys.float_info.max / 1024.0:
+        finite_x_term, log_x_term = exp_sinh(in_x), exp_sinh(in_log_x)
+
+        def log_term(v):
+            f = finite_x_term(v)
+            return f if f == f else log_x_term(v)
+    else:
+        log_term = exp_sinh(in_x)
+    shift, total, err, evaluations = _trapezoid(log_term)
+    if shift + math.log(total) > _LOG_MAX:
+        return DelayProbability(0.0, Method.QUADRATURE, 0.0, evaluations)
+    value = 1.0 / (total * math.exp(shift))
+    exponent_size = abs(peak_a) + abs(peak_d)
+    rel_bound = max(err / total, 1e-14 + erlang._EXPONENT_ULPS * _EPS * exponent_size,
+                    erlang._EXPONENT_ULPS * _EPS * 2.0 * abs(centre))
     return DelayProbability(value, Method.QUADRATURE, value * rel_bound, evaluations)
 
 

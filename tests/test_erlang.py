@@ -361,12 +361,14 @@ class TestErlangCRealLargeLoads:
         assert result.evaluations == 0
 
     @pytest.mark.parametrize("d, a", [(1e-5, 1e-310), (1.0, 5e-324), (1e10, 1e-300),
-                                      (1e150, 1e-300)])
+                                      (1e150, 1e-300), (0.1, 1e-312), (1.0, 1e-308),
+                                      (1e-5, 1e-320)])
     def test_tiny_loads_computed_in_log_x(self, d, a):
         # z_peak ~ 1/sqrt(a) or d/sqrt(a) passes 1.3e154, and x = z/sqrt(a)
-        # overflows at the peak, so the exponent is taken in log x; these
-        # raised NumericalError after one evaluation. The reference is the
-        # closed form 1/C = 1 + d*e**a*a**-s*Gamma(s, a) at 40 digits.
+        # overflows at the peak, so the exponent is taken in log x at the
+        # nodes where x overflows; the first four raised NumericalError
+        # after one evaluation. The reference is the closed form
+        # 1/C = 1 + d*e**a*a**-s*Gamma(s, a) at 40 digits.
         from mpmath import mp, mpf
 
         result = erlang_c_slack(d, a)

@@ -3,8 +3,9 @@
 The lower-gamma series, the trapezoid engine with the Erlang integrand and
 the Erlang-B step were rewritten for speed only, so every result must be
 the same double as before: value, error bound and work count, and for a
-NumericalError its message, estimate, bound and count. The frozen copies
-live in oracles.py.
+NumericalError its message, estimate, bound and count. The quadrature's
+three node paths became one rule, which keeps those bits wherever x is
+finite at the integrand's peak. The frozen copies live in oracles.py.
 """
 
 import math
@@ -81,6 +82,28 @@ class TestQuadratureKernel:
             oracles.erlang_c_slack_visit(d, band)
         assert erlang_c_slack(d, band).evaluations > 1
 
+    def test_tiny_loads_match_frozen_three_paths(self):
+        # the library takes a node in log x only where its x overflows; the
+        # frozen copy took every node so where x overflowed at the peak
+        rng = random.Random(20)
+        finite = tail = overflowed = 0
+        for _ in range(1200):
+            d = 10.0 ** rng.uniform(-5.0, 2.0)
+            a = math.exp(math.log1p(d) - rng.uniform(290.0, 323.0) * math.log(10.0))
+            if a == 0.0:
+                continue
+            new, old = erlang_c_slack(d, a), oracles.erlang_c_slack_three_paths(d, a)
+            assert new.evaluations == old.evaluations, (d, a)
+            x_peak = _x_peak(d, a)
+            if x_peak < math.inf:
+                assert repr(new) == repr(old), (d, a)
+                finite += 1
+                tail += x_peak > 1.8e305 and new.evaluations > 0  # x can overflow past the peak
+            else:
+                assert abs(new.value - old.value) <= old.error_bound / 10.0, (d, a)
+                overflowed += new.evaluations > 0
+        assert finite > 200 and tail > 50 and overflowed > 200
+
     def test_cap_error_matches_frozen_kernel(self, monkeypatch):
         # no double-precision sum agrees to 1e-30: both give up at the cap
         monkeypatch.setattr(numerics, "_REL_TOL", 1e-30)
@@ -116,6 +139,12 @@ class TestQuadratureKernel:
         assert got == [outcome(proof_kit.moment_y, a, beta) for a, beta in cases]
 
 
+def _x_peak(d, a):
+    """x = z/sqrt(a) at the peak of the quadrature's integrand in log z."""
+    r = math.sqrt(a)
+    return (d + 1.0 + math.sqrt((d + 1.0) ** 2 + 8.0 * a)) / (2.0 * r) / r
+
+
 def _below_the_switch(s, x):
     """Inputs that upper_gamma_regularized still takes through the series
     or the continued fraction, not Temme's expansion."""
@@ -124,7 +153,9 @@ def _below_the_switch(s, x):
 
 class TestGammaSeries:
     """Below Temme's switch (s >= 1000 with |eta| <= 0.3) the series and the
-    continued fraction keep their bits; above it neither runs (TestExactWork)."""
+    continued fraction keep their bits, except where the prefactor
+    underflows and Q now reads 0 without the fraction; above the switch
+    neither runs (TestExactWork)."""
 
     def test_matches_frozen_series(self):
         rng = random.Random(11)
@@ -133,17 +164,18 @@ class TestGammaSeries:
             x = 10.0 ** rng.uniform(-3.0, 6.6)
             cases.append((x * rng.uniform(0.3, 3.0), x))  # series and fraction
             cases.append((x + rng.uniform(0.0, 3.0) * math.sqrt(x), x))  # staffed curve
-        # the continued fraction reaches its 10 000-term cap far above the
-        # switch in s, with x past 1.34s
-        cases += [(2.117766613380527e103, 6.8599782981174835e103),
-                  (2.4056560513571972e213, 8.087709427876856e215)]
         below = [(s, x) for s, x in cases if _below_the_switch(s, x)]
-        failed = 0
         for s, x in below:
             got = outcome(upper_gamma_regularized, s, x)
             assert got == outcome(oracles.upper_gamma_regularized_abs, s, x), (s, x)
-            failed += got[0] == "NumericalError"
-        assert failed > 0  # the cap was reached and compared
+        # far above the switch in s, with x past 1.34s, the continued
+        # fraction reached its 10 000-term cap and raised; Q underflows there
+        for s, x in ((2.117766613380527e103, 6.8599782981174835e103),
+                     (2.4056560513571972e213, 8.087709427876856e215)):
+            assert _below_the_switch(s, x)
+            assert upper_gamma_regularized(s, x) == 0.0
+            with pytest.raises(NumericalError, match="continued fraction"):
+                oracles.upper_gamma_regularized_abs(s, x)
         # both branches compared, on both sides of s = 1000
         assert any(x < s + 1.0 and s >= 1000.0 for s, x in below)
         assert any(x >= s + 1.0 and s >= 1000.0 for s, x in below)
@@ -207,6 +239,11 @@ class TestExactWork:
     def test_quadrature_evaluations_on_the_staffed_curve(self, a):
         assert erlang.erlang_c_real(a + math.sqrt(a), a).evaluations == 65
 
+    @pytest.mark.parametrize("a", [1e-307, 1e-310])
+    def test_quadrature_evaluations_at_tiny_loads(self, a):
+        # x = z/sqrt(a) overflows in the right tail (1e-307) or at the peak
+        assert erlang_c_slack(1e-5, a).evaluations == 57
+
     def test_gamma_route_runs_no_series_above_the_switch(self, monkeypatch):
         # the lower-gamma series hit its 10 000-term cap here and raised;
         # above the switch neither the series nor the continued fraction runs
@@ -231,3 +268,5 @@ class TestExactWork:
             assert 0.0 <= upper_gamma_regularized(s, x) <= 1.0
         with pytest.raises(NumericalError, match="lower-gamma series"):
             upper_gamma_regularized(999.0, 990.0)
+        with pytest.raises(NumericalError, match="continued fraction"):
+            upper_gamma_regularized(999.0, 1500.0)
