@@ -275,11 +275,12 @@ def erlang_c_slack_three_paths(d: float, a: float):
     in log x; where x overflows at the peak, every node in log x through a
     separate map over the log-x integrand. The library chooses per node,
     so it must match this to the bit wherever x_peak is finite, and take
-    the same work where it is not.
+    the same work where it is not. The engine is trapezoid_visit, which
+    matches numerics._trapezoid to the bit.
     """
     from hw_staffing import erlang
     from hw_staffing.erlang import DelayProbability, Method
-    from hw_staffing.numerics import _EPS, _LOG_MAX, _V_MIN, _trapezoid, log1pmx
+    from hw_staffing.numerics import _EPS, _LOG_MAX, log1pmx
 
     r = math.sqrt(a)
     inv_r = 1.0 / r
@@ -320,29 +321,17 @@ def erlang_c_slack_three_paths(d: float, a: float):
         log1p_x = w - math.log(r)
         return 2.0 * w + (a * log1p_x - math.exp(w) * r) + d1 * log1p_x
 
-    def exp_sinh(log_integrand):
-        def log_term(v):
-            if v < _V_MIN:
-                return -math.inf
-            ev = math.exp(-v)
-            w = centre + width * (v + 1.0 - ev)
-            if w > _LOG_MAX:
-                return -math.inf
-            return log_integrand(w) + log_width + math.log1p(ev)
-
-        return log_term
+    def in_x_else_log_x(w):
+        f = in_x(w)
+        return f if f == f else in_log_x(w)  # a nan: x overflowed
 
     if x_peak == math.inf:
-        log_term = exp_sinh(in_log_x)
+        log_integrand = in_log_x
     elif x_peak > sys.float_info.max / 1024.0:
-        finite_x_term, log_x_term = exp_sinh(in_x), exp_sinh(in_log_x)
-
-        def log_term(v):
-            f = finite_x_term(v)
-            return f if f == f else log_x_term(v)
+        log_integrand = in_x_else_log_x
     else:
-        log_term = exp_sinh(in_x)
-    shift, total, err, evaluations = _trapezoid(log_term)
+        log_integrand = in_x
+    shift, total, err, evaluations = integrate_exp_sinh_visit(log_integrand, centre, width)
     if shift + math.log(total) > _LOG_MAX:
         return DelayProbability(0.0, Method.QUADRATURE, 0.0, evaluations)
     value = 1.0 / (total * math.exp(shift))
