@@ -10,16 +10,13 @@ Three independent evaluation routes are exposed and cross-validated:
   where t overflows (tiny loads);
 * ``erlang_c_gamma`` -- the closed form obtained from that integral by
   parts, 1/C(s,a) = 1 + (s-a) * e**a * a**(-s) * Gamma(s) * Q(s,a), taken
-  in Temme's normalized variables for s >= 1000 near the load.
+  in Temme's normalized variables at every s.
 
-Each result carries an error bound, and the routes agree within them. The
-recurrence reports a flat 1e-13, and the quadrature about 1.5e-14
-relative on the staffed curves s = a + beta*sqrt(a) at any load. The gamma
-route's relative bound there is at most 2e-14 from s = 1000 up to any
-load; below that it grows with the load, from 5e-14 at a = 4 to 3.8e-11
-at s = 1000 on s = a + sqrt(a) (see erlang_c_gamma). Staffing inversions
-(smallest integer server count, continuous staffing level) sit on top of
-them.
+Each result carries an error bound, and the routes agree within them. On
+the staffed curves s = a + beta*sqrt(a), at any load, the quadrature's is
+about 1.5e-14 relative and the gamma route's at most 2e-14; the
+recurrence reports a flat 1e-13. Staffing inversions (smallest integer
+server count, continuous staffing level) sit on top of them.
 """
 
 from __future__ import annotations
@@ -34,13 +31,11 @@ from .errors import DomainError, delay_target, positive_finite, server_count
 from .numerics import (
     _EPS,
     _LOG_MAX,
-    _TEMME_C4_MAX,
     _V_MIN,
-    _temme_upper_gamma,
     _trapezoid,
+    _upper_gamma,
     bisect_monotone,
     log1pmx,
-    upper_gamma_regularized,
 )
 
 __all__ = [
@@ -55,16 +50,15 @@ __all__ = [
     "real_staffing_level",
 ]
 
-# Nominal error bound reported by the non-quadrature paths: recurrence and
-# closed form carry only accumulated rounding, a few hundred ulps at worst.
+# Nominal error bound reported by the recurrence: it carries only
+# accumulated rounding, a few hundred ulps at worst.
 _NOMINAL_BOUND = 1e-13
 
 # Rounding allowances, in ulps of the size of the terms that set each
 # route's exponent (see erlang_c_real and erlang_c_gamma).
 _EXPONENT_ULPS = 8.0
 _GAMMA_ULPS = 16.0
-# The gamma route forms e**(s*eta**2/2) itself up to here; past it, in logs.
-_TEMME_LINEAR_MAX = 700.0
+_TEMME_LINEAR_MAX = 700.0  # past this s*eta**2/2, erlang_c_gamma works in logs
 # Where the quadrature's peak overflows, d or a is past 1e154. A slack of
 # more than this many sqrt(a) then puts the integrand's exponent at x = d/a,
 # a*((1 + x)*log1p(x) - x) less log1p(x), above 3e5 (it is at least
@@ -273,80 +267,39 @@ def erlang_c_gamma(s: float, a: float) -> DelayProbability:
 
     Integrating the defining integral by parts against
     d/dt[(1+t)**a e**(-a t)] = -a t (1+t)**(a-1) e**(-a t) gives
-    1/C(s,a) = 1 + (s-a) * e**a * a**(-s) * Gamma(s) * Q(s,a).
+    1/C(s,a) = 1 + (s-a) * e**a * a**(-s) * Gamma(s) * Q(s,a), taken in
+    Temme's normalized variables at every s: with d = s - a,
+    1/C = 1 + E,  E = d*sqrt(2*pi/s) * Gamma*(s) * e**(s*eta**2/2) * Q(s, a),
+    where s*eta**2/2 = -s*log1pmx(-d/s), Gamma*(s) and Q come from _upper_gamma.
+    No term of size a or s*log(a) cancels: on the staffed curves
+    s*eta**2/2 is about beta**2/2. Past 700 E is taken in logs, C = 1/E.
 
-    For s >= 1000 and |eta| <= 0.3, with d = s - a and eta**2/2 =
-    -log1pmx(-d/s) (a between about 0.73s and s), the same closed form is
-    taken in Temme's normalized variables:
-    1/C = 1 + d*sqrt(2*pi/s) * Gamma*(s) * e**(s*eta**2/2) * Q(s, a),
-    with Gamma*(s) = exp(1/(12s) - 1/(360s**3)) from Stirling's series and
-    e**(s*eta**2/2) * Q from numerics._temme_upper_gamma. No terms of size
-    a cancel: on the staffed curves s*eta**2/2 is about beta**2/2. Past
-    s*eta**2/2 = 700 the product is taken in logs, and C = e**-log(1/C).
-    Error bound: C = 1/(1 + E), dC = -C*(1 - C)*dE/E. The relative error
-    of E is at most _GAMMA_ULPS*eps*(1 + s*eta**2/2) plus the truncation:
-    s*eta**2/2 carries 9 ulps of its size (log1pmx's direct difference
-    near |d/s| = 0.27 loses 3 bits, and d/s rounds once), the prefactor 4
-    ulps, Q 8 (erfc, its rounded argument |eta|*sqrt(s/2), and the sum),
-    and exp, log and the products 2 (in logs, the sums add 3 ulps of
-    s*eta**2/2's size, which leads there). The expansion stops at c_3:
-    twice its first omitted term, over Q >= 1/2, gives a relative
-    4*max|c_4|/(s**4*sqrt(2*pi*s)), and Stirling's series stops below
-    1/(1260*s**5). The bound is C*((1 - C)*that + 2*eps), the last term
-    the final addition and division: on the staffed curves for betas 0.1
-    to 3, at most 2e-14 relative at any load.
+    Error bound: dC = -C*(1 - C)*dE/E. E's relative error is the
+    prefactor's share, _GAMMA_ULPS*eps*(1 + s*eta**2/2): 9 ulps of
+    s*eta**2/2's size (log1pmx's direct difference near |d/s| = 0.27 loses
+    3 bits, d/s rounds once), Gamma*(s) and the products 4, Q on Temme's
+    path 8 (erfc, its rounded argument, the sum), exp, log and the rest 2
+    (in logs the sums add 3 ulps of s*eta**2/2); plus Q's own rel from
+    _upper_gamma. The bound is C*((1 - C)*rel_E + 2*eps), the last term the
+    final addition and division: at most 2e-14 relative on the staffed
+    curves for betas 0.1 to 3, at any load.
 
-    Elsewhere Q(s, a) comes from the lower-gamma series (a < s + 1) or
-    the continued fraction of upper_gamma_regularized, and the closed form
-    is assembled in log space, L = log(s - a) + a - s*log(a) + lgamma(s)
-    + log(Q). Each term of L is rounded to about an ulp of its own size,
-    and Q carries the same prefactor s*log(a) - a - lgamma(s) inside, so
-    |dL| <= K*eps*(1 + |log(s - a)| + a + s*|log a| + |lgamma(s)|) for a
-    modest K; the bound is C*(1 - C)*|dL| plus the final division's
-    rounding. On 170 points of the staffed curves s = a + beta*sqrt(a)
-    (beta from 0.1 to 3, a = 10**(k/4) from 1e-2 to 3.2e6) the error of
-    this form against a 30-digit mpmath quadrature stayed below 5 of these
-    eps units; K = _GAMMA_ULPS = 16. Its relative bound grows about
-    linearly in a on the staffed curve s = a + sqrt(a): 4.8e-14 at a = 4,
-    2.8e-12 at 1e2 and 3.8e-11 just below the switch.
-
-    Reach: every s > a > 0. Below the switch the series' terms fall at
-    least as fast as (a/s)**k once s >= 1000, and for smaller s it ends
-    within a few hundred terms, so its 10 000-term cap is not reached;
-    above the switch no series runs. A call costs about 5 us at a = 4 and
-    10 us at 1e2, 4.5 us above the switch at any load, and at most about
-    40 us just below it.
+    Reach: every s > a > 0; the series ends within a few hundred terms, none
+    above the switch (Temme's: s >= 1000, a above about 0.73s). A call takes
+    about 4.5 us at a = 4, 8 us at 1e2, 4 us above the switch, 18 just below.
     """
     _check_stable(s, a)
     s = float(s)
     a = float(a)
-    d = s - a
-    temme = _temme_upper_gamma(s, d)
-    if temme is not None:
-        half_s_eta2, q = temme
-        inv_s = 1.0 / s
-        # d*sqrt(2*pi/s)*Gamma*(s)
-        prefactor = d * math.sqrt(2.0 * math.pi * inv_s) * math.exp(
-            inv_s * (1.0 / 12.0 - inv_s * inv_s / 360.0))
-        if half_s_eta2 < _TEMME_LINEAR_MAX:
-            value = 1.0 / (1.0 + prefactor * math.exp(half_s_eta2) * q)
-        else:  # 1 + E is E: C = 1/E, taken in logs
-            value = math.exp(-(math.log(prefactor) + half_s_eta2 + math.log(q)))
-        truncation = 4.0 * _TEMME_C4_MAX * inv_s**4 / math.sqrt(2.0 * math.pi * s)
-        rel_e = _GAMMA_ULPS * _EPS * (1.0 + half_s_eta2) + truncation
-        return DelayProbability(value, Method.GAMMA_CLOSED_FORM,
-                                value * ((1.0 - value) * rel_e + 2.0 * _EPS))
-    q = upper_gamma_regularized(s, a)
-    log_a = math.log(a)
-    lgamma_s = math.lgamma(s)
-    log_term = math.log(d) + a - s * log_a + lgamma_s + math.log(q)
-    if log_term > 40.0:  # 1 + e**L is e**L beyond double precision
-        value = math.exp(-log_term)  # underflows gracefully past e**-745
-    else:
-        value = 1.0 / (1.0 + math.exp(log_term))
-    size = 1.0 + abs(math.log(d)) + a + s * abs(log_a) + abs(lgamma_s)
-    bound = _EPS * value * (_GAMMA_ULPS * (1.0 - value) * size + 2.0)
-    return DelayProbability(value, Method.GAMMA_CLOSED_FORM, bound)
+    half_s_eta2, q, rel_q, gamma_star = _upper_gamma(s, a)
+    prefactor = (s - a) * math.sqrt(2.0 * math.pi * (1.0 / s)) * gamma_star
+    if half_s_eta2 < _TEMME_LINEAR_MAX:
+        value = 1.0 / (1.0 + prefactor * math.exp(half_s_eta2) * q)
+    else:  # 1 + E is E: C = 1/E, taken in logs
+        value = math.exp(-(math.log(prefactor) + half_s_eta2 + math.log(q)))
+    rel_e = _GAMMA_ULPS * _EPS * (1.0 + half_s_eta2) + rel_q
+    return DelayProbability(value, Method.GAMMA_CLOSED_FORM,
+                            value * ((1.0 - value) * rel_e + 2.0 * _EPS))
 
 
 def min_servers(a: float, epsilon: float) -> int:

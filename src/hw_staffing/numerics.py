@@ -105,11 +105,29 @@ _TEMME_C = (
      0.00026772063206283885, -7.561801671883977e-05, -2.396505113867297e-07,
      1.1082654115347302e-05, -5.6749528269915965e-06, 1.4230900732435883e-06),
 )
-_TEMME_HORNER = tuple(row[::-1] for row in _TEMME_C)
-# |c_4(eta)| <= this for |eta| <= 0.3 (tests/temme_coefficients.py): the
-# first term the expansion omits.
+# c_3 .. c_0 for Horner's rule, as (top coefficient, the rest downwards)
+_TEMME_HORNER = tuple((row[-1], row[-2::-1]) for row in reversed(_TEMME_C))
+# max |c_4(eta)| for |eta| <= 0.3, the first omitted term (tests/temme_coefficients.py)
 _TEMME_C4_MAX = 0.0011246989202084807
 _SQRT_2PI = 2.5066282746310002  # sqrt(2*pi)
+
+
+def _gamma_star(s: float) -> float:
+    """Gamma*(s) = Gamma(s) / (sqrt(2*pi/s) * s**s * e**-s), for s > 0, within
+    5 eps (relative) of a 40-digit reference from s = 1e-320 to 1e6. From
+    s = 10: Stirling's series to s**-13 (the first omitted term is below
+    3e-17 there), its first two terms exponentiated apart from the rest,
+    which rounds away past s = 400. Below: sqrt(s)*Gamma(s), as
+    Gamma(1 + s)/sqrt(s) under s = 1, where Gamma(s) overflows near 5.6e-309.
+    """
+    if s >= 10.0:
+        inv_s = 1.0 / s
+        t = inv_s * inv_s
+        head = math.exp(inv_s * (1.0 / 12.0 - t / 360.0))
+        return head if s > 400.0 else head * math.exp(inv_s * t * t * (
+            1 / 1260 - t * (1 / 1680 - t * (1 / 1188 - t * (691 / 360360 - t / 156)))))
+    root = math.gamma(s) * math.sqrt(s) if s >= 1.0 else math.gamma(1.0 + s) / math.sqrt(s)
+    return root * math.exp(s) / (s**s * _SQRT_2PI)
 
 
 def _temme_upper_gamma(s: float, d: float):
@@ -139,8 +157,7 @@ def _temme_upper_gamma(s: float, d: float):
         eta, root = -eta, -root
     inv_s = 1.0 / s
     series = 0.0
-    for row in reversed(_TEMME_HORNER):
-        c = 0.0
+    for c, row in _TEMME_HORNER:
         for coefficient in row:
             c = c * eta + coefficient
         series = series * inv_s + c
@@ -148,57 +165,55 @@ def _temme_upper_gamma(s: float, d: float):
     return half_s_eta2, q
 
 
-def upper_gamma_regularized(s: float, x: float) -> float:
-    """Regularized upper incomplete gamma Q(s, x) = Gamma(s, x)/Gamma(s).
-
-    For s >= 1000 and |eta| <= 0.3 (x between about 0.73s and 1.34s, where
-    eta**2/2 = x/s - 1 - log(x/s)), Q comes from Temme's uniform expansion
-    (_temme_upper_gamma): about 4 us at any s, with no term of size s to
-    cancel. Elsewhere it uses the lower-gamma power series for x < s + 1
-    and the continued fraction (modified Lentz) otherwise; both are
-    evaluated against the scaled prefactor x**s e**-x / Gamma(s) assembled
-    in log space, and each stops at 10 000 terms (NumericalError). Outside
-    the expansion's range the series' terms fall at least as fast as
-    (x/s)**k, so the series stays far below that cap. Where the prefactor
-    underflows, Q, which is below it, returns 0 without the continued
-    fraction; that covers s past about 2e16 with x past 1.34s, where the
-    fraction would reach the cap.
+def _upper_gamma(s: float, x: float):
+    """(s*eta**2/2, Q(s, x), rel, Gamma*(s)) for s > 0, x > 0: Q by Temme's expansion
+    where it serves, else by the lower-gamma series (x < s + 1) or the
+    continued fraction (modified Lentz), each stopped at 10 000 terms
+    (NumericalError), against the prefactor in the normalized form of
+    DiDonato & Morris (ACM TOMS 12, 1986) and Gil, Segura & Temme (SIAM J.
+    Sci. Comput. 34, 2012):
+    x**s e**-x / Gamma(s) = e**-(s*eta**2/2) / (sqrt(2*pi/s) * Gamma*(s)),
+    with s*eta**2/2 = x - s - s*log(x/s) taken as -s*log1pmx((x - s)/s)
+    for |x - s| < s/2, and as -(s*log(x/s) + s - x) elsewhere, where
+    1 + (x - s)/s would lose the digits of x/s. rel bounds Q's relative error beyond the
+    prefactor's rounding: Temme's truncation (twice its first omitted term,
+    over Q >= 1/2); (n + 4)*eps*P/Q for the series' n terms after the
+    first, whose terms and partial sums carry at most n ulps of the sum, 4
+    more covering the prefactor where P/Q passes 1 (s*eta**2/2 is small
+    there); (n + 4)*eps after n steps of the fraction.
     """
-    s = _require_finite(s, "s")
-    x = _require_finite(x, "x")
-    if s <= 0.0:
-        raise DomainError(f"upper_gamma_regularized requires s > 0, got s={s}")
-    if x < 0.0:
-        raise DomainError(f"upper_gamma_regularized requires x >= 0, got x={x}")
-    if x == 0.0:
-        return 1.0
-    temme = _temme_upper_gamma(s, s - x)
+    d = s - x
+    gamma_star = _gamma_star(s)
+    temme = _temme_upper_gamma(s, d)
     if temme is not None:
-        return temme[1]
-
-    log_prefactor = s * math.log(x) - x - math.lgamma(s)
+        return (*temme, 4.0 * _TEMME_C4_MAX * (1.0 / s)**4 / math.sqrt(2.0 * math.pi * s),
+                gamma_star)
+    if -0.5 * s < d < 0.5 * s:
+        half_s_eta2 = -s * log1pmx(-d / s)
+    else:  # x/s clamped to the double range: Q is 1 below it, and above it this moves < 1 ulp
+        half_s_eta2 = -(s * math.log(min(max(x / s, math.ulp(0.0)), sys.float_info.max)) + d)
+    prefactor = math.exp(-half_s_eta2) * math.sqrt(s / (2.0 * math.pi)) / gamma_star
 
     if x < s + 1.0:
-        # P(s,x) = prefactor * sum_k x^k / (s(s+1)...(s+k)); Q = 1 - P.
         term = 1.0 / s
         total = term
         denom = s
-        for _ in range(_GAMMA_MAX_ITER):
+        for n in range(1, _GAMMA_MAX_ITER + 1):
             denom += 1.0
             term *= x / denom
             total += term
             if term < total * _GAMMA_EPS:  # both positive: s > 0, x > 0
-                return 1.0 - math.exp(log_prefactor) * total
+                p = prefactor * total
+                return half_s_eta2, 1.0 - p, (n + 4) * _EPS * p / (1.0 - p), gamma_star
         raise NumericalError(
             f"lower-gamma series failed to converge for s={s}, x={x}",
             iterations=_GAMMA_MAX_ITER,
         )
 
     # Q(s,x) = prefactor * 1/(x+1-s- 1*(1-s)/(x+3-s- 2*(2-s)/(x+5-s- ...)))
-    # the fraction is below 1 (x >= s + 1), so Q underflows with the prefactor
-    prefactor = math.exp(log_prefactor)
-    if prefactor == 0.0:
-        return 0.0
+    # the fraction is below 1, so Q underflows with the prefactor (nan where x/s overflows)
+    if not prefactor > 0.0:
+        return half_s_eta2, 0.0, 0.0, gamma_star
     tiny = 1e-300
     b = x + 1.0 - s
     c = 1.0 / tiny
@@ -217,11 +232,29 @@ def upper_gamma_regularized(s: float, x: float) -> float:
         delta = d * c
         f *= delta
         if abs(delta - 1.0) < _GAMMA_EPS:
-            return prefactor * f
+            return half_s_eta2, prefactor * f, (i + 4) * _EPS, gamma_star
     raise NumericalError(
         f"upper-gamma continued fraction failed to converge for s={s}, x={x}",
         iterations=_GAMMA_MAX_ITER,
     )
+
+
+def upper_gamma_regularized(s: float, x: float) -> float:
+    """Regularized upper incomplete gamma Q(s, x) = Gamma(s, x)/Gamma(s):
+    Temme's uniform expansion for s >= 1000 and x between about 0.73s and
+    1.34s (|eta| <= 0.3), about 4 us at any s, else the lower-gamma series
+    (its terms fall at least as fast as (x/s)**k there) or the continued
+    fraction, against a prefactor in normalized variables (_upper_gamma).
+    """
+    s = _require_finite(s, "s")
+    x = _require_finite(x, "x")
+    if s <= 0.0:
+        raise DomainError(f"upper_gamma_regularized requires s > 0, got s={s}")
+    if x < 0.0:
+        raise DomainError(f"upper_gamma_regularized requires x >= 0, got x={x}")
+    if x == 0.0:
+        return 1.0
+    return _upper_gamma(s, x)[1]
 
 
 _EPS = 2.0**-52

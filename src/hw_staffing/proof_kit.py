@@ -153,12 +153,15 @@ def tail_y(y: float, a: float) -> float:
 def h(x: float) -> float:
     """The monotone core of the tail rewrite: h(x) = x + x**2 (1 - e**(1/x)).
 
-    Strictly increasing on x > 0 and bounded above by -1/2. For x > 20 the
-    closed form cancels catastrophically and the series takes over. Below
-    x ~ 1/710, e**(1/x) overflows; h is x + x**2 - e**(1/x + 2 log x), whose
-    first two terms are far below an ulp of the last, and -inf once that
-    passes the largest double (below x ~ 1/723), where every tail it gives
-    is 0.
+    Strictly increasing on x > 0 and bounded above by -1/2. Why h' > 0:
+    h'(x) = 1 + 2x + e**(1/x)*(1 - 2x) is positive at once for x <= 1/2;
+    for x > 1/2 put v = 1/(2x) in (0, 1), so h' = (1 + v - (1 - v)*e**(2v))/v
+    > 0 iff 2v < log((1 + v)/(1 - v)) = 2*(v + v**3/3 + ...), which holds.
+    For x > 20 the closed form cancels catastrophically and the series
+    takes over. Below x ~ 1/710, e**(1/x) overflows; h is
+    x + x**2 - e**(1/x + 2 log x), whose first two terms are far below an
+    ulp of the last, and -inf once that passes the largest double (below
+    x ~ 1/723), where every tail it gives is 0.
     """
     x = positive_finite(float(x), "h's argument", "x")
     if x > _H_SERIES_SWITCH:

@@ -484,17 +484,31 @@ def erlang_c_gammainc(s: float, a: float) -> float:
 
 
 def upper_gamma_mpmath(s: float, x: float):
-    """Q(s, x) to 40 digits (an mpf), from the integral in v = t/s - 1.
+    """Q(s, x) to 40 digits (an mpf).
 
+    Below s = 1000, and below x = 0.72s (short of Temme's range), this is
+    mpmath's gammainc, whose power series converges there within a few
+    hundred terms. Elsewhere it is the integral in v = t/s - 1,
     Q = sqrt(s/(2*pi))/Gamma*(s) * integral_(x/s-1)^inf e**(s*log1pmx(v))/(1+v) dv,
     with Gamma*(s) from mpmath's loggamma. The integrand is scaled to 1 at
     its peak (v = 0 for x < s, the lower end otherwise) and the variable to
     the peak's width, so that mpmath's absolute error floor and its unit
     scale at infinity do not matter; it serves every s >= 1000, where
-    mpmath's gammainc stops converging from s ~ 1e7.
+    mpmath's gammainc stops converging from s ~ 1e7. Past x = s + 1 it
+    returns 0 without the integral where Q's upper bound
+    x**s e**-x / (Gamma(s)*(x + 1 - s)) is below 2**-1100, far below the
+    smallest double.
     """
     from mpmath import mp, mpf
 
+    if s < 1000.0 or x < 0.72 * s:
+        with mp.workdps(40):
+            return mp.gammainc(mpf(s), mpf(x), regularized=True)
+    if x >= s + 1.0:
+        with mp.workdps(30):
+            s_, x_ = mpf(s), mpf(x)
+            if s_ * mp.log(x_) - x_ - mp.loggamma(s_) - mp.log(x_ + 1 - s_) < -1100 * mp.log(2):
+                return mpf(0)
     # log1p(v) - v cancels about log10(s) digits at v ~ 1/sqrt(s)
     with mp.workdps(40 + int(math.log10(s))):
         s_ = mpf(s)

@@ -457,9 +457,9 @@ class TestErlangCGamma:
 
     @pytest.mark.parametrize("beta", [0.1, 1.0, 3.0])
     def test_within_own_bound_of_mpmath(self, beta):
-        # below s = 1000 the rounding of the closed form grows with a, and
-        # the reported bound must grow with it; above, Temme's normalized
-        # form holds it flat (the series raised from a ~ 1.8e6)
+        # Temme's normalized form holds the bound flat at every load; below
+        # s = 1000 the series, and above it the expansion, supply Q (the
+        # series raised from a ~ 1.8e6 before the expansion took over)
         for a in (1e-2, 1.0, 1e2, 2.5e2, 1e3, 1e4, 1e5, 1e6, 1e9, 1e15):
             s = a + beta * math.sqrt(a)
             result = erlang_c_gamma(s, a)

@@ -1,16 +1,18 @@
 """The gamma route in Temme's normalized variables.
 
-For s >= 1000 and |eta| <= 0.3 (eta**2/2 = x/s - 1 - log(x/s)) the
-regularized upper gamma comes from Temme's uniform expansion, and
 erlang_c_gamma forms 1/C = 1 + d*sqrt(2*pi/s)*Gamma*(s)*e**(s*eta**2/2)*Q
-from it. Below that switch the lower-gamma series and the continued
-fraction keep their bits (test_kernel_oracles.TestGammaSeries). The
+at every s > a, with eta**2/2 = x/s - 1 - log(x/s). For s >= 1000 and
+|eta| <= 0.3 the regularized upper gamma Q comes from Temme's uniform
+expansion; elsewhere from the lower-gamma series or the continued
+fraction, run against the same normalized prefactor
+(test_kernel_oracles.TestGammaSeries checks them on seeded inputs). The
 references are mpmath's: the closed form with gammainc at 60 digits where
 it converges, the 30-digit quadrature of the defining integral above
-a = 1e6, and a 40-digit integral for Q itself (oracles.py).
+a = 1e6, and gammainc or a 40-digit integral for Q itself (oracles.py).
 """
 
 import math
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -53,6 +55,21 @@ class TestCoefficientTable:
         out = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
                              check=True, timeout=60).stdout
         assert "c_3: 9 terms" in out and repr(numerics._TEMME_C4_MAX) in out
+
+
+class TestGammaStar:
+    def test_against_mpmath(self):
+        # Gamma*(s) = Gamma(s)/(sqrt(2*pi/s) s**s e**-s), within 5 eps from
+        # s = 1e-320 through the switch to Stirling's series at 10, to 1e6
+        from mpmath import mp, mpf
+
+        rng = random.Random(3)
+        for _ in range(400):
+            s = 10.0 ** rng.uniform(-320.0, 6.0) if rng.random() < 0.2 else 10.0 ** rng.uniform(-3.0, 3.0)
+            with mp.workdps(40):
+                s_ = mpf(s)
+                want = mp.gamma(s_) / (mp.sqrt(2 * mp.pi / s_) * s_**s_ * mp.exp(-s_))
+                assert abs(numerics._gamma_star(s) - want) <= 5 * _EPS * want, s
 
 
 class TestTemmeKernel:
@@ -101,6 +118,39 @@ class TestGammaRouteOnTheCurves:
     @pytest.mark.parametrize("ratio", [0.5, 0.72, 0.74, 0.99])
     def test_off_the_curves(self, s, ratio):
         within_bound_of_reference(s, s * ratio)
+
+    @pytest.mark.parametrize("beta", [0.1, 0.5, 1.0, 2.0, 3.0, 3.2])
+    def test_grid_below_the_switch(self, beta):
+        # a = 10**(k/8) from 1e-2 up to the switch: within its bound of
+        # mpmath, and at most 2e-14 relative for betas up to 3 (at 3.2 the
+        # (1 + s*eta**2/2) share alone reads 2.2e-14, as above the switch)
+        k = -16
+        while (a := 10.0 ** (k / 8)) + beta * math.sqrt(a) < 1000.0:
+            result = within_bound_of_reference(a + beta * math.sqrt(a), a)
+            if beta <= 3.0:
+                assert result.error_bound <= 2e-14 * result.value, (beta, a)
+            k += 1
+
+    @pytest.mark.parametrize("s", [0.5, 5.0, 50.0, 500.0, 999.0, 1e4])
+    @pytest.mark.parametrize("ratio", [0.1, 0.5, 0.99])
+    def test_off_the_curves_below_the_switch(self, s, ratio):
+        within_bound_of_reference(s, s * ratio)
+
+    def test_tiny_server_counts(self):
+        # s from 1e-4 to 1e-2: P/Q reaches a few hundred, and the series'
+        # rounding, (n + 4)*eps*P/Q in the bound, is what covers the error
+        rng = random.Random(5)
+        for _ in range(300):
+            s = 10.0 ** rng.uniform(-4.0, -2.0)
+            within_bound_of_reference(s, s * 10.0 ** rng.uniform(-3.0, -1e-9))
+
+    @pytest.mark.parametrize("s, a", [(2000.0, 10.0), (1e5, 100.0), (500.0, 50.0),
+                                      (520.0, 52.0)])
+    def test_where_the_reciprocal_prefactor_overflows(self, s, a):
+        # s*eta**2/2 past 700: E is taken in logs; C is 0, or subnormal
+        # at (520, 52), or near 5e-307 at (500, 50)
+        assert numerics._upper_gamma(s, a)[0] > 700.0
+        within_bound_of_reference(s, a)
 
     def test_bound_flat_above_the_switch(self):
         # the bound no longer grows with a: one figure from 1e3 to 1e15

@@ -1,11 +1,13 @@
 """The tightened inner loops against frozen copies of the loops they replaced.
 
-The lower-gamma series, the trapezoid engine with the Erlang integrand and
-the Erlang-B step were rewritten for speed only, so every result must be
-the same double as before: value, error bound and work count, and for a
-NumericalError its message, estimate, bound and count. The quadrature's
-three node paths became one rule, which keeps those bits wherever x is
-finite at the integrand's peak. The frozen copies live in oracles.py.
+The trapezoid engine with the Erlang integrand and the Erlang-B step were
+rewritten for speed only, so every result must be the same double as
+before: value, error bound and work count, and for a NumericalError its
+message, estimate, bound and count. The quadrature's three node paths
+became one rule, which keeps those bits wherever x is finite at the
+integrand's peak. The frozen copies live in oracles.py. The lower-gamma
+series and the continued fraction now run against Temme's normalized
+prefactor, so their seeded inputs are checked against mpmath instead.
 """
 
 import math
@@ -153,11 +155,15 @@ def _below_the_switch(s, x):
 
 class TestGammaSeries:
     """Below Temme's switch (s >= 1000 with |eta| <= 0.3) the series and the
-    continued fraction keep their bits, except where the prefactor
-    underflows and Q now reads 0 without the fraction; above the switch
+    continued fraction are evaluated against the prefactor in Temme's
+    normalized variables, so they are checked against mpmath on the seeded
+    inputs that once pinned the log-space form's bits; above the switch
     neither runs (TestExactWork)."""
 
-    def test_matches_frozen_series(self):
+    def test_matches_mpmath(self):
+        # Q within 16*eps*(1 + s*eta**2/2), the prefactor's rounding, plus
+        # the error _upper_gamma reports for the loop that ran, relative,
+        # and 16 subnormal ulps absolute where Q leaves the normal range
         rng = random.Random(11)
         cases = []
         for _ in range(600):
@@ -166,8 +172,11 @@ class TestGammaSeries:
             cases.append((x + rng.uniform(0.0, 3.0) * math.sqrt(x), x))  # staffed curve
         below = [(s, x) for s, x in cases if _below_the_switch(s, x)]
         for s, x in below:
-            got = outcome(upper_gamma_regularized, s, x)
-            assert got == outcome(oracles.upper_gamma_regularized_abs, s, x), (s, x)
+            half_s_eta2, q, rel, _ = numerics._upper_gamma(s, x)
+            assert upper_gamma_regularized(s, x) == q
+            want = oracles.upper_gamma_mpmath(s, x)
+            tolerance = (16 * numerics._EPS * (1.0 + half_s_eta2) + rel) * want
+            assert abs(q - want) <= tolerance + 16 * math.ulp(0.0), (s, x)
         # far above the switch in s, with x past 1.34s, the continued
         # fraction reached its 10 000-term cap and raised; Q underflows there
         for s, x in ((2.117766613380527e103, 6.8599782981174835e103),
@@ -183,7 +192,7 @@ class TestGammaSeries:
         assert any(x >= s + 1.0 and s < 1000.0 for s, x in below)
         assert len(below) < len(cases)
 
-    def test_erlang_gamma_matches_frozen_series(self, monkeypatch):
+    def test_erlang_gamma_matches_mpmath(self):
         rng = random.Random(13)
         cases = []
         for _ in range(200):
@@ -194,9 +203,10 @@ class TestGammaSeries:
             cases.append((a * rng.uniform(1.4, 3.0), a))
         cases = [(s, a) for s, a in cases if _below_the_switch(s, a)]
         assert any(s >= 1000.0 for s, _ in cases)
-        got = [outcome(erlang_c_gamma, s, a) for s, a in cases]
-        monkeypatch.setattr(erlang, "upper_gamma_regularized", oracles.upper_gamma_regularized_abs)
-        assert got == [outcome(erlang_c_gamma, s, a) for s, a in cases]
+        for s, a in cases:
+            result = erlang_c_gamma(s, a)
+            want = oracles.erlang_c_gammainc(s, a)
+            assert abs(result.value - want) <= result.error_bound, (s, a, result, want)
 
 
 def _staffing_cases():
@@ -246,24 +256,16 @@ class TestExactWork:
 
     def test_gamma_route_runs_no_series_above_the_switch(self, monkeypatch):
         # the lower-gamma series hit its 10 000-term cap here and raised;
-        # above the switch neither the series nor the continued fraction runs
+        # above the switch neither the series nor the continued fraction
+        # runs: with no term allowed to either loop, C and Q still come back
         from mpmath import mpf
 
         a = 3e6
         s = a + math.sqrt(a)
-        calls = []
-
-        def spy(*args):
-            calls.append(args)
-            return upper_gamma_regularized(*args)
-
-        monkeypatch.setattr(erlang, "upper_gamma_regularized", spy)
+        monkeypatch.setattr(numerics, "_GAMMA_MAX_ITER", 0)
         result = erlang_c_gamma(s, a)
-        assert calls == []
         assert abs(result.value - oracles.erlang_c_mpmath(mpf(s), mpf(a))) <= result.error_bound
         assert result.error_bound <= 1e-13 * result.value
-        # with no term allowed to either loop, Q above the switch still comes back
-        monkeypatch.setattr(numerics, "_GAMMA_MAX_ITER", 0)
         for x in (a, s, 0.75 * s, 1.3 * s):
             assert 0.0 <= upper_gamma_regularized(s, x) <= 1.0
         with pytest.raises(NumericalError, match="lower-gamma series"):

@@ -118,6 +118,16 @@ class TestUpperGammaRegularized:
             values = [upper_gamma_regularized(0.5 + 0.5 * k, x) for k in range(60)]
             assert all(b >= a for a, b in zip(values, values[1:]))
 
+    def test_ratio_past_the_double_range(self):
+        # x/s overflows or underflows; the prefactor's log form clamps it
+        from mpmath import mp, mpf
+
+        for s, x in ((1e-310, 2.0), (3.0, 5e-324), (1e-10, 1e300)):
+            with mp.workdps(30):
+                want = float(mp.gammainc(mpf(s), mpf(x), regularized=True))
+            assert upper_gamma_regularized(s, x) == pytest.approx(
+                want, rel=1e-14, abs=4 * math.ulp(0.0)), (s, x)
+
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             upper_gamma_regularized(0.0, 1.0)
