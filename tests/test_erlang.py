@@ -200,7 +200,38 @@ class TestErlangCInteger:
     def test_metadata(self):
         result = erlang_c_integer(5, 4.0)
         assert result.method is Method.INTEGER_RECURRENCE
-        assert result.error_bound == 1e-13
+        assert 0.0 < result.error_bound <= 1e-14 * result.value
+
+    def test_within_own_bound_of_exact_oracle(self):
+        for n in (1, 2, 4, 7, 12, 30, 75, 200):
+            for rho in (Fraction(1, 10), Fraction(1, 2), Fraction(4, 5), Fraction(19, 20),
+                        Fraction(n - 1, n) if n > 1 else Fraction(99, 100)):
+                a = float(n * rho)
+                result = erlang_c_integer(n, a)
+                exact = oracles.erlang_c_exact(n, Fraction(a))
+                assert abs(Fraction(result.value) - exact) <= Fraction(result.error_bound), (n, a)
+
+    @pytest.mark.parametrize("a", [1e4, 1e6, 1e7, 1e8])
+    def test_within_own_bound_of_mpmath(self, a):
+        # the flat 1e-13 it reported was broken by 1.5e-13 at (100010000,
+        # 1e8); the bound now grows with the steps taken from the warm
+        # start, and is relative, so it also holds far past the load
+        from mpmath import mpf
+
+        r = math.sqrt(a)
+        for n in (math.floor(a) + 1, math.ceil(a + 0.1 * r), math.ceil(a + r),
+                  math.ceil(a + 3.0 * r), math.ceil(1.001 * a), math.ceil(a + 12.0 * r)):
+            result = erlang_c_integer(n, a)
+            want = oracles.erlang_c_mpmath(mpf(n), mpf(a))
+            assert abs(result.value - want) <= result.error_bound, (n, a)
+            assert result.error_bound <= 1e-9 * result.value, (n, a)
+
+    def test_bound_where_b_underflows(self):
+        # B leaves the normal range about 38*sqrt(a) above the load and reads
+        # 0.0; C is then below sys.float_info.min/(1 - a/n)
+        result = erlang_c_integer(15_000, 1e4)
+        assert result.value == 0.0
+        assert 0.0 < result.error_bound < 1e-300
 
     @given(
         st.integers(min_value=1, max_value=120),
