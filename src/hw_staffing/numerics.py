@@ -113,12 +113,11 @@ _SQRT_2PI = 2.5066282746310002  # sqrt(2*pi)
 
 
 def _gamma_star(s: float) -> float:
-    """Gamma*(s) = Gamma(s) / (sqrt(2*pi/s) * s**s * e**-s), for s > 0, within
-    5 eps (relative) of a 40-digit reference from s = 1e-320 to 1e6. From
-    s = 10: Stirling's series to s**-13 (the first omitted term is below
-    3e-17 there), its first two terms exponentiated apart from the rest,
-    which rounds away past s = 400. Below: sqrt(s)*Gamma(s), as
-    Gamma(1 + s)/sqrt(s) under s = 1, where Gamma(s) overflows near 5.6e-309.
+    """Gamma*(s) = Gamma(s) / (sqrt(2*pi/s) * s**s * e**-s) for s > 0, within
+    5 eps (relative) from s = 1e-320 to 1e6: from s = 10, Stirling's series
+    to s**-13 (its first omitted term is below 3e-17 there), the terms past
+    the first two left out past s = 400, where they round away; below,
+    sqrt(s)*Gamma(s), as Gamma(1 + s)/sqrt(s) under s = 1 (no overflow).
     """
     if s >= 10.0:
         inv_s = 1.0 / s
@@ -166,21 +165,22 @@ def _temme_upper_gamma(s: float, d: float):
 
 
 def _upper_gamma(s: float, x: float):
-    """(s*eta**2/2, Q(s, x), rel, Gamma*(s)) for s > 0, x > 0: Q by Temme's expansion
-    where it serves, else by the lower-gamma series (x < s + 1) or the
-    continued fraction (modified Lentz), each stopped at 10 000 terms
-    (NumericalError), against the prefactor in the normalized form of
-    DiDonato & Morris (ACM TOMS 12, 1986) and Gil, Segura & Temme (SIAM J.
-    Sci. Comput. 34, 2012):
+    """(s*eta**2/2, Q(s, x), rel, Gamma*(s)) for s > 0 and x > 0: Q by
+    Temme's expansion where it serves, else by the lower-gamma series
+    (x < s + 1) or the continued fraction (modified Lentz), each stopped at
+    10 000 terms (NumericalError), against the prefactor in the normalized
+    form of DiDonato & Morris (ACM TOMS 12, 1986) and Gil, Segura & Temme
+    (SIAM J. Sci. Comput. 34, 2012):
     x**s e**-x / Gamma(s) = e**-(s*eta**2/2) / (sqrt(2*pi/s) * Gamma*(s)),
-    with s*eta**2/2 = x - s - s*log(x/s) taken as -s*log1pmx((x - s)/s)
-    for |x - s| < s/2, and as -(s*log(x/s) + s - x) elsewhere, where
-    1 + (x - s)/s would lose the digits of x/s. rel bounds Q's relative error beyond the
-    prefactor's rounding: Temme's truncation (twice its first omitted term,
-    over Q >= 1/2); (n + 4)*eps*P/Q for the series' n terms after the
-    first, whose terms and partial sums carry at most n ulps of the sum, 4
-    more covering the prefactor where P/Q passes 1 (s*eta**2/2 is small
-    there); (n + 4)*eps after n steps of the fraction.
+    s*eta**2/2 = x - s - s*log(x/s), taken as -s*log1pmx((x - s)/s) for
+    |x - s| < s/2 and as -(s*log(x/s) + s - x) elsewhere, where
+    1 + (x - s)/s would lose the digits of x/s. rel bounds Q's relative
+    error beyond the prefactor's rounding: Temme's truncation (twice its
+    first omitted term, over Q >= 1/2); for the series' n terms after the
+    first, (n + 4)*eps*P/Q, n ulps for its terms and partial sums and 4
+    for the prefactor where P/Q passes 1 (s*eta**2/2 is small there), with
+    Q floored at half that error (1 - P rounds to 0 below s ~ 1e-12);
+    (n + 4)*eps after n steps of the fraction.
     """
     d = s - x
     gamma_star = _gamma_star(s)
@@ -204,7 +204,8 @@ def _upper_gamma(s: float, x: float):
             total += term
             if term < total * _GAMMA_EPS:  # both positive: s > 0, x > 0
                 p = prefactor * total
-                return half_s_eta2, 1.0 - p, (n + 4) * _EPS * p / (1.0 - p), gamma_star
+                q = max(1.0 - p, 0.5 * (n + 4) * _EPS * p)
+                return half_s_eta2, q, (n + 4) * _EPS * p / q, gamma_star
         raise NumericalError(
             f"lower-gamma series failed to converge for s={s}, x={x}",
             iterations=_GAMMA_MAX_ITER,

@@ -144,6 +144,14 @@ class TestGammaRouteOnTheCurves:
             s = 10.0 ** rng.uniform(-4.0, -2.0)
             within_bound_of_reference(s, s * 10.0 ** rng.uniform(-3.0, -1e-9))
 
+    @pytest.mark.parametrize("s, a", [(1e-18, 5e-19), (1e-300, 1e-301)])
+    def test_where_q_falls_below_its_own_error(self, s, a):
+        # 1 - P rounds to 0 below s ~ 1e-12: Q is then half the series'
+        # error, with relative error 2, and C keeps a finite bound
+        _, q, rel, _ = numerics._upper_gamma(s, a)
+        assert q == upper_gamma_regularized(s, a) > 0.0 and rel == 2.0
+        within_bound_of_reference(s, a)
+
     @pytest.mark.parametrize("s, a", [(2000.0, 10.0), (1e5, 100.0), (500.0, 50.0),
                                       (520.0, 52.0)])
     def test_where_the_reciprocal_prefactor_overflows(self, s, a):
