@@ -190,8 +190,8 @@ def _upper_gamma(s: float, x: float):
                 gamma_star)
     if -0.5 * s < d < 0.5 * s:
         half_s_eta2 = -s * log1pmx(-d / s)
-    else:  # x/s clamped to the double range: Q is 1 below it, and above it this moves < 1 ulp
-        half_s_eta2 = -(s * math.log(min(max(x / s, math.ulp(0.0)), sys.float_info.max)) + d)
+    else:  # x/s held in the double range: Q is 1 below it, and above it this moves < 1 ulp
+        half_s_eta2 = -(s * math.log(min(x / s or 5e-324, 1e308)) + d)
     prefactor = math.exp(-half_s_eta2) * math.sqrt(s / (2.0 * math.pi)) / gamma_star
 
     if x < s + 1.0:
@@ -212,8 +212,8 @@ def _upper_gamma(s: float, x: float):
         )
 
     # Q(s,x) = prefactor * 1/(x+1-s- 1*(1-s)/(x+3-s- 2*(2-s)/(x+5-s- ...)))
-    # the fraction is below 1, so Q underflows with the prefactor (nan where x/s overflows)
-    if not prefactor > 0.0:
+    # the fraction is below 1 (x >= s + 1), so Q underflows with the prefactor
+    if prefactor == 0.0:
         return half_s_eta2, 0.0, 0.0, gamma_star
     tiny = 1e-300
     b = x + 1.0 - s
