@@ -65,7 +65,7 @@ class TestGammaStar:
 
         rng = random.Random(3)
         for _ in range(400):
-            s = 10.0 ** rng.uniform(-320.0, 6.0) if rng.random() < 0.2 else 10.0 ** rng.uniform(-3.0, 3.0)
+            s = 10.0 ** (rng.uniform(-320.0, 6.0) if rng.random() < 0.2 else rng.uniform(-3.0, 3.0))
             with mp.workdps(40):
                 s_ = mpf(s)
                 want = mp.gamma(s_) / (mp.sqrt(2 * mp.pi / s_) * s_**s_ * mp.exp(-s_))
