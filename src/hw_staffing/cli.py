@@ -177,11 +177,9 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_verify(args) -> int:
     checks = verify.run_suite(args.suite)
-    failed = 0
     for name, passed, detail in checks:
-        status = "PASS" if passed else "FAIL"
-        failed += 0 if passed else 1
-        print(f"{status} {name}: {detail}")
+        print(f"{'PASS' if passed else 'FAIL'} {name}: {detail}")
+    failed = sum(not passed for _, passed, _ in checks)
     print(f"{len(checks) - failed}/{len(checks)} properties passed")
     return _EXIT_OK if failed == 0 else _EXIT_VERIFY_FAILED
 

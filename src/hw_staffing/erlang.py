@@ -55,7 +55,8 @@ __all__ = [
 # route's exponent (see erlang_c_real and erlang_c_gamma).
 _EXPONENT_ULPS = 8.0
 _GAMMA_ULPS = 16.0
-_TEMME_LINEAR_MAX = 700.0  # past this s*eta**2/2, erlang_c_gamma works in logs
+# The gamma route forms e**(s*eta**2/2) itself up to here; past it, in logs.
+_TEMME_LINEAR_MAX = 700.0
 # Where the quadrature's peak overflows, d or a is past 1e154. A slack of
 # more than this many sqrt(a) then puts the integrand's exponent at x = d/a,
 # a*((1 + x)*log1p(x) - x) less log1p(x), above 3e5 (it is at least
@@ -101,6 +102,7 @@ def _check_stable(s: float, a: float):
         raise DomainError(
             f"delay probability requires 0 < a < s (stability), got a={a}, s={s}"
         )
+    return float(s), float(a)
 
 
 def erlang_b_integer(n: int, a: float) -> float:
@@ -163,7 +165,8 @@ def erlang_c_integer(n: int, a: float) -> DelayProbability:
     value = b / denominator
     steps = min(n, _WARM_START_SQRTS * math.sqrt(a) + 1.0 + max(0.0, n - a))
     bound = value * _EPS * (3.0 * steps + 1.5 / denominator + 1.0)
-    return DelayProbability(value, Method.INTEGER_RECURRENCE, bound + sys.float_info.min / (1.0 - rho))
+    bound += sys.float_info.min / (1.0 - rho)  # C's ceiling where b underflows to 0
+    return DelayProbability(value, Method.INTEGER_RECURRENCE, bound)
 
 
 def erlang_c_real(s: float, a: float) -> DelayProbability:
@@ -192,8 +195,8 @@ def erlang_c_real(s: float, a: float) -> DelayProbability:
     is returned as 0 with bound 0; far past overflow, without a
     quadrature.
     """
-    _check_stable(s, a)
-    return _quadrature(float(s) - float(a), float(a))
+    s, a = _check_stable(s, a)
+    return _quadrature(s - a, a)
 
 
 def erlang_c_slack(d: float, a: float) -> DelayProbability:
@@ -290,19 +293,20 @@ def erlang_c_gamma(s: float, a: float) -> DelayProbability:
     3 bits, d/s rounds once), Gamma*(s) and the products 4 (7 below s = 10),
     Q on Temme's path 8 (erfc, its rounded argument, the sum), exp, log and
     the rest 2 (in logs the sums add 3 ulps of s*eta**2/2); plus Q's own
-    rel from _upper_gamma. The bound is C*((1 - C)*rel_E + 2*eps), the last term the
-    final addition and division: at most 2e-14 relative on the staffed
-    curves for betas 0.1 to 3, at any load.
+    rel from _upper_gamma. The bound is C*((1 - C)*rel_E + 2*eps), the
+    last term the final addition and division: at most 2e-14 relative on
+    the staffed curves for betas 0.1 to 3, at any load.
 
-    Reach: every s > a > 0; the series ends within a few hundred terms, none
-    above the switch (Temme's: s >= 1000, a above about 0.73s). A call takes
-    about 4.2 us at a = 4, 8.4 us at 1e2, 4.3 us above the switch, 18 below.
+    Reach: every s > a > 0 with 1/s finite, s >= 5.6e-309 (below, the series
+    raises NumericalError); the series ends within a few hundred terms, none
+    above the switch (s >= 1000, a above about 0.73s). A call takes about
+    4.2 us at a = 4, 8.4 us at 1e2, 4.3 us above the switch, 18 below.
     """
-    _check_stable(s, a)
-    s = float(s)
-    a = float(a)
+    s, a = _check_stable(s, a)
     half_s_eta2, q, rel_q, gamma_star = _upper_gamma(s, a)
-    prefactor = (s - a) * math.sqrt(2.0 * math.pi * (1.0 / s)) * gamma_star
+    # sqrt(2*pi/s), whose 2*pi/s overflows below s ~ 3.5e-308
+    root = math.sqrt(math.tau * (1.0 / s)) if s > 1e-300 else math.sqrt(math.tau) / math.sqrt(s)
+    prefactor = (s - a) * root * gamma_star
     if half_s_eta2 < _TEMME_LINEAR_MAX:
         value = 1.0 / (1.0 + prefactor * math.exp(half_s_eta2) * q)
     else:  # 1 + E is E: C = 1/E, taken in logs

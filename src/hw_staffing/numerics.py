@@ -107,7 +107,8 @@ _TEMME_C = (
 )
 # c_3 .. c_0 for Horner's rule, as (top coefficient, the rest downwards)
 _TEMME_HORNER = tuple((row[-1], row[-2::-1]) for row in reversed(_TEMME_C))
-# max |c_4(eta)| for |eta| <= 0.3, the first omitted term (tests/temme_coefficients.py)
+# |c_4(eta)| <= this for |eta| <= 0.3 (tests/temme_coefficients.py): the
+# first term the expansion omits.
 _TEMME_C4_MAX = 0.0011246989202084807
 _SQRT_2PI = 2.5066282746310002  # sqrt(2*pi)
 
@@ -115,16 +116,17 @@ _SQRT_2PI = 2.5066282746310002  # sqrt(2*pi)
 def _gamma_star(s: float) -> float:
     """Gamma*(s) = Gamma(s) / (sqrt(2*pi/s) * s**s * e**-s) for s > 0, within
     5 eps (relative) from s = 1e-320 to 1e6: from s = 10, Stirling's series
-    to s**-13 (its first omitted term is below 3e-17 there), the terms past
-    the first two left out past s = 400, where they round away; below,
+    to s**-13 (its first omitted term is below 3e-17 there); below,
     sqrt(s)*Gamma(s), as Gamma(1 + s)/sqrt(s) under s = 1 (no overflow).
     """
     if s >= 10.0:
         inv_s = 1.0 / s
         t = inv_s * inv_s
         head = math.exp(inv_s * (1.0 / 12.0 - t / 360.0))
-        return head if s > 400.0 else head * math.exp(inv_s * t * t * (
-            1 / 1260 - t * (1 / 1680 - t * (1 / 1188 - t * (691 / 360360 - t / 156)))))
+        if s > 400.0:  # the rest is below eps/2 from s ~ 382: its exp is 1.0
+            return head
+        tail = 1 / 1260 - t * (1 / 1680 - t * (1 / 1188 - t * (691 / 360360 - t / 156)))
+        return head * math.exp(inv_s * t * t * tail)
     root = math.gamma(s) * math.sqrt(s) if s >= 1.0 else math.gamma(1.0 + s) / math.sqrt(s)
     return root * math.exp(s) / (s**s * _SQRT_2PI)
 
@@ -192,7 +194,9 @@ def _upper_gamma(s: float, x: float):
         half_s_eta2 = -s * log1pmx(-d / s)
     else:  # x/s held in the double range: Q is 1 below it, and above it this moves < 1 ulp
         half_s_eta2 = -(s * math.log(min(x / s or 5e-324, 1e308)) + d)
-    prefactor = math.exp(-half_s_eta2) * math.sqrt(s / (2.0 * math.pi)) / gamma_star
+    # sqrt(s/(2*pi)), whose s/(2*pi) is subnormal below s ~ 1.4e-307
+    root = math.sqrt(s / (2.0 * math.pi)) if s > 1e-300 else math.sqrt(s) / _SQRT_2PI
+    prefactor = math.exp(-half_s_eta2) * root / gamma_star
 
     if x < s + 1.0:
         term = 1.0 / s

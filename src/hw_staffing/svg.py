@@ -52,10 +52,6 @@ def _fmt_coord(v: float) -> str:
     return f"{v:.2f}"
 
 
-def _fmt_label(v: float) -> str:
-    return f"{v:.6g}"
-
-
 def polyline_chart(
     xs: Sequence[float],
     ys: Sequence[float],
@@ -118,7 +114,7 @@ def polyline_chart(
         )
         parts.append(
             f'<text x="{_fmt_coord(px)}" y="{_fmt_coord(y1 + 20)}" text-anchor="middle" '
-            f'font-family="monospace" font-size="11">{_fmt_label(t)}</text>'
+            f'font-family="monospace" font-size="11">{t:.6g}</text>'
         )
     for t in y_ticks:
         py = y_pos(t)
@@ -128,7 +124,7 @@ def polyline_chart(
         )
         parts.append(
             f'<text x="{_fmt_coord(x0 - 10)}" y="{_fmt_coord(py + 4)}" text-anchor="end" '
-            f'font-family="monospace" font-size="11">{_fmt_label(t)}</text>'
+            f'font-family="monospace" font-size="11">{t:.6g}</text>'
         )
 
     points = " ".join(f"{_fmt_coord(x_pos(x))},{_fmt_coord(y_pos(y))}" for x, y in zip(xs, ys))

@@ -129,9 +129,6 @@ def _identities():
                 erlang.erlang_c_real(float(n), a).value,
                 erlang.erlang_c_gamma(float(n), a).value,
             ]
-            for i in range(3):
-                for j in range(3):
-                    if i != j:
-                        worst = max(worst, abs(values[i] - values[j]) / values[j])
+            worst = max(worst, *(abs(u - v) / v for u in values for v in values))
     checks.append(("three-way-agreement", worst <= 1e-10, f"worst relative diff {worst:.17g}"))
     return checks

@@ -144,13 +144,25 @@ class TestGammaRouteOnTheCurves:
             s = 10.0 ** rng.uniform(-4.0, -2.0)
             within_bound_of_reference(s, s * 10.0 ** rng.uniform(-3.0, -1e-9))
 
-    @pytest.mark.parametrize("s, a", [(1e-18, 5e-19), (1e-300, 1e-301)])
+    @pytest.mark.parametrize("s, a", [(1e-18, 5e-19), (1e-300, 1e-301), (2e-308, 1e-308),
+                                      (3e-308, 1e-310)])
     def test_where_q_falls_below_its_own_error(self, s, a):
         # 1 - P rounds to 0 below s ~ 1e-12: Q is then half the series'
         # error, with relative error 2, and C keeps a finite bound
         _, q, rel, _ = numerics._upper_gamma(s, a)
         assert q == upper_gamma_regularized(s, a) > 0.0 and rel == 2.0
         within_bound_of_reference(s, a)
+
+    def test_at_the_bottom_of_the_double_range(self):
+        # below s ~ 3.5e-308 2*pi/s overflows, and below 1.4e-307 s/(2*pi)
+        # is subnormal; both roots are then taken as two. For s < a few
+        # 1e-300, 1 - C is below s*745, far under an ulp: C is 1.0 exactly
+        rng = random.Random(5)
+        for _ in range(20_000):
+            s = 10.0 ** rng.uniform(-308.25, -300.0)
+            a = s * 10.0 ** rng.uniform(-12.0, -1e-9)
+            result = erlang_c_gamma(s, a)
+            assert 1.0 - result.value <= result.error_bound, (s, a, result)
 
     @pytest.mark.parametrize("s, a", [(2000.0, 10.0), (1e5, 100.0), (500.0, 50.0),
                                       (520.0, 52.0)])

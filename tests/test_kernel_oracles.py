@@ -174,6 +174,7 @@ class TestGammaSeries:
         for s, x in below:
             half_s_eta2, q, rel, _ = numerics._upper_gamma(s, x)
             assert upper_gamma_regularized(s, x) == q
+            assert rel <= 1e-12, (s, x, rel)  # the Q floor (rel = 2) never fires here
             want = oracles.upper_gamma_mpmath(s, x)
             tolerance = (16 * numerics._EPS * (1.0 + half_s_eta2) + rel) * want
             assert abs(q - want) <= tolerance + 16 * math.ulp(0.0), (s, x)
