@@ -21,10 +21,16 @@ from hw_staffing import (
     tail_y_via_h,
 )
 
-# g(., a) is a probability density: it integrates to one.
+# g(., a) is a probability density: it integrates to one. The quadrature
+# takes the peak of t*g(t, a) in log t, where 2 + t - a*t**2 = 0, and the
+# width there, 1/sqrt(t*(a - (a - 1)/(1 + t)**2)).
 for a in (0.5, 1.0, 10.0, 100.0):
+    peak = (1.0 + math.sqrt(1.0 + 8.0 * a)) / (2.0 * a)
+    width = 1.0 / math.sqrt(peak * (a - (a - 1.0) / (1.0 + peak) ** 2))
     total = integrate_semi_infinite(
-        lambda t, a=a: math.log(density_g(t, a)) if density_g(t, a) > 0 else -math.inf
+        lambda t, a=a: math.log(density_g(t, a)) if density_g(t, a) > 0 else -math.inf,
+        math.log(peak),
+        width,
     )
     print(f"integral of g(., a={a:5.1f}) = {total:.12f}")
 print(f"closed-form CDF of X_1 at 1: {cdf_x(1.0, 1.0):.12f} (= 1 - 2/e)")

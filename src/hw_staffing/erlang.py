@@ -213,9 +213,9 @@ def erlang_c_slack(d: float, a: float) -> DelayProbability:
     return _quadrature(float(d), float(a))
 
 
-def _quadrature(d: float, a: float) -> DelayProbability:
+def _peak(d: float, a: float):
+    """(z, width) at the peak of 1/C(a + d, a)'s integrand in log z; z = inf: C underflows."""
     r = math.sqrt(a)
-    inv_r = 1.0 / r
     d1 = d - 1.0
     try:
         z_peak = (d + 1.0 + math.sqrt((d + 1.0) ** 2 + 8.0 * a)) / (2.0 * r)
@@ -224,7 +224,7 @@ def _quadrature(d: float, a: float) -> DelayProbability:
     if z_peak == math.inf:  # (d + 1)**2 + 8a overflowed, from a ~ 2e307
         u = (d + 1.0) / r
         if u > _SLACK_SQRTS_UNDERFLOW:  # 1/C overflows: C underflows
-            return DelayProbability(0.0, Method.QUADRATURE, 0.0)
+            return math.inf, 0.0
         z_peak = (u + math.sqrt(u * u + 8.0)) / 2.0
     # the factor 1 - (a + d1)/(r + z_peak)**2 of the second derivative;
     # near 0 (large loads) it is taken with r**2 and a cancelled by hand
@@ -234,7 +234,16 @@ def _quadrature(d: float, a: float) -> DelayProbability:
         curvature = 1.0 - (a + d1) / (r + z_peak) / (r + z_peak)
     if curvature < 1e-3:
         curvature = (2.0 * r * z_peak + z_peak**2 - d1) / (r + z_peak) ** 2
-    width = 1.0 / math.sqrt(r * z_peak * curvature)
+    return z_peak, 1.0 / math.sqrt(r * z_peak * curvature)
+
+
+def _quadrature(d: float, a: float) -> DelayProbability:
+    z_peak, width = _peak(d, a)
+    if z_peak == math.inf:  # C underflows
+        return DelayProbability(0.0, Method.QUADRATURE, 0.0)
+    r = math.sqrt(a)
+    inv_r = 1.0 / r
+    d1 = d - 1.0
     # the exponent's two terms at the peak size its rounding in the bound,
     # and with log(z_peak**2 * width) give log(1/C) to a few nats
     centre, log_width = math.log(z_peak), math.log(width)

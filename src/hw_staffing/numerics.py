@@ -7,9 +7,9 @@ concurrently. One quadrature engine serves every integral: a trapezoid
 rule whose step is halved until two successive sums agree to a fixed
 relative tolerance, 1e-12 (or 4096 integrand evaluations are spent),
 applied after an exp-sinh change of variables centred on the integrand's
-peak in log t. The real-server delay probability supplies that peak in
-closed form and applies the map itself; integrate_semi_infinite finds
-the peak for any integrand by a geometric scan. Integrands arrive as
+peak in log t. Each caller supplies that peak and its width, in closed form
+or from a one-dimensional equation; the real-server delay probability
+applies the map itself. Integrands arrive as
 *log* integrands so that peaks of magnitude e**(+-600) can be handled by
 max-shifting before exponentiation.
 """
@@ -263,7 +263,6 @@ def upper_gamma_regularized(s: float, x: float) -> float:
 
 
 _EPS = 2.0**-52
-_LN2 = math.log(2.0)
 _LOG_MAX = math.log(sys.float_info.max)  # e**x overflows above this
 
 # The trapezoid rule stops once two successive sums agree to this share
@@ -286,22 +285,10 @@ _SUM_ROUNDING = 8 * _EPS
 # e**-v overflows below this; the map sends such nodes to w = -inf anyway.
 _V_MIN = -700.0
 
-# Geometric scan of a generic integrand over t = 2**k.
-_SCAN_LO_EXP = -40
-_SCAN_HI_EXP = 10
-_SCAN_MAX_DOUBLINGS = 500
-# Below t = 2**-52 a generic integrand counts as zero: 1 + t rounds to 1
-# there, and integrands written in 1 + t may reject it.
+# Below t = 2**-52 an integrand counts as zero: 1 + t rounds to 1 there,
+# and integrands written in 1 + t may reject it.
 _T_MIN_EXP = -52
-_W_MIN = _T_MIN_EXP * _LN2
-# Golden-section refinement of the scanned peak stops at this bracket
-# width in log t, a small fraction of any width the step halving can
-# resolve within the evaluation cap.
-_PEAK_TOL = 1e-5
-_INV_PHI = 0.6180339887498949  # 1/golden ratio
-# A flat scan can suggest any width; wider than this in log t, one step
-# of the map would jump over whole decades of t.
-_MAX_SCALE = 10.0
+_W_MIN = _T_MIN_EXP * math.log(2.0)
 
 # Steps bisect_monotone may fall behind bisection while it tries the
 # Illinois point: its worst case is plain bisection plus this many
@@ -437,97 +424,41 @@ def _trapezoid(log_term: Callable[[float], float]):
         evaluations += (right - left) // 2
 
 
-def _golden_peak(f: Callable[[float], float], lo: float, hi: float) -> float:
-    """Maximiser of a unimodal f on [lo, hi] to within _PEAK_TOL."""
-    x1 = hi - _INV_PHI * (hi - lo)
-    x2 = lo + _INV_PHI * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    while hi - lo > _PEAK_TOL:
-        if f1 >= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _INV_PHI * (hi - lo)
-            f1 = f(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _INV_PHI * (hi - lo)
-            f2 = f(x2)
-    return x1 if f1 >= f2 else x2
-
-
-def _peak_and_scale(log_mass: Callable[[float], float]):
-    """Centre and width, in w = log t, of the log-space integrand log_mass(w).
-
-    A geometric scan over t = 2**k brackets the peak and checks that the
-    right tail decays; golden-section search then refines the peak, and a
-    second difference around it, taken at a spacing where log_mass has
-    dropped by at most a few nats, gives the width. Returns None when the
-    integrand vanishes on the whole scan.
-    """
-    ws = [k * _LN2 for k in range(_SCAN_LO_EXP, _SCAN_HI_EXP + 1)]
-    ls = [log_mass(w) for w in ws]
-    if max(ls) == -math.inf:
-        return None
-    doublings = 0
-    while ls[-1] > max(ls) - _TRUNCATION_LOG_CUTOFF:
-        doublings += 1
-        if doublings > _SCAN_MAX_DOUBLINGS:
-            raise NumericalError(
-                "semi-infinite integrand tail did not decay within the scan range"
-            )
-        ws.append(ws[-1] + _LN2)
-        ls.append(log_mass(ws[-1]))
-
-    i = ls.index(max(ls))
-    centre = _golden_peak(log_mass, ws[i] - _LN2, ws[i] + _LN2)
-    top = log_mass(centre)
-    if not top > ls[i]:
-        centre, top = ws[i], ls[i]
-    delta = _LN2
-    while True:
-        drop = top - 0.5 * (log_mass(centre - delta) + log_mass(centre + delta))
-        if drop <= 4.0 or delta < _PEAK_TOL:
-            break
-        delta *= 0.25
-    scale = delta / math.sqrt(2.0 * drop) if 0.0 < drop < math.inf else delta
-    return centre, min(scale, _MAX_SCALE)
-
-
-def integrate_semi_infinite(log_integrand: Callable[[float], float]) -> float:
+def integrate_semi_infinite(
+    log_integrand: Callable[[float], float], centre: float, width: float
+) -> float:
     """Integral of exp(log_integrand(t)) dt over t in [0, inf).
 
     The integrand must be given in log space (may return -inf where it
     vanishes) with an eventually decaying tail. It is integrated in
-    w = log t, where a geometric scan finds its peak and width. The
-    exp-sinh map w = centre + scale*(v + 1 - e**-v) fixes v = 0 at that
+    w = log t about its peak, which the caller gives as centre, with the
+    width 1/sqrt(-m''(centre)) of the log mass m(w) = log_integrand(e**w) + w.
+    The exp-sinh map w = centre + width*(v + 1 - e**-v) fixes v = 0 at that
     peak, stretches the right side linearly and compresses the left side
     double-exponentially, and the trapezoid rule in v does the rest
-    (Takahasi & Mori, 1974); log_mass counts nodes where t overflows as
-    zero.
-    Raises NumericalError with the best estimate attached if the
+    (Takahasi & Mori, 1974); log_mass counts nodes below t = 2**-52, or
+    where t overflows, as zero. Raises NumericalError if the mass below
+    2**-52 is not negligible, or, with the best estimate attached, if the
     evaluation cap is hit first.
     """
 
     def log_mass(w: float) -> float:
         return log_integrand(math.exp(w)) + w if _W_MIN <= w <= _LOG_MAX else -math.inf
 
-    peak = _peak_and_scale(log_mass)
-    if peak is None:  # integrand vanishes on the whole scan range
-        return 0.0
-    centre, scale = peak
     # log_mass drops the mass below t = 2**-52, about e**log_mass(_W_MIN);
     # it must not matter at the quadrature's (or, below it, attainable) accuracy
     if log_mass(_W_MIN) > log_mass(centre) + math.log(max(_REL_TOL, _SUM_ROUNDING)):
         raise NumericalError(
             f"integrand mass below t = 2**{_T_MIN_EXP} is not negligible", iterations=1
         )
-    log_scale = math.log(scale)
+    log_width = math.log(width)
 
     def log_term(v: float) -> float:
         if v < _V_MIN:
             return -math.inf
         ev = math.exp(-v)
-        w = centre + scale * (v + 1.0 - ev)
-        return log_mass(w) + log_scale + math.log1p(ev)
+        w = centre + width * (v + 1.0 - ev)
+        return log_mass(w) + log_width + math.log1p(ev)
 
     shift, total, _, _ = _trapezoid(log_term)
     return _unscale(total, shift)

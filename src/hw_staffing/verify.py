@@ -80,12 +80,12 @@ def _order():
     return checks
 
 
-def _log_density_y_shifted(v: float, a: float) -> float:
-    # density of Y_a at y = 1 + v, for integration over v in [0, inf)
-    if v <= 0.0:
-        return -math.inf
-    d = proof_kit.density_y(1.0 + v, a)
-    return math.log(d) if d > 0.0 else -math.inf
+def _log_density_y_in_t(t: float, a: float) -> float:
+    # Y_a's density at y = (1 + t)**sqrt(a), times dy/dt: X_a's density again
+    r = math.sqrt(a)
+    y = (1.0 + t) ** r
+    d = proof_kit.density_y(y, a) if y > 1.0 else 0.0  # y rounds to 1 below t ~ eps/r
+    return math.log(d * r * y / (1.0 + t)) if d > 0.0 else -math.inf
 
 
 def _identities():
@@ -96,8 +96,10 @@ def _identities():
 
     worst = 0.0
     for a in (0.25, 1.0, 9.0, 100.0, 2500.0):
-        worst = max(worst, abs(integrate(lambda t: log_density_x(t, a)) - 1.0))
-        worst = max(worst, abs(integrate(lambda v: _log_density_y_shifted(v, a)) - 1.0))
+        z, width = erlang._peak(0.0, a)  # X_a's density is 1/C's integrand at s = a
+        peak = math.log(z / math.sqrt(a)), width  # moved from log z to log t
+        worst = max(worst, abs(integrate(lambda t: log_density_x(t, a), *peak) - 1.0))
+        worst = max(worst, abs(integrate(lambda t: _log_density_y_in_t(t, a), *peak) - 1.0))
     checks.append(("density-normalization", worst <= 1e-10, f"worst |integral - 1| {worst:.17g}"))
 
     worst = 0.0

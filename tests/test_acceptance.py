@@ -10,6 +10,7 @@ import time
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 
+from hw_staffing import erlang
 from hw_staffing.cli import main as cli_main
 from hw_staffing.erlang import (
     erlang_c_gamma,
@@ -24,13 +25,13 @@ from hw_staffing.numerics import integrate_semi_infinite
 from hw_staffing.proof_kit import (
     check_stochastic_order,
     density_g,
-    density_y,
     h,
     h_series,
     moment_y,
     tail_y,
     tail_y_via_h,
 )
+from hw_staffing.verify import _log_density_y_in_t
 
 import oracles
 
@@ -42,6 +43,13 @@ BETAS = (0.1, 0.5, 1.0, 2.0, 3.0)
 def _geom_grid(lo, hi, points):
     r = math.log(hi / lo) / (points - 1)
     return [lo * math.exp(r * i) for i in range(points)]
+
+
+def _x_peak(a):
+    # X_a's density is 1/C's integrand at s = a: erlang's peak, moved from
+    # log z to log t, as verify takes it
+    z, width = erlang._peak(0.0, a)
+    return math.log(z / math.sqrt(a)), width
 
 
 def _report(number, name, failures, detail=""):
@@ -132,8 +140,9 @@ def test_criterion_4_proof_object_identities():
 
     worst_norm = 0.0
     for a in (0.25, 1.0, 9.0, 100.0, 2500.0):
-        g_total = integrate_semi_infinite(log_of(lambda t, a=a: density_g(t, a)))
-        f_total = integrate_semi_infinite(log_of(lambda v, a=a: density_y(1.0 + v, a)))
+        peak = _x_peak(a)
+        g_total = integrate_semi_infinite(log_of(lambda t, a=a: density_g(t, a)), *peak)
+        f_total = integrate_semi_infinite(lambda t, a=a: _log_density_y_in_t(t, a), *peak)
         worst_norm = max(worst_norm, abs(g_total - 1.0), abs(f_total - 1.0))
         if abs(g_total - 1.0) > 1e-10:
             failures.append(("integral g", a, g_total))

@@ -255,6 +255,22 @@ class TestExactWork:
         # x = z/sqrt(a) overflows in the right tail (1e-307) or at the peak
         assert erlang_c_slack(1e-5, a).evaluations == 57
 
+    @pytest.mark.parametrize("a, beta, calls", [(1e8, 1.0, 60), (1.0, 1.0, 103), (1e-2, 3.0, 218)])
+    def test_moment_y_calls_to_h(self, monkeypatch, a, beta, calls):
+        # the trapezoid's nodes and the two of the small-t mass check: the
+        # peak comes from its equation, with no scan (142, 204 and 193 before)
+        count = 0
+        h = proof_kit.h
+
+        def counted(x):
+            nonlocal count
+            count += 1
+            return h(x)
+
+        monkeypatch.setattr(proof_kit, "h", counted)
+        proof_kit.moment_y(a, beta)
+        assert count == calls
+
     def test_gamma_route_runs_no_series_above_the_switch(self, monkeypatch):
         # the lower-gamma series hit its 10 000-term cap here and raised;
         # above the switch neither the series nor the continued fraction

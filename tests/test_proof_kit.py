@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from hw_staffing import erlang
 from hw_staffing.erlang import erlang_c_real, erlang_c_slack
 from hw_staffing.errors import DomainError
 from hw_staffing.halfin_whitt import staffing
@@ -21,6 +22,7 @@ from hw_staffing.proof_kit import (
     tail_y,
     tail_y_via_h,
 )
+from hw_staffing.verify import _log_density_y_in_t
 
 import oracles
 
@@ -38,6 +40,13 @@ def _log(f):
     return lambda t: math.log(f(t)) if f(t) > 0.0 else -math.inf
 
 
+def _x_peak(a):
+    # X_a's density is 1/C's integrand at s = a: erlang's peak, moved from
+    # log z to log t, as verify takes it
+    z, width = erlang._peak(0.0, a)
+    return math.log(z / math.sqrt(a)), width
+
+
 class TestDensityG:
     def test_zero_at_origin(self):
         assert density_g(0.0, 3.0) == 0.0
@@ -47,7 +56,7 @@ class TestDensityG:
 
     @pytest.mark.parametrize("a", [0.5, 1.0, 10.0, 100.0])
     def test_normalizes_to_one(self, a):
-        total = integrate_semi_infinite(_log(lambda t: density_g(t, a)))
+        total = integrate_semi_infinite(_log(lambda t: density_g(t, a)), *_x_peak(a))
         assert total == pytest.approx(1.0, abs=1e-10)
 
     @given(
@@ -109,7 +118,8 @@ class TestDensityY:
 
     @pytest.mark.parametrize("a", [1.0, 4.0, 25.0])
     def test_normalizes_to_one(self, a):
-        total = integrate_semi_infinite(_log(lambda v: density_y(1.0 + v, a)))
+        # in t = y**(1/sqrt(a)) - 1, where Y's density times dy/dt is X's
+        total = integrate_semi_infinite(lambda t: _log_density_y_in_t(t, a), *_x_peak(a))
         assert total == pytest.approx(1.0, abs=1e-10)
 
     def test_matches_negative_tail_derivative(self):
@@ -121,6 +131,12 @@ class TestDensityY:
 
     def test_vanishes_at_infinity(self):
         assert density_y(math.inf, 1.0) == 0.0
+
+    @pytest.mark.parametrize("y, a", [(1e300, 0.25), (1e200, 0.01)])
+    def test_zero_where_x_overflows(self, y, a):
+        # log(y)/sqrt(a) > 710: x = e**(log(y)/sqrt(a)) - 1 overflowed (an
+        # OverflowError before), and the density is far below the smallest
+        assert density_y(y, a) == 0.0
 
     def test_rejects_boundary(self):
         with pytest.raises(DomainError):
@@ -303,6 +319,22 @@ class TestMomentY:
             for beta in (0.1, 0.5, 1.0, 2.0, 3.0):
                 c = erlang_c_slack(beta * math.sqrt(a), a).value
                 assert 1.0 / moment_y(a, beta) == pytest.approx(c, rel=4e-15), (a, beta)
+
+    @pytest.mark.parametrize("a", [10.0**k for k in range(-60, -1)] + [1e-310, 5e-324])
+    def test_tiny_loads(self, a):
+        # the mass sits near u = sqrt(a)*log(1/a), below 2**-52 from a ~ 1e-36
+        # (the peak scan raised from 1e-29 to 1e-10, and found nothing below);
+        # against the closed form at 60 digits, and within the quadrature
+        # route's own bound
+        from mpmath import mp, mpf
+
+        with mp.workdps(60):
+            s = mpf(a) + mp.sqrt(mpf(a))
+        want = oracles.erlang_c_gammainc(s, a)
+        got = 1.0 / moment_y(a, 1.0)
+        assert got == pytest.approx(want, rel=4e-16)
+        c = erlang_c_slack(math.sqrt(a), a)
+        assert abs(got - c.value) <= c.error_bound
 
     def test_at_least_one(self):
         for a in (0.5, 5.0):
