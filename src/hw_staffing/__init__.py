@@ -39,7 +39,6 @@ from .numerics import (
     integrate_semi_infinite,
     normal_cdf,
     normal_pdf,
-    upper_gamma_regularized,
 )
 from .proof_kit import (
     OrderReport,
@@ -98,5 +97,4 @@ __all__ = [
     "staffing",
     "tail_y",
     "tail_y_via_h",
-    "upper_gamma_regularized",
 ]

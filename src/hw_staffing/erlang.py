@@ -32,6 +32,7 @@ from .errors import DomainError, delay_target, positive_finite, server_count
 from .numerics import (
     _EPS,
     _LOG_MAX,
+    _PEAK_OVERFLOW_NATS,
     _V_MIN,
     _trapezoid,
     _upper_gamma,
@@ -62,9 +63,6 @@ _TEMME_LINEAR_MAX = 700.0
 # a*((1 + x)*log1p(x) - x) less log1p(x), above 3e5 (it is at least
 # d**2/(3a) for d <= a and 0.38d for d > a): 1/C overflows.
 _SLACK_SQRTS_UNDERFLOW = 1e3
-# C = 0 without a quadrature once log(1/C), read at the peak, passes
-# _LOG_MAX by this many nats (the reading is good to a few nats).
-_PEAK_OVERFLOW_NATS = 40.0
 
 # erlang_b_integer starts K = _WARM_START_SQRTS multiples of sqrt(a) below
 # min(n, a); its docstring derives the value.
@@ -306,8 +304,8 @@ def erlang_c_gamma(s: float, a: float) -> DelayProbability:
     last term the final addition and division: at most 2e-14 relative on
     the staffed curves for betas 0.1 to 3, at any load.
 
-    Reach: every s > a > 0 with 1/s finite, s >= 5.6e-309 (below, the series
-    raises NumericalError); the series ends within a few hundred terms, none
+    Reach: every s > a > 0 with s >= 5.6e-309, where 1/s is finite (below,
+    NumericalError at once); the series ends within a few hundred terms, none
     above the switch (s >= 1000, a above about 0.73s). A call takes about
     4.2 us at a = 4, 8.4 us at 1e2, 4.3 us above the switch, 18 below.
     """

@@ -1,6 +1,7 @@
-"""Foundation numerics: normal distribution, regularized upper incomplete
-gamma, a cancellation-free log1p(x) - x, trapezoid quadrature
-in log space, and a bracketing root finder for monotone functions.
+"""Foundation numerics: normal distribution, a cancellation-free
+log1p(x) - x, trapezoid quadrature in log space, and a bracketing root
+finder for monotone functions; privately, the regularized upper
+incomplete gamma Q(s, x) at 0 < x < s, all that the gamma route takes.
 
 Everything here is a pure function of its arguments and safe to call
 concurrently. One quadrature engine serves every integral: a trapezoid
@@ -30,7 +31,6 @@ __all__ = [
     "BracketedRoot",
     "normal_pdf",
     "normal_cdf",
-    "upper_gamma_regularized",
     "integrate_semi_infinite",
     "bisect_monotone",
 ]
@@ -167,12 +167,11 @@ def _temme_upper_gamma(s: float, d: float):
 
 
 def _upper_gamma(s: float, x: float):
-    """(s*eta**2/2, Q(s, x), rel, Gamma*(s)) for s > 0 and x > 0: Q by
-    Temme's expansion where it serves, else by the lower-gamma series
-    (x < s + 1) or the continued fraction (modified Lentz), each stopped at
-    10 000 terms (NumericalError), against the prefactor in the normalized
-    form of DiDonato & Morris (ACM TOMS 12, 1986) and Gil, Segura & Temme
-    (SIAM J. Sci. Comput. 34, 2012):
+    """(s*eta**2/2, Q(s, x), rel, Gamma*(s)) for 0 < x < s, the gamma route's
+    x = a: Q by Temme's expansion where it serves, else by the lower-gamma
+    series, stopped at 10 000 terms (NumericalError), against the prefactor
+    in the normalized form of DiDonato & Morris (ACM TOMS 12, 1986) and
+    Gil, Segura & Temme (SIAM J. Sci. Comput. 34, 2012):
     x**s e**-x / Gamma(s) = e**-(s*eta**2/2) / (sqrt(2*pi/s) * Gamma*(s)),
     s*eta**2/2 = x - s - s*log(x/s), taken as -s*log1pmx((x - s)/s) for
     |x - s| < s/2 and as -(s*log(x/s) + s - x) elsewhere, where
@@ -181,8 +180,9 @@ def _upper_gamma(s: float, x: float):
     first omitted term, over Q >= 1/2); for the series' n terms after the
     first, (n + 4)*eps*P/Q, n ulps for its terms and partial sums and 4
     for the prefactor where P/Q passes 1 (s*eta**2/2 is small there), with
-    Q floored at half that error (1 - P rounds to 0 below s ~ 1e-12);
-    (n + 4)*eps after n steps of the fraction.
+    Q floored at half that error (1 - P rounds to 0 below s ~ 1e-12).
+    Below s ~ 5.6e-309 the series' first term 1/s overflows:
+    NumericalError at once, with no term taken.
     """
     d = s - x
     gamma_star = _gamma_star(s)
@@ -190,80 +190,39 @@ def _upper_gamma(s: float, x: float):
     if temme is not None:
         return (*temme, 4.0 * _TEMME_C4_MAX * (1.0 / s)**4 / math.sqrt(2.0 * math.pi * s),
                 gamma_star)
+    term = 1.0 / s
+    if term == math.inf:
+        raise NumericalError(f"lower-gamma series: 1/s overflows for s={s}", iterations=0)
     if -0.5 * s < d < 0.5 * s:
         half_s_eta2 = -s * log1pmx(-d / s)
-    else:  # x/s held in the double range: Q is 1 below it, and above it this moves < 1 ulp
-        half_s_eta2 = -(s * math.log(min(x / s or 5e-324, 1e308)) + d)
+    else:  # x/s held above 0: Q is 1 where it underflows
+        half_s_eta2 = -(s * math.log(x / s or 5e-324) + d)
     # sqrt(s/(2*pi)), whose s/(2*pi) is subnormal below s ~ 1.4e-307
     root = math.sqrt(s / (2.0 * math.pi)) if s > 1e-300 else math.sqrt(s) / _SQRT_2PI
     prefactor = math.exp(-half_s_eta2) * root / gamma_star
 
-    if x < s + 1.0:
-        term = 1.0 / s
-        total = term
-        denom = s
-        for n in range(1, _GAMMA_MAX_ITER + 1):
-            denom += 1.0
-            term *= x / denom
-            total += term
-            if term < total * _GAMMA_EPS:  # both positive: s > 0, x > 0
-                p = prefactor * total
-                q = max(1.0 - p, 0.5 * (n + 4) * _EPS * p)
-                return half_s_eta2, q, (n + 4) * _EPS * p / q, gamma_star
-        raise NumericalError(
-            f"lower-gamma series failed to converge for s={s}, x={x}",
-            iterations=_GAMMA_MAX_ITER,
-        )
-
-    # Q(s,x) = prefactor * 1/(x+1-s- 1*(1-s)/(x+3-s- 2*(2-s)/(x+5-s- ...)))
-    # the fraction is below 1 (x >= s + 1), so Q underflows with the prefactor
-    if prefactor == 0.0:
-        return half_s_eta2, 0.0, 0.0, gamma_star
-    tiny = 1e-300
-    b = x + 1.0 - s
-    c = 1.0 / tiny
-    d = 1.0 / b if b != 0.0 else 1.0 / tiny
-    f = d
-    for i in range(1, _GAMMA_MAX_ITER + 1):
-        an = -i * (i - s)
-        b += 2.0
-        d = an * d + b
-        if d == 0.0:
-            d = tiny
-        c = b + an / c
-        if c == 0.0:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        f *= delta
-        if abs(delta - 1.0) < _GAMMA_EPS:
-            return half_s_eta2, prefactor * f, (i + 4) * _EPS, gamma_star
+    total = term
+    denom = s
+    for n in range(1, _GAMMA_MAX_ITER + 1):
+        denom += 1.0
+        term *= x / denom
+        total += term
+        if term < total * _GAMMA_EPS:  # both positive: s > 0, x > 0
+            p = prefactor * total
+            q = max(1.0 - p, 0.5 * (n + 4) * _EPS * p)
+            return half_s_eta2, q, (n + 4) * _EPS * p / q, gamma_star
     raise NumericalError(
-        f"upper-gamma continued fraction failed to converge for s={s}, x={x}",
+        f"lower-gamma series failed to converge for s={s}, x={x}",
         iterations=_GAMMA_MAX_ITER,
     )
 
 
-def upper_gamma_regularized(s: float, x: float) -> float:
-    """Regularized upper incomplete gamma Q(s, x) = Gamma(s, x)/Gamma(s):
-    Temme's uniform expansion for s >= 1000 and x between about 0.73s and
-    1.34s (|eta| <= 0.3), about 4 us at any s, else the lower-gamma series
-    (its terms fall at least as fast as (x/s)**k there) or the continued
-    fraction, against a prefactor in normalized variables (_upper_gamma).
-    """
-    s = _require_finite(s, "s")
-    x = _require_finite(x, "x")
-    if s <= 0.0:
-        raise DomainError(f"upper_gamma_regularized requires s > 0, got s={s}")
-    if x < 0.0:
-        raise DomainError(f"upper_gamma_regularized requires x >= 0, got x={x}")
-    if x == 0.0:
-        return 1.0
-    return _upper_gamma(s, x)[1]
-
-
 _EPS = 2.0**-52
 _LOG_MAX = math.log(sys.float_info.max)  # e**x overflows above this
+# An integral is inf without a quadrature (and 1/C, so C = 0) once its log,
+# read at the peak, passes _LOG_MAX by this many nats (the reading is good
+# to a few nats).
+_PEAK_OVERFLOW_NATS = 40.0
 
 # The trapezoid rule stops once two successive sums agree to this share
 # of the last one.
@@ -437,21 +396,26 @@ def integrate_semi_infinite(
     peak, stretches the right side linearly and compresses the left side
     double-exponentially, and the trapezoid rule in v does the rest
     (Takahasi & Mori, 1974); log_mass counts nodes below t = 2**-52, or
-    where t overflows, as zero. Raises NumericalError if the mass below
-    2**-52 is not negligible, or, with the best estimate attached, if the
-    evaluation cap is hit first.
+    where t overflows, as zero. Returns inf without a quadrature where
+    log_mass(centre) + log(width) passes _LOG_MAX by _PEAK_OVERFLOW_NATS,
+    the rule erlang_c_real applies to 1/C. Raises NumericalError if the
+    mass below 2**-52 is not negligible, or, with the best estimate
+    attached, if the evaluation cap is hit first.
     """
 
     def log_mass(w: float) -> float:
         return log_integrand(math.exp(w)) + w if _W_MIN <= w <= _LOG_MAX else -math.inf
 
+    peak = log_mass(centre)
+    log_width = math.log(width)
+    if peak + log_width > _LOG_MAX + _PEAK_OVERFLOW_NATS:
+        return math.inf
     # log_mass drops the mass below t = 2**-52, about e**log_mass(_W_MIN);
     # it must not matter at the quadrature's (or, below it, attainable) accuracy
-    if log_mass(_W_MIN) > log_mass(centre) + math.log(max(_REL_TOL, _SUM_ROUNDING)):
+    if log_mass(_W_MIN) > peak + math.log(max(_REL_TOL, _SUM_ROUNDING)):
         raise NumericalError(
             f"integrand mass below t = 2**{_T_MIN_EXP} is not negligible", iterations=1
         )
-    log_width = math.log(width)
 
     def log_term(v: float) -> float:
         if v < _V_MIN:

@@ -70,55 +70,6 @@ def min_servers_plain(a: float, epsilon: float) -> int:
             return n
 
 
-def upper_gamma_regularized_abs(s: float, x: float) -> float:
-    """upper_gamma_regularized as it was, its series test taken in abs().
-
-    For s > 0 and x > 0, where every series term is positive, so the
-    library's test without abs() must give the same value, or the same
-    NumericalError, to the bit.
-    """
-    from hw_staffing.errors import NumericalError
-
-    log_prefactor = s * math.log(x) - x - math.lgamma(s)
-    if x < s + 1.0:
-        term = 1.0 / s
-        total = term
-        denom = s
-        for _ in range(10_000):
-            denom += 1.0
-            term *= x / denom
-            total += term
-            if abs(term) < abs(total) * 1e-16:
-                return 1.0 - math.exp(log_prefactor) * total
-        raise NumericalError(
-            f"lower-gamma series failed to converge for s={s}, x={x}",
-            iterations=10_000,
-        )
-    tiny = 1e-300
-    b = x + 1.0 - s
-    c = 1.0 / tiny
-    d = 1.0 / b if b != 0.0 else 1.0 / tiny
-    f = d
-    for i in range(1, 10_001):
-        an = -i * (i - s)
-        b += 2.0
-        d = an * d + b
-        if d == 0.0:
-            d = tiny
-        c = b + an / c
-        if c == 0.0:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        f *= delta
-        if abs(delta - 1.0) < 1e-16:
-            return math.exp(log_prefactor) * f
-    raise NumericalError(
-        f"upper-gamma continued fraction failed to converge for s={s}, x={x}",
-        iterations=10_000,
-    )
-
-
 def trapezoid_visit(log_term):
     """numerics._trapezoid as it was: every node through a visit() closure.
 
@@ -582,7 +533,6 @@ PHI_TABLE = [
 # Regularized upper incomplete gamma spot values.
 Q_5_5 = 0.4404932850652124
 Q_HALF_03 = 0.4385780260809998
-Q_37_92 = 0.013103855789170086
 Q_250_240 = 0.7323499301459842
 
 # Halfin-Whitt limit values.

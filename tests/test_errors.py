@@ -49,3 +49,12 @@ def test_all_names_resolve(module):
     mod = importlib.import_module(module)
     missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
     assert missing == []
+
+
+def test_package_exports_every_layer():
+    # a name retired from a layer is retired from the package too
+    layers = ["erlang", "halfin_whitt", "mmn_oracle", "numerics", "proof_kit"]
+    names = {"BracketError", "DomainError", "NumericalError", "StaffingError"}
+    for layer in layers:
+        names.update(importlib.import_module(f"hw_staffing.{layer}").__all__)
+    assert sorted(hw_staffing.__all__) == sorted(names)

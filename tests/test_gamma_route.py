@@ -3,9 +3,10 @@
 erlang_c_gamma forms 1/C = 1 + d*sqrt(2*pi/s)*Gamma*(s)*e**(s*eta**2/2)*Q
 at every s > a, with eta**2/2 = x/s - 1 - log(x/s). For s >= 1000 and
 |eta| <= 0.3 the regularized upper gamma Q comes from Temme's uniform
-expansion; elsewhere from the lower-gamma series or the continued
-fraction, run against the same normalized prefactor
-(test_kernel_oracles.TestGammaSeries checks them on seeded inputs). The
+expansion; elsewhere from the lower-gamma series, run against the same
+normalized prefactor (test_kernel_oracles.TestGammaSeries checks it on
+seeded inputs). Below s ~ 5.6e-309, where the series' first term 1/s
+overflows, the route raises NumericalError at once. The
 references are mpmath's: the closed form with gammainc at 60 digits where
 it converges, the 30-digit quadrature of the defining integral above
 a = 1e6, and gammainc or a 40-digit integral for Q itself (oracles.py).
@@ -23,7 +24,8 @@ from hypothesis import strategies as st
 
 from hw_staffing import numerics
 from hw_staffing.erlang import erlang_c_gamma
-from hw_staffing.numerics import _EPS, _temme_upper_gamma, upper_gamma_regularized
+from hw_staffing.errors import NumericalError
+from hw_staffing.numerics import _EPS, _temme_upper_gamma
 
 import oracles
 import temme_coefficients
@@ -82,7 +84,8 @@ class TestTemmeKernel:
         # subnormal ulps
         x = s * ratio
         half_s_eta2, q = _temme_upper_gamma(s, s - x)
-        assert upper_gamma_regularized(s, x) == q
+        if ratio <= 1.0:  # the gamma route's side, x <= s
+            assert numerics._upper_gamma(s, x)[1] == q
         want = oracles.upper_gamma_mpmath(s, x)
         tolerance = 16 * _EPS * (1.0 + half_s_eta2) * want + 16 * math.ulp(0.0)
         assert abs(q - want) <= tolerance, (s, x)
@@ -150,8 +153,15 @@ class TestGammaRouteOnTheCurves:
         # 1 - P rounds to 0 below s ~ 1e-12: Q is then half the series'
         # error, with relative error 2, and C keeps a finite bound
         _, q, rel, _ = numerics._upper_gamma(s, a)
-        assert q == upper_gamma_regularized(s, a) > 0.0 and rel == 2.0
+        assert q > 0.0 and rel == 2.0
         within_bound_of_reference(s, a)
+
+    @pytest.mark.parametrize("s, a", [(1e-310, 1e-311), (5e-309, 1e-309)])
+    def test_raises_at_once_where_one_over_s_overflows(self, s, a):
+        # the series' first term 1/s is inf: no term is taken
+        with pytest.raises(NumericalError, match="1/s overflows") as excinfo:
+            erlang_c_gamma(s, a)
+        assert excinfo.value.iterations == 0
 
     def test_at_the_bottom_of_the_double_range(self):
         # below s ~ 3.5e-308 2*pi/s overflows, and below 1.4e-307 s/(2*pi)
@@ -216,5 +226,5 @@ class TestSwitch:
         # below s*ulp(s)
         moved = s * math.ulp(s) * a.value
         assert abs(a.value - b.value) <= a.error_bound + b.error_bound + moved
-        qa, qb = upper_gamma_regularized(s, inside), upper_gamma_regularized(s, outside)
+        qa, qb = numerics._upper_gamma(s, inside)[1], numerics._upper_gamma(s, outside)[1]
         assert qa == pytest.approx(qb, rel=1e-12)

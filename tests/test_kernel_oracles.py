@@ -6,8 +6,8 @@ before: value, error bound and work count, and for a NumericalError its
 message, estimate, bound and count. The quadrature's three node paths
 became one rule, which keeps those bits wherever x is finite at the
 integrand's peak. The frozen copies live in oracles.py. The lower-gamma
-series and the continued fraction now run against Temme's normalized
-prefactor, so their seeded inputs are checked against mpmath instead.
+series now runs against Temme's normalized prefactor, so its seeded
+inputs are checked against mpmath instead.
 """
 
 import math
@@ -24,7 +24,6 @@ from hw_staffing.erlang import (
     real_staffing_level,
 )
 from hw_staffing.errors import NumericalError
-from hw_staffing.numerics import upper_gamma_regularized
 
 import oracles
 
@@ -148,49 +147,39 @@ def _x_peak(d, a):
 
 
 def _below_the_switch(s, x):
-    """Inputs that upper_gamma_regularized still takes through the series
-    or the continued fraction, not Temme's expansion."""
+    """Inputs that _upper_gamma takes through the series, not Temme's
+    expansion."""
     return numerics._temme_upper_gamma(s, s - x) is None
 
 
 class TestGammaSeries:
-    """Below Temme's switch (s >= 1000 with |eta| <= 0.3) the series and the
-    continued fraction are evaluated against the prefactor in Temme's
-    normalized variables, so they are checked against mpmath on the seeded
-    inputs that once pinned the log-space form's bits; above the switch
-    neither runs (TestExactWork)."""
+    """Below Temme's switch (s >= 1000 with |eta| <= 0.3) the series is
+    evaluated against the prefactor in Temme's normalized variables, so it
+    is checked against mpmath on the seeded inputs that once pinned the
+    log-space form's bits; above the switch it does not run
+    (TestExactWork)."""
 
     def test_matches_mpmath(self):
         # Q within 16*eps*(1 + s*eta**2/2), the prefactor's rounding, plus
         # the error _upper_gamma reports for the loop that ran, relative,
         # and 16 subnormal ulps absolute where Q leaves the normal range
+        # x < s + 1 only: the gamma route takes x = a < s
         rng = random.Random(11)
         cases = []
         for _ in range(600):
             x = 10.0 ** rng.uniform(-3.0, 6.6)
-            cases.append((x * rng.uniform(0.3, 3.0), x))  # series and fraction
+            cases.append((x * rng.uniform(0.3, 3.0), x))  # both sides of s = x
             cases.append((x + rng.uniform(0.0, 3.0) * math.sqrt(x), x))  # staffed curve
-        below = [(s, x) for s, x in cases if _below_the_switch(s, x)]
+        below = [(s, x) for s, x in cases if x < s + 1.0 and _below_the_switch(s, x)]
         for s, x in below:
             half_s_eta2, q, rel, _ = numerics._upper_gamma(s, x)
-            assert upper_gamma_regularized(s, x) == q
             assert rel <= 1e-12, (s, x, rel)  # the Q floor (rel = 2) never fires here
             want = oracles.upper_gamma_mpmath(s, x)
             tolerance = (16 * numerics._EPS * (1.0 + half_s_eta2) + rel) * want
             assert abs(q - want) <= tolerance + 16 * math.ulp(0.0), (s, x)
-        # far above the switch in s, with x past 1.34s, the continued
-        # fraction reached its 10 000-term cap and raised; Q underflows there
-        for s, x in ((2.117766613380527e103, 6.8599782981174835e103),
-                     (2.4056560513571972e213, 8.087709427876856e215)):
-            assert _below_the_switch(s, x)
-            assert upper_gamma_regularized(s, x) == 0.0
-            with pytest.raises(NumericalError, match="continued fraction"):
-                oracles.upper_gamma_regularized_abs(s, x)
-        # both branches compared, on both sides of s = 1000
-        assert any(x < s + 1.0 and s >= 1000.0 for s, x in below)
-        assert any(x >= s + 1.0 and s >= 1000.0 for s, x in below)
-        assert any(x < s + 1.0 and s < 1000.0 for s, x in below)
-        assert any(x >= s + 1.0 and s < 1000.0 for s, x in below)
+        # compared on both sides of s = 1000
+        assert any(s >= 1000.0 for s, _ in below)
+        assert any(s < 1000.0 for s, _ in below)
         assert len(below) < len(cases)
 
     def test_erlang_gamma_matches_mpmath(self):
@@ -273,8 +262,8 @@ class TestExactWork:
 
     def test_gamma_route_runs_no_series_above_the_switch(self, monkeypatch):
         # the lower-gamma series hit its 10 000-term cap here and raised;
-        # above the switch neither the series nor the continued fraction
-        # runs: with no term allowed to either loop, C and Q still come back
+        # above the switch it does not run: with no term allowed, C and Q
+        # still come back
         from mpmath import mpf
 
         a = 3e6
@@ -283,9 +272,7 @@ class TestExactWork:
         result = erlang_c_gamma(s, a)
         assert abs(result.value - oracles.erlang_c_mpmath(mpf(s), mpf(a))) <= result.error_bound
         assert result.error_bound <= 1e-13 * result.value
-        for x in (a, s, 0.75 * s, 1.3 * s):
-            assert 0.0 <= upper_gamma_regularized(s, x) <= 1.0
+        for x in (a, s, 0.75 * s):
+            assert 0.0 <= numerics._upper_gamma(s, x)[1] <= 1.0
         with pytest.raises(NumericalError, match="lower-gamma series"):
-            upper_gamma_regularized(999.0, 990.0)
-        with pytest.raises(NumericalError, match="continued fraction"):
-            upper_gamma_regularized(999.0, 1500.0)
+            numerics._upper_gamma(999.0, 990.0)

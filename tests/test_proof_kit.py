@@ -341,6 +341,14 @@ class TestMomentY:
             for beta in (0.1, 2.0):
                 assert moment_y(a, beta) >= 1.0
 
+    @pytest.mark.parametrize("beta", [1e3, 1e6])
+    def test_overflowing_moment_is_inf(self, beta):
+        # log E[Y**beta] is about beta**2/2, far past the double range: inf
+        # from the peak's reading, before a quadrature whose two sums the
+        # exponent's rounding (about beta**2/2*eps relative) keeps apart
+        for k in range(1, 308, 6):
+            assert moment_y(10.0**k, beta) == math.inf, (k, beta)
+
 
 _LARGE_LOAD_PAIRS = ((1e15, 1e20), (1e20, 1e50), (1e100, 1e300))
 
