@@ -26,7 +26,7 @@ import enum
 import functools
 import math
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DomainError, delay_target, positive_finite, server_count
 from .numerics import (
@@ -81,8 +81,7 @@ class Method(enum.Enum):
     GAMMA_CLOSED_FORM = "gamma"
 
 
-@dataclass(frozen=True, slots=True)
-class DelayProbability:
+class DelayProbability(NamedTuple):
     """A waiting probability, the method that produced it, its absolute
     error bound, and the integrand evaluations it cost (quadrature only)."""
 

@@ -17,8 +17,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .erlang import erlang_c_slack
 from .errors import DomainError, NumericalError, delay_target, positive_finite
@@ -37,8 +36,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     """One row of a sweep: C(s, a) at one grid point, or the error that
     stopped it (c_value None). Load-parametrized rows (s = a +
     beta*sqrt(a)) also carry the limit c_star and so a gap above it;
@@ -58,8 +56,7 @@ class SweepRow:
         return self.c_value - self.c_star
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class SweepResult(NamedTuple):
     """Ordered sweep rows plus hw_sweep's smallest decrement margin (each
     decrement less the two rows' summed error bounds; inf for one row) and
     smallest gap above the limit, and the flags read from those two.

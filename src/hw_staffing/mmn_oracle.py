@@ -33,9 +33,9 @@ from __future__ import annotations
 import math
 import numbers
 from bisect import bisect_right
-from dataclasses import dataclass
 from heapq import heapify, heapreplace
 from itertools import accumulate
+from typing import NamedTuple
 
 from .errors import DomainError, positive_finite, server_count
 
@@ -52,35 +52,34 @@ _T_CRIT_31 = 2.0395134463964077
 _CHUNK = 1 << 12  # most draws per array
 
 
-@dataclass(frozen=True)
-class SimConfig:
-    """Inputs of one simulation replication, which starts at stationarity."""
-
+class _SimFields(NamedTuple):
     n: int
     lam: float
     mu: float
     measured_arrivals: int
     seed: int
 
-    def __post_init__(self):
-        for name in ("n", "measured_arrivals", "seed"):
-            value = getattr(self, name)
+
+class SimConfig(_SimFields):
+    """Inputs of one simulation replication, which starts at stationarity."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, lam: float, mu: float, measured_arrivals: int, seed: int):
+        for name, value in (("n", n), ("measured_arrivals", measured_arrivals), ("seed", seed)):
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise DomainError(f"{name} must be an integer, got {value!r}")
-        if self.n < 1:
-            raise DomainError(f"server count must be a positive integer, got {self.n}")
-        positive_finite(self.lam, "arrival rate", "lambda")
-        positive_finite(self.mu, "service rate", "mu")
-        if self.lam >= self.n * self.mu:
-            raise DomainError(
-                f"unstable configuration: lambda={self.lam} >= n*mu={self.n * self.mu}"
-            )
-        if self.seed < 0:
-            raise DomainError(f"seed must be non-negative, got {self.seed}")
-        if self.measured_arrivals < _BATCHES:
-            raise DomainError(
-                f"measured_arrivals must be >= {_BATCHES}, got {self.measured_arrivals}"
-            )
+        if n < 1:
+            raise DomainError(f"server count must be a positive integer, got {n}")
+        positive_finite(lam, "arrival rate", "lambda")
+        positive_finite(mu, "service rate", "mu")
+        if lam >= n * mu:
+            raise DomainError(f"unstable configuration: lambda={lam} >= n*mu={n * mu}")
+        if seed < 0:
+            raise DomainError(f"seed must be non-negative, got {seed}")
+        if measured_arrivals < _BATCHES:
+            raise DomainError(f"measured_arrivals must be >= {_BATCHES}, got {measured_arrivals}")
+        return super().__new__(cls, n, lam, mu, measured_arrivals, seed)
 
     @property
     def offered_load(self) -> float:
@@ -93,8 +92,7 @@ class SimConfig:
         return 0
 
 
-@dataclass(frozen=True)
-class SimEstimate:
+class SimEstimate(NamedTuple):
     """Point estimate of the waiting probability with a batch-means CI."""
 
     p_wait: float

@@ -19,8 +19,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import BracketError, DomainError, NumericalError
 
@@ -39,8 +38,7 @@ _INV_SQRT_2PI = 0.3989422804014327  # 1/sqrt(2*pi)
 _INV_SQRT_2 = 0.7071067811865476  # 1/sqrt(2)
 
 
-@dataclass(frozen=True)
-class BracketedRoot:
+class BracketedRoot(NamedTuple):
     """A root located by bisect_monotone's safeguarded Illinois steps:
     lo <= value <= hi, |hi - lo| <= tol (unless f hit target exactly at
     value, or the bracket reached floating-point resolution first)."""

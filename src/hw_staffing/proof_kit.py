@@ -23,8 +23,7 @@ kernel take a*(log1p(x) - x) from log1pmx, free of cancellation at any load.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import DomainError, positive_finite
 from .numerics import _EPS, _LOG_MAX, bisect_monotone, integrate_semi_infinite, log1pmx
@@ -56,8 +55,7 @@ def _check_load(a: float) -> float:
     return positive_finite(float(a), "load parameter", "a")
 
 
-@dataclass(frozen=True)
-class OrderReport:
+class OrderReport(NamedTuple):
     """Evidence that Y_{a_high} dominates Y_{a_low} over a tail grid.
     worst_excess is the largest tail_y(y, a_low) - tail_y(y, a_high) on
     the grid (-inf for an empty grid); dominance means it is <= 0 up to

@@ -96,6 +96,17 @@ class TestSimConfig:
 
     @pytest.mark.parametrize(
         "field,value",
+        [("lam", 0.0), ("lam", -1.0), ("lam", math.inf), ("lam", math.nan),
+         ("mu", 0.0), ("mu", math.inf), ("mu", math.nan)],
+    )
+    def test_rates_rejected(self, field, value):
+        kwargs = dict(n=2, lam=1.0, mu=1.0, measured_arrivals=100, seed=1)
+        kwargs[field] = value
+        with pytest.raises(DomainError):
+            SimConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "field,value",
         [
             ("n", 2.0),
             ("n", True),
@@ -117,7 +128,7 @@ class TestSimulation:
         cfg = SimConfig(n=5, lam=4.0, mu=1.0, measured_arrivals=20_000, seed=42)
         first = simulate_mmn(cfg)
         second = simulate_mmn(cfg)
-        assert first == second  # bit-identical dataclass
+        assert first == second  # bit-identical fields
 
     def test_different_seeds_differ(self):
         base = dict(n=5, lam=4.0, mu=1.0, measured_arrivals=20_000)
@@ -293,3 +304,14 @@ def test_package_and_cli_load_without_numpy():
     code = "import sys, hw_staffing, hw_staffing.cli; sys.exit('numpy' in sys.modules)"
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr or "numpy was imported"
+
+
+def test_package_and_cli_load_without_dataclasses():
+    # the records are NamedTuples; dataclasses pulled in inspect, dis, ast
+    # and tokenize, about two thirds of the package's import time
+    code = (
+        "import sys, hw_staffing, hw_staffing.cli; "
+        "sys.exit(', '.join(m for m in ('dataclasses', 'inspect') if m in sys.modules) or None)"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
