@@ -15,8 +15,8 @@ Three independent evaluation routes are exposed and cross-validated:
 Each result carries an error bound, and the routes agree within them. On
 the staffed curves s = a + beta*sqrt(a), at any load, the quadrature's is
 about 1.5e-14 relative and the gamma route's at most 2e-14; the
-recurrence's grows with its steps, about 3*eps*(10*sqrt(a) + n - a), to
-7.6e-11 at a = 1e8. Staffing inversions (smallest integer server count,
+recurrence's grows with its steps, about 3*eps*(sqrt(pi*a/2) + n - a), to
+1.8e-11 at a = 1e8. Staffing inversions (smallest integer server count,
 continuous staffing level) sit on top of them.
 """
 
@@ -146,11 +146,19 @@ def erlang_c_integer(n: int, a: float) -> DelayProbability:
     """Waiting probability C(n, a) for integer servers via the B recurrence:
     C = b/D, D = 1 - rho*(1 - b), rho = a/n, b = erlang_b_integer(n, a).
 
-    Relative error bound: a step b <- a*b/(k + a*b) rounds three times and
-    passes on the error of the b before it times k/(k + a*b) < 1 (the warm
-    start's is damped below an ulp), so after L <= min(n, 10*sqrt(a) + 1 +
-    max(0, n - a)) steps b is within beta = 1.5*eps*L; D, which cancels
-    just above the load, within beta + 1.5*eps*(1 - D)/D + eps/2; C within
+    Relative error bound: step k, b <- a*b/(k + a*b), rounds three times
+    (1.5*eps) and passes on the relative error of the b before it times
+    k/(k + a*b) = 1 - B(k, a). That is below 1, and below the load at most
+    k/a, since B(k - 1, a) >= 1 - (k - 1)/a (see erlang_b_integer). So the
+    error made m steps before the last step k <= a is damped by
+    prod_(i<m) (1 - i/a) <= exp(-m*(m - 1)/(2a)), and these weights sum
+    over m to at most 2 + integral_0^inf exp(-x**2/(2a)) dx =
+    2 + sqrt(pi*a/2): the warm start's 10*sqrt(a) steps count as about
+    sqrt(pi*a/2). Each of the at most n - a + 1 steps above the load
+    counts once, and one more covers the warm start's own error, damped
+    below an ulp. So b is within beta = 1.5*eps*L, with
+    L = min(n, sqrt(pi*a/2) + 4 + n - a); D, which cancels just above the
+    load, within beta + 1.5*eps*(1 - D)/D + eps/2; C within
     2*beta + 1.5*eps/D + eps. Where b underflows to 0.0, C is below
     sys.float_info.min/(1 - rho), which the bound adds.
     """
@@ -160,7 +168,7 @@ def erlang_c_integer(n: int, a: float) -> DelayProbability:
     rho = a / n
     denominator = 1.0 - rho * (1.0 - b)
     value = b / denominator
-    steps = min(n, _WARM_START_SQRTS * math.sqrt(a) + 1.0 + max(0.0, n - a))
+    steps = min(n, math.sqrt(0.5 * math.pi * a) + 4.0 + (n - a))
     bound = value * _EPS * (3.0 * steps + 1.5 / denominator + 1.0)
     bound += sys.float_info.min / (1.0 - rho)  # C's ceiling where b underflows to 0
     return DelayProbability(value, Method.INTEGER_RECURRENCE, bound)

@@ -215,7 +215,10 @@ class TestErlangCInteger:
     def test_within_own_bound_of_mpmath(self, a):
         # the flat 1e-13 it reported was broken by 1.5e-13 at (100010000,
         # 1e8); the bound now grows with the steps taken from the warm
-        # start, and is relative, so it also holds far past the load
+        # start, and is relative, so it also holds far past the load. It
+        # counts the warm start's steps as about sqrt(pi*a/2), their damped
+        # weight, and keeps at least a factor 2 over the error (measured
+        # at most 0.09 of it here; 0.016 when it counted 10*sqrt(a))
         from mpmath import mpf
 
         r = math.sqrt(a)
@@ -223,7 +226,7 @@ class TestErlangCInteger:
                   math.ceil(a + 3.0 * r), math.ceil(1.001 * a), math.ceil(a + 12.0 * r)):
             result = erlang_c_integer(n, a)
             want = oracles.erlang_c_mpmath(mpf(n), mpf(a))
-            assert abs(result.value - want) <= result.error_bound, (n, a)
+            assert abs(result.value - want) <= 0.5 * result.error_bound, (n, a)
             assert result.error_bound <= 1e-9 * result.value, (n, a)
 
     def test_bound_where_b_underflows(self):
