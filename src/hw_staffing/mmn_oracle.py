@@ -81,6 +81,10 @@ class SimConfig(_SimFields):
             raise DomainError(f"measured_arrivals must be >= {_BATCHES}, got {measured_arrivals}")
         return super().__new__(cls, n, lam, mu, measured_arrivals, seed)
 
+    @classmethod
+    def _make(cls, iterable):  # _replace calls it too: both check the fields
+        return cls(*iterable)
+
     @property
     def offered_load(self) -> float:
         return self.lam / self.mu

@@ -216,9 +216,8 @@ class TestErlangCInteger:
         # the flat 1e-13 it reported was broken by 1.5e-13 at (100010000,
         # 1e8); the bound now grows with the steps taken from the warm
         # start, and is relative, so it also holds far past the load. It
-        # counts the warm start's steps as about sqrt(pi*a/2), their damped
-        # weight, and keeps at least a factor 2 over the error (measured
-        # at most 0.09 of it here; 0.016 when it counted 10*sqrt(a))
+        # counts the warm start's steps by their damped weight, about
+        # sqrt(pi*a/2), and still keeps a factor 2 over the error here
         from mpmath import mpf
 
         r = math.sqrt(a)

@@ -89,6 +89,14 @@ class TestSimConfig:
         with pytest.raises(DomainError):
             SimConfig(n=0, lam=0.1, mu=1.0, measured_arrivals=100, seed=1)
 
+    def test_replace_and_make_check_fields(self):
+        cfg = SimConfig(n=2, lam=1.0, mu=1.0, measured_arrivals=100, seed=1)
+        assert cfg._replace(seed=2) == (2, 1.0, 1.0, 100, 2)
+        with pytest.raises(DomainError):
+            cfg._replace(n=0)
+        with pytest.raises(DomainError):
+            SimConfig._make((2, 1.0, 1.0, 100, -1))
+
     def test_negative_seed_rejected(self):
         # checked up front: numpy's SeedSequence raises a bare ValueError
         with pytest.raises(DomainError, match="^seed must be non-negative"):
