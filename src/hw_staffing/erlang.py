@@ -10,7 +10,9 @@ Three independent evaluation routes are exposed and cross-validated:
   where t overflows (tiny loads);
 * ``erlang_c_gamma`` -- the closed form obtained from that integral by
   parts, 1/C(s,a) = 1 + (s-a) * e**a * a**(-s) * Gamma(s) * Q(s,a), taken
-  in Temme's normalized variables at every s.
+  in Temme's normalized variables at every s. hw_sweep takes it from the
+  slack itself, through the private _gamma, as erlang_c_slack takes the
+  quadrature: a few microseconds a row, with no quadrature.
 
 Each result carries an error bound, and the routes agree within them. On
 the staffed curves s = a + beta*sqrt(a), at any load, the quadrature's is
@@ -83,7 +85,9 @@ class Method(enum.Enum):
 
 class DelayProbability(NamedTuple):
     """A waiting probability, the method that produced it, its absolute
-    error bound, and the integrand evaluations it cost (quadrature only)."""
+    error bound, and the work it cost: integrand evaluations for the
+    quadrature, lower-gamma series terms for the gamma route (0 on
+    Temme's path), none counted for the recurrence."""
 
     value: float
     method: Method
@@ -313,21 +317,37 @@ def erlang_c_gamma(s: float, a: float) -> DelayProbability:
 
     Reach: every s > a > 0 with s >= 5.6e-309, where 1/s is finite (below,
     NumericalError at once); the series ends within a few hundred terms, none
-    above the switch (s >= 1000, a above about 0.73s). A call takes about
-    4.2 us at a = 4, 8.4 us at 1e2, 4.3 us above the switch, 18 below.
+    above the switch (s >= 1000, a above about 0.73s), and evaluations
+    counts them. A call takes about 4.2 us at a = 4, 8.4 us at 1e2, 4.3 us
+    above the switch, 18 below.
     """
     s, a = _check_stable(s, a)
-    half_s_eta2, q, rel_q, gamma_star = _upper_gamma(s, a)
-    # sqrt(2*pi/s), whose 2*pi/s overflows below s ~ 3.5e-308
-    root = math.sqrt(math.tau * (1.0 / s)) if s > 1e-300 else math.sqrt(math.tau) / math.sqrt(s)
-    prefactor = (s - a) * root * gamma_star
+    return _gamma(s, s - a, a)
+
+
+def _gamma(s: float, d: float, a: float) -> DelayProbability:
+    """C(a + d, a) by erlang_c_gamma's assembly at s = a + d, with the slack
+    d as the caller holds it rather than s - a. hw_sweep passes
+    beta*sqrt(a) itself, as erlang_c_slack takes it: rounding s moves s - a
+    off the slack by up to half an ulp of s, at a = 1e15 and beta = 0.1 a
+    relative 2e-8, and C with it by 1.4e-9, a million times its bound.
+    The slack enters the prefactor and, as d/s, eta; elsewhere the rounding
+    of s costs about an ulp."""
+    half_s_eta2, q, rel_q, gamma_star, terms = _upper_gamma(s, a, d)
+    # sqrt(2*pi/s), whose 2*pi/s overflows below s ~ 3.5e-308 and whose 1/s
+    # is subnormal above 4.5e307
+    if 1e-300 < s < 1e300:
+        root = math.sqrt(math.tau * (1.0 / s))
+    else:
+        root = math.sqrt(math.tau) / math.sqrt(s)
+    prefactor = d * root * gamma_star
     if half_s_eta2 < _TEMME_LINEAR_MAX:
         value = 1.0 / (1.0 + prefactor * math.exp(half_s_eta2) * q)
     else:  # 1 + E is E: C = 1/E, taken in logs
         value = math.exp(-(math.log(prefactor) + half_s_eta2 + math.log(q)))
     rel_e = _GAMMA_ULPS * _EPS * (1.0 + half_s_eta2) + rel_q
     return DelayProbability(value, Method.GAMMA_CLOSED_FORM,
-                            value * ((1.0 - value) * rel_e + 2.0 * _EPS))
+                            value * ((1.0 - value) * rel_e + 2.0 * _EPS), terms)
 
 
 def min_servers(a: float, epsilon: float) -> int:

@@ -149,7 +149,10 @@ def _temme_upper_gamma(s: float, d: float):
     half_eta2 = -log1pmx(-d / s)
     if half_eta2 > _TEMME_MAX_HALF_ETA2:
         return None
-    half_s_eta2 = s * half_eta2
+    # below 1e-300 eta**2/2 is d/s squared into the subnormal range (from
+    # s ~ 1e300 on the staffed curves): s*eta**2/2 = d*(d/s)/2 to a
+    # relative 2d/(3s) there
+    half_s_eta2 = s * half_eta2 if half_eta2 > 1e-300 else 0.5 * d * (d / s)
     eta = math.sqrt(2.0 * half_eta2)
     root = math.sqrt(half_s_eta2)  # |eta|*sqrt(s/2)
     if d > 0.0:
@@ -164,16 +167,19 @@ def _temme_upper_gamma(s: float, d: float):
     return half_s_eta2, q
 
 
-def _upper_gamma(s: float, x: float):
-    """(s*eta**2/2, Q(s, x), rel, Gamma*(s)) for 0 < x < s, the gamma route's
-    x = a: Q by Temme's expansion where it serves, else by the lower-gamma
-    series, stopped at 10 000 terms (NumericalError), against the prefactor
+def _upper_gamma(s: float, x: float, d: float):
+    """(s*eta**2/2, Q(s, x), rel, Gamma*(s), terms) for 0 < x < s, the gamma
+    route's x = a, with d = s - x as the caller holds it: a slack given
+    apart from a rounded s is more exact than s - x. Q comes from Temme's
+    expansion where it serves (terms = 0), else from the lower-gamma
+    series (terms = its terms after the first), stopped at 10 000 terms
+    (NumericalError), against the prefactor
     in the normalized form of DiDonato & Morris (ACM TOMS 12, 1986) and
     Gil, Segura & Temme (SIAM J. Sci. Comput. 34, 2012):
     x**s e**-x / Gamma(s) = e**-(s*eta**2/2) / (sqrt(2*pi/s) * Gamma*(s)),
-    s*eta**2/2 = x - s - s*log(x/s), taken as -s*log1pmx((x - s)/s) for
-    |x - s| < s/2 and as -(s*log(x/s) + s - x) elsewhere, where
-    1 + (x - s)/s would lose the digits of x/s. rel bounds Q's relative
+    s*eta**2/2 = x - s - s*log(x/s), taken as -s*log1pmx(-d/s) for
+    |d| < s/2 and as -(s*log(x/s) + d) elsewhere, where 1 - d/s would
+    lose the digits of x/s. rel bounds Q's relative
     error beyond the prefactor's rounding: Temme's truncation (twice its
     first omitted term, over Q >= 1/2); for the series' n terms after the
     first, (n + 4)*eps*P/Q, n ulps for its terms and partial sums and 4
@@ -182,12 +188,11 @@ def _upper_gamma(s: float, x: float):
     Below s ~ 5.6e-309 the series' first term 1/s overflows:
     NumericalError at once, with no term taken.
     """
-    d = s - x
     gamma_star = _gamma_star(s)
     temme = _temme_upper_gamma(s, d)
     if temme is not None:
         return (*temme, 4.0 * _TEMME_C4_MAX * (1.0 / s)**4 / math.sqrt(2.0 * math.pi * s),
-                gamma_star)
+                gamma_star, 0)
     term = 1.0 / s
     if term == math.inf:
         raise NumericalError(f"lower-gamma series: 1/s overflows for s={s}", iterations=0)
@@ -208,7 +213,7 @@ def _upper_gamma(s: float, x: float):
         if term < total * _GAMMA_EPS:  # both positive: s > 0, x > 0
             p = prefactor * total
             q = max(1.0 - p, 0.5 * (n + 4) * _EPS * p)
-            return half_s_eta2, q, (n + 4) * _EPS * p / q, gamma_star
+            return half_s_eta2, q, (n + 4) * _EPS * p / q, gamma_star, n
     raise NumericalError(
         f"lower-gamma series failed to converge for s={s}, x={x}",
         iterations=_GAMMA_MAX_ITER,

@@ -228,11 +228,12 @@ class TestSweep:
         assert err == "error: svg output cannot go to stdout; give --out PATH\n"
 
     def test_every_row_failing_is_numerical_error(self, capsys, monkeypatch):
+        # the inverse regime's rows take the quadrature, which gives up here
         monkeypatch.setattr(numerics, "_REL_TOL", 1e-30)
         code, _, err = run_cli(
             capsys,
-            "sweep", "--regime", "hw", "--beta", "1",
-            "--from", "1", "--to", "10", "--points", "3",
+            "sweep", "--regime", "inverse", "--beta", "1",
+            "--from", "2", "--to", "10", "--points", "3",
         )
         assert code == 3
         assert "every sweep row failed" in err

@@ -85,7 +85,7 @@ class TestTemmeKernel:
         x = s * ratio
         half_s_eta2, q = _temme_upper_gamma(s, s - x)
         if ratio <= 1.0:  # the gamma route's side, x <= s
-            assert numerics._upper_gamma(s, x)[1] == q
+            assert numerics._upper_gamma(s, x, s - x)[1] == q
         want = oracles.upper_gamma_mpmath(s, x)
         tolerance = 16 * _EPS * (1.0 + half_s_eta2) * want + 16 * math.ulp(0.0)
         assert abs(q - want) <= tolerance, (s, x)
@@ -152,7 +152,7 @@ class TestGammaRouteOnTheCurves:
     def test_where_q_falls_below_its_own_error(self, s, a):
         # 1 - P rounds to 0 below s ~ 1e-12: Q is then half the series'
         # error, with relative error 2, and C keeps a finite bound
-        _, q, rel, _ = numerics._upper_gamma(s, a)
+        _, q, rel, _, _ = numerics._upper_gamma(s, a, s - a)
         assert q > 0.0 and rel == 2.0
         within_bound_of_reference(s, a)
 
@@ -179,7 +179,7 @@ class TestGammaRouteOnTheCurves:
     def test_where_the_reciprocal_prefactor_overflows(self, s, a):
         # s*eta**2/2 past 700: E is taken in logs; C is 0, or subnormal
         # at (520, 52), or near 5e-307 at (500, 50)
-        assert numerics._upper_gamma(s, a)[0] > 700.0
+        assert numerics._upper_gamma(s, a, s - a)[0] > 700.0
         within_bound_of_reference(s, a)
 
     def test_bound_flat_above_the_switch(self):
@@ -226,5 +226,6 @@ class TestSwitch:
         # below s*ulp(s)
         moved = s * math.ulp(s) * a.value
         assert abs(a.value - b.value) <= a.error_bound + b.error_bound + moved
-        qa, qb = numerics._upper_gamma(s, inside)[1], numerics._upper_gamma(s, outside)[1]
+        qa = numerics._upper_gamma(s, inside, s - inside)[1]
+        qb = numerics._upper_gamma(s, outside, s - outside)[1]
         assert qa == pytest.approx(qb, rel=1e-12)

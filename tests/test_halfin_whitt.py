@@ -1,13 +1,15 @@
 """Limit formula, staffing regimes, inversions, sweeps."""
 
 import math
+import sys
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hw_staffing import numerics
-from hw_staffing.errors import DomainError
+from hw_staffing import erlang, halfin_whitt
+from hw_staffing.erlang import erlang_c_slack
+from hw_staffing.errors import DomainError, NumericalError
 from hw_staffing.halfin_whitt import (
     beta_for_target,
     default_load_grid,
@@ -17,8 +19,25 @@ from hw_staffing.halfin_whitt import (
     inverse_sweep,
     staffing,
 )
+from hw_staffing.numerics import normal_cdf, normal_pdf
 
 import oracles
+
+
+def _k_inv(beta):
+    """The inverse curve's first-order coefficient -(beta**2*M_2/2 + I_1)/I_0**2,
+    from the moments M_j = integral_0^inf z**j e**(-z**2/2 + beta*z) dz:
+    M_0 = Phi(beta)/phi(beta), M_1 = 1 + beta*M_0 and
+    M_j = beta*M_(j-1) + (j - 1)*M_(j-2); I_0 = M_1 = 1/hw_limit(beta) and
+    I_1 = M_4/3 - beta*M_3/2 - M_2, the first terms of the staffed curve's
+    expansion 1/C = I_0 + I_1/sqrt(a) + ... (the load-parametrized gap is
+    -I_1/I_0**2). Putting beta*sqrt(s/a) for beta adds the beta**2*M_2/2."""
+    m = [normal_cdf(beta) / normal_pdf(beta)]
+    m.append(1.0 + beta * m[0])
+    for j in range(2, 5):
+        m.append(beta * m[j - 1] + (j - 1) * m[j - 2])
+    i_0, i_1 = m[1], m[4] / 3.0 - beta * m[3] / 2.0 - m[2]
+    return -(beta**2 * m[2] / 2.0 + i_1) / i_0**2
 
 
 class TestHwLimit:
@@ -178,8 +197,47 @@ class TestHwSweep:
         assert all(r.error is None for r in result.rows)
         assert result.verified is True
 
+    @pytest.mark.parametrize("beta", [0.1, 1.0, 3.0])
+    def test_certified_up_to_1e26(self, beta):
+        # the gamma route's bound, at most 2e-14 relative, resolves the
+        # decrements two decades past the quadrature's (1e24)
+        assert hw_sweep(beta, default_load_grid(1.0, 1e26, 41)).verified is True
+
+    def test_runs_no_quadrature(self, monkeypatch):
+        def no_quadrature(d, a):
+            raise AssertionError(f"quadrature at d={d}, a={a}")
+
+        monkeypatch.setattr(erlang, "_quadrature", no_quadrature)
+        for beta in (0.1, 1.0, 3.0):
+            assert hw_sweep(beta, default_load_grid(1e-2, 1e15, 35)).verified is True
+
+    @pytest.mark.parametrize("beta", [0.1, 0.5, 1.0, 2.0, 3.0])
+    def test_rows_within_their_bound_of_mpmath(self, beta):
+        # the reference takes the row's slack beta*sqrt(a) exactly, with no
+        # rounded s between: a = 10**k from 1e-2 to 1e15
+        from mpmath import mp, mpf
+
+        for row in hw_sweep(beta, tuple(10.0**k for k in range(-2, 16))).rows:
+            with mp.workdps(40):
+                s_exact = mpf(row.a) + mpf(beta * math.sqrt(row.a))
+            want = oracles.erlang_c_mpmath(s_exact, row.a)
+            assert abs(row.c_value - want) <= row.error_bound, (row.a, row.c_value, want)
+            assert row.error_bound <= 2e-14 * row.c_value
+
+    @pytest.mark.parametrize("beta", [0.1, 1.0, 3.0])
+    def test_rows_agree_with_the_quadrature_to_the_largest_double(self, beta):
+        # within 0.054 of the summed bounds on 301-point grids, betas 0.1-3;
+        # from about 1e300 s*eta**2/2 is taken as d*(d/s)/2
+        grid = default_load_grid(1e-2, 1e300, 61) + (1e305, 1e308, sys.float_info.max)
+        for row in hw_sweep(beta, grid).rows:
+            c = erlang_c_slack(beta * math.sqrt(row.a), row.a)
+            assert abs(row.c_value - c.value) <= 0.25 * (row.error_bound + c.error_bound), row
+
     def test_per_point_failures_recorded_not_raised(self, monkeypatch):
-        monkeypatch.setattr(numerics, "_REL_TOL", 1e-30)  # past the evaluation cap
+        def failing_gamma(s, d, a):  # the route hw_sweep's rows take
+            raise NumericalError(f"stopped on purpose at a={a}", iterations=0)
+
+        monkeypatch.setattr(halfin_whitt, "_gamma", failing_gamma)
         result = hw_sweep(1.0, (1.0, 10.0))
         assert len(result.rows) == 2
         assert all(r.error is not None and r.c_value is None for r in result.rows)
@@ -223,6 +281,26 @@ class TestInverseSweep:
     def test_boundary_grid_rejected(self):
         with pytest.raises(DomainError):
             inverse_sweep(3.0, (9.0, 20.0))
+
+    @pytest.mark.parametrize("beta", [0.5, 1.0])
+    def test_rows_are_the_quadratures_bit_for_bit(self, beta):
+        for row in inverse_sweep(beta, default_load_grid(1.01, 1e15, 30)).rows:
+            c = erlang_c_slack(beta * math.sqrt(row.s), row.a)
+            assert (row.c_value, row.error_bound) == (c.value, c.error_bound)
+
+    @pytest.mark.parametrize("beta", [0.1, 0.5, 1.0, 1.5, 2.0, 3.0])
+    def test_first_order_term_at_1e8_servers(self, beta):
+        # C(s, s - beta*sqrt(s)) = hw_limit(beta) + k_inv(beta)/sqrt(s) + O(1/s)
+        s = 1e8
+        d = beta * math.sqrt(s)
+        gap = (erlang_c_slack(d, s - d).value - hw_limit(beta)) * math.sqrt(s)
+        assert abs(gap - _k_inv(beta)) <= 2e-5, (gap, _k_inv(beta))
+
+    def test_first_order_term_changes_sign_at_beta_c(self):
+        # above beta_c = 0.638833 the curve rises toward the limit from
+        # below; under it, it ends falling toward the limit from above
+        assert _k_inv(0.6) > 0.0 > _k_inv(0.7)
+        assert _k_inv(0.638833) > 0.0 > _k_inv(0.638834)
 
     @pytest.mark.parametrize("beta", [0.1, 1.0])
     def test_on_the_curve_at_large_server_counts(self, beta):

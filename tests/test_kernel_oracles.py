@@ -172,7 +172,7 @@ class TestGammaSeries:
             cases.append((x + rng.uniform(0.0, 3.0) * math.sqrt(x), x))  # staffed curve
         below = [(s, x) for s, x in cases if x < s + 1.0 and _below_the_switch(s, x)]
         for s, x in below:
-            half_s_eta2, q, rel, _ = numerics._upper_gamma(s, x)
+            half_s_eta2, q, rel, _, _ = numerics._upper_gamma(s, x, s - x)
             assert rel <= 1e-12, (s, x, rel)  # the Q floor (rel = 2) never fires here
             want = oracles.upper_gamma_mpmath(s, x)
             tolerance = (16 * numerics._EPS * (1.0 + half_s_eta2) + rel) * want
@@ -260,6 +260,13 @@ class TestExactWork:
         proof_kit.moment_y(a, beta)
         assert count == calls
 
+    @pytest.mark.parametrize("a, beta, terms", [(995.0, 0.1, 265), (968.0, 1.0, 238),
+                                                (1e6, 0.1, 0), (1e15, 3.0, 0)])
+    def test_gamma_route_series_terms(self, a, beta, terms):
+        # just below the switch at s = 1000 the series is longest; above
+        # it Temme's expansion takes no term
+        assert erlang_c_gamma(a + beta * math.sqrt(a), a).evaluations == terms
+
     def test_gamma_route_runs_no_series_above_the_switch(self, monkeypatch):
         # the lower-gamma series hit its 10 000-term cap here and raised;
         # above the switch it does not run: with no term allowed, C and Q
@@ -273,6 +280,6 @@ class TestExactWork:
         assert abs(result.value - oracles.erlang_c_mpmath(mpf(s), mpf(a))) <= result.error_bound
         assert result.error_bound <= 1e-13 * result.value
         for x in (a, s, 0.75 * s):
-            assert 0.0 <= numerics._upper_gamma(s, x)[1] <= 1.0
+            assert 0.0 <= numerics._upper_gamma(s, x, s - x)[1] <= 1.0
         with pytest.raises(NumericalError, match="lower-gamma series"):
-            numerics._upper_gamma(999.0, 990.0)
+            numerics._upper_gamma(999.0, 990.0, 9.0)

@@ -73,7 +73,7 @@ class TestNormalCdf:
 
 def upper_gamma(s, x):
     """Q(s, x) from the gamma route's kernel, for 0 < x < s + 1."""
-    return numerics._upper_gamma(s, x)[1]
+    return numerics._upper_gamma(s, x, s - x)[1]
 
 
 class TestUpperGammaRegularized:

@@ -44,14 +44,14 @@ def test_monotonicity_details_are_the_sweeps_own_figures():
 
 def test_failed_sweep_row_fails_and_names_its_error(monkeypatch):
     grid = halfin_whitt.default_load_grid(0.01, 1e4, 40)
-    real_slack = halfin_whitt.erlang_c_slack
+    real_gamma = halfin_whitt._gamma
 
-    def failing_slack(d, a):  # fails the row at grid[20] of beta = 1 alone
+    def failing_gamma(s, d, a):  # fails the row at grid[20] of beta = 1 alone
         if a == grid[20] and d == math.sqrt(a):
             raise NumericalError("stopped on purpose")
-        return real_slack(d, a)
+        return real_gamma(s, d, a)
 
-    monkeypatch.setattr(halfin_whitt, "erlang_c_slack", failing_slack)
+    monkeypatch.setattr(halfin_whitt, "_gamma", failing_gamma)
     records = {name: (passed, detail) for name, passed, detail in run_suite("monotonicity")}
     want = f"row a={grid[20]:.17g} failed: stopped on purpose"
     assert records["strict-decrease beta=1"] == (False, want)
