@@ -22,6 +22,11 @@ _EXIT_VERIFY_FAILED = 1
 _EXIT_DOMAIN = 2
 _EXIT_NUMERICAL = 3
 
+# compute --method auto takes the recurrence for an integer s below this
+# load. Its ~10*sqrt(a) steps pass 1 ms about here; from here up the
+# quadrature costs about 60 us and bounds C some 100 times more tightly.
+_RECURRENCE_MAX_LOAD = 1e6
+
 
 def fmt(x: float) -> str:
     """17 significant digits: round-trips any double."""
@@ -38,7 +43,8 @@ def _cmd_compute(args) -> int:
 
     method = args.method
     if method == "auto":
-        method = "recurrence" if float(s).is_integer() else "quadrature"
+        recurrence = float(s).is_integer() and a < _RECURRENCE_MAX_LOAD
+        method = "recurrence" if recurrence else "quadrature"
     if method == "recurrence" and not float(s).is_integer():
         raise DomainError(f"the recurrence method needs an integer server count, got s={s}")
 

@@ -28,6 +28,18 @@ class TestCompute:
         assert float(value) == pytest.approx(1.0 / 3.0, rel=1e-13)
         assert float(bound) > 0.0
 
+    @pytest.mark.parametrize("s, a, method", [
+        ("1000999", "999999", "recurrence"),  # just below the switch
+        ("1001000", "1e6", "quadrature"),  # the recurrence would take ~1 ms
+    ])
+    def test_integer_point_switches_at_a_million(self, capsys, s, a, method):
+        code, out, _ = run_cli(capsys, "compute", "--s", s, "--a", a)
+        assert code == 0
+        got, value, bound = out.split()
+        assert got == method
+        want = oracles.erlang_c_mpmath(int(s), float(a))
+        assert abs(float(value) - want) <= float(bound) <= 1e-11 * want
+
     def test_all_methods_agree(self, capsys):
         code, out, _ = run_cli(capsys, "compute", "--s", "110", "--a", "100", "--method", "all")
         assert code == 0

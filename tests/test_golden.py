@@ -1,5 +1,5 @@
 """Golden CLI output: every README example, byte for byte, and the
-recurrence route of ``compute`` at a load of 1e7.
+default route of ``compute`` for an integer server count at a load of 1e7.
 
 Each case runs ``cli.main`` in a temporary working directory and compares
 its stdout, and any SVG file it writes, with the files under
