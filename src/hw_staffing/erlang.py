@@ -334,12 +334,8 @@ def _gamma(s: float, d: float, a: float) -> DelayProbability:
     The slack enters the prefactor and, as d/s, eta; elsewhere the rounding
     of s costs about an ulp."""
     half_s_eta2, q, rel_q, gamma_star, terms = _upper_gamma(s, a, d)
-    # sqrt(2*pi/s), whose 2*pi/s overflows below s ~ 3.5e-308 and whose 1/s
-    # is subnormal above 4.5e307
-    if 1e-300 < s < 1e300:
-        root = math.sqrt(math.tau * (1.0 / s))
-    else:
-        root = math.sqrt(math.tau) / math.sqrt(s)
+    # sqrt(2*pi/s), whose 2*pi/s overflows below s ~ 3.5e-308
+    root = math.sqrt(math.tau * (1.0 / s)) if s > 1e-300 else math.sqrt(math.tau) / math.sqrt(s)
     prefactor = d * root * gamma_star
     if half_s_eta2 < _TEMME_LINEAR_MAX:
         value = 1.0 / (1.0 + prefactor * math.exp(half_s_eta2) * q)

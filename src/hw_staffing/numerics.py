@@ -149,9 +149,9 @@ def _temme_upper_gamma(s: float, d: float):
     half_eta2 = -log1pmx(-d / s)
     if half_eta2 > _TEMME_MAX_HALF_ETA2:
         return None
-    # below 1e-300 eta**2/2 is d/s squared into the subnormal range (from
-    # s ~ 1e300 on the staffed curves): s*eta**2/2 = d*(d/s)/2 to a
-    # relative 2d/(3s) there
+    # eta**2/2, about (d/s)**2/2, leaves the normal range and its digits
+    # from s ~ 1e300 on the staffed curves; below 1e-300, s*eta**2/2 is
+    # taken as d*(d/s)/2, good to a relative 2d/(3s)
     half_s_eta2 = s * half_eta2 if half_eta2 > 1e-300 else 0.5 * d * (d / s)
     eta = math.sqrt(2.0 * half_eta2)
     root = math.sqrt(half_s_eta2)  # |eta|*sqrt(s/2)

@@ -90,6 +90,19 @@ class TestTemmeKernel:
         tolerance = 16 * _EPS * (1.0 + half_s_eta2) * want + 16 * math.ulp(0.0)
         assert abs(q - want) <= tolerance, (s, x)
 
+    @pytest.mark.parametrize("s", [1e15, 1e300, 1e306, sys.float_info.max])
+    @pytest.mark.parametrize("beta", [0.01, 1.0, 3.0])
+    def test_half_s_eta2_to_the_largest_double(self, s, beta):
+        # on the staffed curves eta**2/2, about (d/s)**2/2, is subnormal from
+        # s ~ 1e300; s*eta**2/2 is then d*(d/s)/2, not s times it
+        from mpmath import mp, mpf
+
+        d = beta * math.sqrt(s)
+        with mp.workdps(40):  # -s*log1pmx(-u) = d*(u/2 + u**2/3 + ...), u = d/s <= 1e-7
+            u = mpf(d) / mpf(s)
+            want = mpf(d) * u * (mpf(1) / 2 + u / 3 + u**2 / 4)
+        assert abs(_temme_upper_gamma(s, d)[0] - want) <= 4 * _EPS * want
+
     @pytest.mark.parametrize("s, x", [(999.0, 990.0), (1e6, 0.72e6), (1e6, 1.34e6),
                                       (1e6, 10.0), (1e6, 1e12), (1e300, 1.0)])
     def test_outside_the_switch(self, s, x):
