@@ -10,20 +10,21 @@ Three independent evaluation routes are exposed and cross-validated:
   where t overflows (tiny loads);
 * ``erlang_c_gamma`` -- the closed form obtained from that integral by
   parts, 1/C(s,a) = 1 + (s-a) * e**a * a**(-s) * Gamma(s) * Q(s,a), taken
-  in Temme's normalized variables at every s. hw_sweep takes it from the
-  slack itself, through the private _gamma, as erlang_c_slack takes the
-  quadrature: a few microseconds a row, with no quadrature.
+  in Temme's normalized variables at every s. hw_sweep and min_servers
+  take it from the slack itself, through the private _gamma, as
+  erlang_c_slack takes the quadrature: a few microseconds a row or step.
 
 Each result carries an error bound, and the routes agree within them. On
 the staffed curves s = a + beta*sqrt(a), at any load, the quadrature's is
 about 1.5e-14 relative and the gamma route's at most 2e-14; the
 recurrence's grows with its steps, about 3*eps*(sqrt(pi*a/2) + n - a), to
-1.8e-11 at a = 1e8. Staffing inversions (smallest integer server count,
-continuous staffing level) sit on top of them.
+1.8e-11 at a = 1e8. The staffing inversions sit on top of them:
+min_servers on the gamma route, real_staffing_level on the quadrature.
 """
 
 from __future__ import annotations
 
+import bisect
 import enum
 import functools
 import math
@@ -97,13 +98,12 @@ class DelayProbability(NamedTuple):
 
 def _check_stable(s: float, a: float):
     positive_finite(a, "offered load", "a")
-    if not math.isfinite(s):
+    if not abs(s) <= sys.float_info.max:  # also an integer past the double range
         raise DomainError(f"server count must be finite, got s={s}")
+    s, a = float(s), float(a)
     if a >= s:
-        raise DomainError(
-            f"delay probability requires 0 < a < s (stability), got a={a}, s={s}"
-        )
-    return float(s), float(a)
+        raise DomainError(f"delay probability requires 0 < a < s (stability), got a={a}, s={s}")
+    return s, a
 
 
 def erlang_b_integer(n: int, a: float) -> float:
@@ -114,8 +114,7 @@ def erlang_b_integer(n: int, a: float) -> float:
     Only the last few multiples of sqrt(a) below min(n, a) matter, so the
     recurrence starts at k0 = max(0, floor(min(n, a) - K*sqrt(a))) from
     B(k0, a) ~ 1 - k0/a (exactly B(0, a) = 1 when k0 = 0, which is every
-    a <= K**2) and takes at most K*sqrt(a) + max(0, n - a) steps: O(sqrt(a))
-    where n is a few multiples of sqrt(a) above the load, as in staffing.
+    a <= K**2) and takes at most K*sqrt(a) + max(0, n - a) steps.
 
     Why the start does not matter: r_k = 1/B(k, a) obeys
     r_k = 1 + (k/a)*r_(k-1), so a relative error rho in r_(k-1) becomes
@@ -167,7 +166,7 @@ def erlang_c_integer(n: int, a: float) -> DelayProbability:
     sys.float_info.min/(1 - rho), which the bound adds.
     """
     n = server_count(n, 1)
-    _check_stable(float(n), a)
+    _check_stable(n, a)
     b = erlang_b_integer(n, a)
     rho = a / n
     denominator = 1.0 - rho * (1.0 - b)
@@ -349,27 +348,35 @@ def _gamma(s: float, d: float, a: float) -> DelayProbability:
 def min_servers(a: float, epsilon: float) -> int:
     """Smallest integer n > a with C(n, a) <= epsilon.
 
-    One pass of the Erlang-B recurrence: B(floor(a), a) first, then one
-    step per server from the smallest stable count floor(a) + 1 upwards,
-    converting each B(n, a) to C(n, a) as erlang_c_integer does, until
-    the target is met. erlang_b_integer reaches B(floor(a), a) in about
-    10*sqrt(a) steps, and the answer lies a few multiples of sqrt(a)
-    above the load, so a call takes O(sqrt(a)) steps: about 0.9 ms at
-    a = 1e6 and 10 ms at 1e8.
+    Searches on the gamma route (_gamma at the slack n - a) from the
+    square-root start max(floor(a) + 1, ceil(a + beta*sqrt(a))), beta =
+    beta_for_target(epsilon): if C(n) meets the target, down while C(n - 1)
+    meets it and n - 1 > a; else up in doubling steps, then by bisection,
+    to an n that meets it next to one that misses. At most 4 evaluations
+    for a in [1, 1e15] and epsilon in [1e-3, 0.5], about 30 us a call; 16
+    and 0.5 ms at epsilon = sys.float_info.min (beta ~ 37.6), where the
+    start lies up to 237 servers low. From a = 2**53, where n and n + 1
+    are one double, DomainError.
     """
     positive_finite(a, "offered load", "a")
     delay_target(epsilon)
+    if a >= 2.0**53:
+        raise DomainError(f"min_servers requires a < 2**53, got a={a}")
+    from .halfin_whitt import beta_for_target
+    limit, floor_a = epsilon * (1.0 + _TIE_REL_TOL), math.floor(a)
 
-    limit = epsilon * (1.0 + _TIE_REL_TOL)
-    n = math.floor(a)
-    b = erlang_b_integer(n, a)
-    while True:
-        n += 1
-        ab = a * b
-        b = ab / (n + ab)
-        rho = a / n
-        if b / (1.0 - rho * (1.0 - b)) <= limit:
-            return n
+    def meets(n: int) -> bool:  # the slack n - a rounds once, also past 2**53
+        return _gamma(float(n), (n - floor_a) - (a - floor_a), a).value <= limit
+
+    n = max(floor_a + 1, math.ceil(a + beta_for_target(epsilon) * math.sqrt(a)))
+    if meets(n):
+        while n - 1 > a and meets(n - 1):
+            n -= 1
+        return n
+    step = 1  # n misses: up in doubling steps, then bisect (n, n + step]
+    while not meets(n + step):
+        n, step = n + step, 2 * step
+    return n + 1 + bisect.bisect_left(range(n + 1, n + step), True, key=meets)
 
 
 def real_staffing_level(a: float, epsilon: float) -> float:

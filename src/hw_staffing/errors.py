@@ -10,7 +10,6 @@ target delay probability, shared by every module that takes one.
 
 from __future__ import annotations
 
-import math
 import numbers
 import sys
 
@@ -58,8 +57,8 @@ def server_count(n, least: int) -> int:
 
 
 def positive_finite(x, what: str, symbol: str):
-    """x, if it is positive and finite (not nan); what and symbol name it."""
-    if not (x > 0.0 and math.isfinite(x)):
+    """x, if it is positive and finite as a double (not nan); what and symbol name it."""
+    if not (0.0 < x <= sys.float_info.max):
         raise DomainError(f"{what} must be positive and finite, got {symbol}={x}")
     return x
 

@@ -18,11 +18,12 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from typing import NamedTuple, Sequence
 
 from .erlang import _gamma, erlang_c_slack
 from .errors import DomainError, NumericalError, delay_target, positive_finite
-from .numerics import bisect_monotone, normal_cdf, normal_pdf
+from .numerics import _require_finite, bisect_monotone, normal_cdf, normal_pdf
 
 __all__ = [
     "SweepRow",
@@ -91,9 +92,7 @@ def hw_limit(beta: float) -> float:
     beta = 0 is accepted as the boundary case and returns 1; negative beta
     is rejected.
     """
-    beta = float(beta)
-    if not math.isfinite(beta):
-        raise DomainError(f"beta must be finite, got {beta}")
+    beta = _require_finite(beta, "beta")
     if beta < 0.0:
         raise DomainError(f"hw_limit requires beta >= 0, got {beta}")
     if beta == 0.0:
@@ -144,7 +143,7 @@ def default_load_grid(
     verify's load grid, spanning six orders of magnitude."""
     if isinstance(points, bool) or not isinstance(points, numbers.Integral) or points < 1:
         raise DomainError(f"points must be an integer >= 1, got {points!r}")
-    if not (math.isfinite(lo) and math.isfinite(hi)):
+    if not (abs(lo) <= sys.float_info.max and abs(hi) <= sys.float_info.max):
         raise DomainError(f"grid bounds must be finite, got lo={lo}, hi={hi}")
     if log_spaced and not lo > 0.0:
         raise DomainError(f"log spacing needs lo > 0, got lo={lo}")

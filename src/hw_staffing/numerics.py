@@ -49,10 +49,9 @@ class BracketedRoot(NamedTuple):
 
 
 def _require_finite(x: float, name: str) -> float:
-    x = float(x)
-    if not math.isfinite(x):
+    if not abs(x) <= sys.float_info.max:  # also an integer past the double range
         raise DomainError(f"{name} must be finite, got {x!r}")
-    return x
+    return float(x)
 
 
 def normal_pdf(x: float) -> float:

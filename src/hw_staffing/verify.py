@@ -70,13 +70,8 @@ def _order():
     y_grid = halfin_whitt.default_load_grid(1.01, 100.0, 50)
     for a_low, a_high in zip(_ORDER_LOADS, _ORDER_LOADS[1:]):
         report = proof_kit.check_stochastic_order(a_low, a_high, y_grid)
-        checks.append(
-            (
-                f"tail-dominance a={a_low:g}->{a_high:g}",
-                report.passed,
-                f"worst excess {report.worst_excess:.17g}",
-            )
-        )
+        checks.append((f"tail-dominance a={a_low:g}->{a_high:g}", report.passed,
+                       f"worst excess {report.worst_excess:.17g}"))
     return checks
 
 

@@ -587,15 +587,23 @@ class TestMinServers:
             assert erlang_c_integer(n - 1, 1e5).value > epsilon
 
 
-    @pytest.mark.parametrize("a", [1e8, 1e10])
+    @pytest.mark.parametrize("a", [1e8, 1e10, 1e12, 1e15])
     @pytest.mark.parametrize("epsilon", [0.5, 0.2, 1e-3])
     def test_bracketed_by_quadrature_at_large_loads(self, a, epsilon):
-        # the warm-started recurrence reaches these loads in O(sqrt(a))
-        # steps; the quadrature, within its bound, confirms the answer
+        # a few gamma-route steps from the square-root start reach these
+        # loads; the quadrature, within its bound, confirms the answer
         n = min_servers(a, epsilon)
         at, below = erlang_c_real(float(n), a), erlang_c_real(float(n - 1), a)
         assert at.value - at.error_bound <= epsilon * (1.0 + 1e-12), (n, at)
         assert below.value + below.error_bound > epsilon, (n, below)
+
+    @pytest.mark.parametrize("a", [2.0**53, 1e300])
+    def test_loads_from_two_to_the_53_raise_at_once(self, a):
+        # n and n + 1 are one double there, so stepping could not end
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match="2\\*\\*53"):
+            min_servers(a, 0.2)
+        assert time.perf_counter() - start < 0.5
 
 
 class TestRealStaffingLevel:

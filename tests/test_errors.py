@@ -38,6 +38,24 @@ def test_delay_target_rejects_below_the_normal_range(epsilon):
         delay_target(epsilon)
 
 
+@pytest.mark.parametrize("call, args", [
+    ("erlang.min_servers", (10**400, 0.2)),
+    ("erlang.erlang_c_real", (10**401, 10**400)),
+    ("erlang.erlang_c_real", (10**401, 1.0)),
+    ("erlang.erlang_c_integer", (10**400, 1.0)),
+    ("halfin_whitt.hw_limit", (10**400,)),
+    ("halfin_whitt.staffing", (10**400, 1.0)),
+    ("halfin_whitt.default_load_grid", (1, 10**400, 3)),
+])
+def test_integers_past_the_double_range_are_domain_errors(call, args):
+    # float() of such an integer raises OverflowError; the shared checks
+    # read it as not finite
+    module, name = call.split(".")
+    f = getattr(importlib.import_module(f"hw_staffing.{module}"), name)
+    with pytest.raises(DomainError, match="finite"):
+        f(*args)
+
+
 def test_delay_target_returns_its_argument():
     assert delay_target(0.2) == 0.2
     assert delay_target(sys.float_info.min) == sys.float_info.min

@@ -12,6 +12,7 @@ inputs are checked against mpmath instead.
 
 import math
 import random
+import sys
 
 import pytest
 
@@ -266,6 +267,38 @@ class TestExactWork:
         # just below the switch at s = 1000 the series is longest; above
         # it Temme's expansion takes no term
         assert erlang_c_gamma(a + beta * math.sqrt(a), a).evaluations == terms
+
+    @staticmethod
+    def _count_gamma(monkeypatch):
+        counts = [0]
+        gamma = erlang._gamma
+
+        def counted(*args):
+            counts[0] += 1
+            return gamma(*args)
+
+        monkeypatch.setattr(erlang, "_gamma", counted)
+        return counts
+
+    def test_min_servers_gamma_evaluations(self, monkeypatch):
+        # the square-root start lies within a server or two of the answer
+        counts = self._count_gamma(monkeypatch)
+        rng = random.Random(26)
+        for _ in range(300):
+            a = 10.0 ** rng.uniform(0.0, 15.0)
+            epsilon = 10.0 ** rng.uniform(-3.0, math.log10(0.5))
+            counts[0] = 0
+            min_servers(a, epsilon)
+            assert counts[0] <= 4, (a, epsilon, counts[0])
+
+    @pytest.mark.parametrize("a, calls", [(1e-2, 14), (4.0, 16), (1e2, 16),
+                                          (1e4, 16), (1e6, 16), (1e15, 16)])
+    def test_min_servers_gamma_evaluations_at_the_smallest_target(self, monkeypatch, a, calls):
+        # beta_for_target is about 37.6 here, and the start lies 86 to 237
+        # servers low: doubling steps and a bisection, not one step a server
+        counts = self._count_gamma(monkeypatch)
+        min_servers(a, sys.float_info.min)
+        assert counts[0] == calls
 
     def test_gamma_route_runs_no_series_above_the_switch(self, monkeypatch):
         # the lower-gamma series hit its 10 000-term cap here and raised;
