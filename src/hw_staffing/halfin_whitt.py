@@ -21,7 +21,7 @@ import numbers
 import sys
 from typing import NamedTuple, Sequence
 
-from .erlang import _gamma, erlang_c_slack
+from .erlang import _gamma
 from .errors import DomainError, NumericalError, delay_target, positive_finite
 from .numerics import _require_finite, bisect_monotone, normal_cdf, normal_pdf
 
@@ -160,9 +160,8 @@ def default_load_grid(
 
 def _sweep_rows(beta: float, grid: Sequence[float], hw: bool):
     """The loop behind hw_sweep (hw, x = a) and inverse_sweep (x = s): one
-    SweepRow per grid value x, with C evaluated at the slack beta*sqrt(x)
-    itself, by the gamma route for hw_sweep and by the quadrature
-    (erlang_c_slack) for inverse_sweep."""
+    SweepRow per grid value x, with C evaluated by the gamma route at the
+    slack beta*sqrt(x) itself; hw selects only the parametrization."""
     grid_name = "a_grid" if hw else "s_grid"
     positive_finite(beta, "staffing slack", "beta")
     if len(grid) == 0:
@@ -180,7 +179,7 @@ def _sweep_rows(beta: float, grid: Sequence[float], hw: bool):
         a, s = (x, staffing(x, beta)) if hw else (inverse_load(x, beta), x)
         d = beta * math.sqrt(x)
         try:
-            c = _gamma(s, d, a) if hw else erlang_c_slack(d, a)
+            c = _gamma(s, d, a)
             rows.append(SweepRow(a, s, c.value, c.error_bound, None, c_star))
         except NumericalError as exc:
             rows.append(SweepRow(a, s, None, 0.0, str(exc), c_star))

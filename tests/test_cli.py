@@ -7,8 +7,9 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from hw_staffing import numerics
+from hw_staffing import halfin_whitt, numerics
 from hw_staffing.cli import main
+from hw_staffing.errors import NumericalError
 
 import oracles
 
@@ -240,8 +241,10 @@ class TestSweep:
         assert err == "error: svg output cannot go to stdout; give --out PATH\n"
 
     def test_every_row_failing_is_numerical_error(self, capsys, monkeypatch):
-        # the inverse regime's rows take the quadrature, which gives up here
-        monkeypatch.setattr(numerics, "_REL_TOL", 1e-30)
+        def failing_gamma(s, d, a):  # the route both regimes' rows take
+            raise NumericalError(f"stopped on purpose at s={s}", iterations=0)
+
+        monkeypatch.setattr(halfin_whitt, "_gamma", failing_gamma)
         code, _, err = run_cli(
             capsys,
             "sweep", "--regime", "inverse", "--beta", "1",
@@ -249,7 +252,7 @@ class TestSweep:
         )
         assert code == 3
         assert "every sweep row failed" in err
-        assert "integrand evaluations" in err  # the first row's cause
+        assert "stopped on purpose at s=2" in err  # the first row's cause
 
     def test_default_grids_complete(self, capsys):
         for beta in ("0.1", "3"):

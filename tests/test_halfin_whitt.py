@@ -282,11 +282,15 @@ class TestInverseSweep:
         with pytest.raises(DomainError):
             inverse_sweep(3.0, (9.0, 20.0))
 
-    @pytest.mark.parametrize("beta", [0.5, 1.0])
-    def test_rows_are_the_quadratures_bit_for_bit(self, beta):
-        for row in inverse_sweep(beta, default_load_grid(1.01, 1e15, 30)).rows:
+    @pytest.mark.parametrize("beta", [0.01, 0.1, 0.5, 1.0, 2.0, 3.0, 10.0])
+    def test_rows_within_summed_bounds_of_the_quadrature(self, beta):
+        # the rows take the gamma route; the quadrature, at the same slack
+        # beta*sqrt(s), was measured within 0.087 of the summed bounds here
+        # (at beta = 10 the first row's C underflows to 0 on both routes)
+        grid = default_load_grid(beta**2 * (1.0 + 1e-9), 1e15, 300)
+        for row in inverse_sweep(beta, grid).rows:
             c = erlang_c_slack(beta * math.sqrt(row.s), row.a)
-            assert (row.c_value, row.error_bound) == (c.value, c.error_bound)
+            assert abs(row.c_value - c.value) <= 0.5 * (row.error_bound + c.error_bound), row
 
     @pytest.mark.parametrize("beta", [0.1, 0.5, 1.0, 1.5, 2.0, 3.0])
     def test_first_order_term_at_1e8_servers(self, beta):

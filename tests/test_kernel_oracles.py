@@ -16,7 +16,7 @@ import sys
 
 import pytest
 
-from hw_staffing import erlang, numerics, proof_kit
+from hw_staffing import erlang, halfin_whitt, numerics, proof_kit
 from hw_staffing.erlang import (
     erlang_b_integer,
     erlang_c_gamma,
@@ -25,6 +25,7 @@ from hw_staffing.erlang import (
     real_staffing_level,
 )
 from hw_staffing.errors import NumericalError
+from hw_staffing.halfin_whitt import default_load_grid, inverse_sweep
 
 import oracles
 
@@ -269,15 +270,15 @@ class TestExactWork:
         assert erlang_c_gamma(a + beta * math.sqrt(a), a).evaluations == terms
 
     @staticmethod
-    def _count_gamma(monkeypatch):
+    def _count_gamma(monkeypatch, module=erlang):
         counts = [0]
-        gamma = erlang._gamma
+        gamma = module._gamma
 
         def counted(*args):
             counts[0] += 1
             return gamma(*args)
 
-        monkeypatch.setattr(erlang, "_gamma", counted)
+        monkeypatch.setattr(module, "_gamma", counted)
         return counts
 
     def test_min_servers_gamma_evaluations(self, monkeypatch):
@@ -316,3 +317,25 @@ class TestExactWork:
             assert 0.0 <= numerics._upper_gamma(s, x, s - x)[1] <= 1.0
         with pytest.raises(NumericalError, match="lower-gamma series"):
             numerics._upper_gamma(999.0, 990.0, 9.0)
+
+    def test_inverse_sweep_one_gamma_evaluation_per_row(self, monkeypatch):
+        # both sweeps take the gamma route, one evaluation a row, and run no
+        # quadrature
+        def no_quadrature(d, a):
+            raise AssertionError(f"quadrature at d={d}, a={a}")
+
+        counts = self._count_gamma(monkeypatch, halfin_whitt)
+        monkeypatch.setattr(erlang, "_quadrature", no_quadrature)
+        for beta in (0.01, 1.0, 10.0):
+            counts[0] = 0
+            result = inverse_sweep(beta, default_load_grid(beta**2 * (1.0 + 1e-9), 1e15, 200))
+            assert counts[0] == 200
+            assert all(r.error is None for r in result.rows)
+
+    def test_inverse_sweep_rows_below_the_gamma_routes_reach(self):
+        # below s = 5.6e-309 the gamma route fails at once, and the slack
+        # beta*sqrt(s) underflows to 0: each row records the NumericalError,
+        # and the sweep raises nothing
+        result = inverse_sweep(1e-200, (1e-320, 1e-315))
+        assert [r.c_value for r in result.rows] == [None, None]
+        assert all(r.error.startswith("lower-gamma series: 1/s overflows") for r in result.rows)
