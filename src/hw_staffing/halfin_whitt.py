@@ -114,8 +114,7 @@ def staffing(a: float, beta: float) -> float:
 def inverse_load(n: float, beta: float) -> float:
     """Offered load a = n - beta*sqrt(n); valid only for finite n > beta**2."""
     positive_finite(beta, "staffing slack", "beta")
-    if not math.isfinite(n):
-        raise DomainError(f"inverse_load requires a finite server count, got n={n}")
+    n = _require_finite(n, "inverse_load's server count n")
     if not (n > beta * beta):
         raise DomainError(
             f"inverse_load requires n > beta**2 = {beta * beta} so the load "

@@ -23,6 +23,8 @@ kernel take a*(log1p(x) - x) from log1pmx, free of cancellation at any load.
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 from typing import NamedTuple, Sequence
 
 from .errors import DomainError, positive_finite
@@ -52,7 +54,7 @@ _ORDER_TOL = 1e-13
 
 
 def _check_load(a: float) -> float:
-    return positive_finite(float(a), "load parameter", "a")
+    return float(positive_finite(a, "load parameter", "a"))
 
 
 class OrderReport(NamedTuple):
@@ -85,10 +87,9 @@ def _log_density_x(t: float, a: float) -> float:
 def density_g(t: float, a: float) -> float:
     """Density of X_a: a t e**(-a t) (1 + t)**(a - 1), in log space."""
     a = _check_load(a)
-    t = float(t)
-    if t < 0.0 or not math.isfinite(t):
+    if not 0.0 <= t <= sys.float_info.max:
         raise DomainError(f"t must be finite and >= 0, got {t}")
-    return math.exp(_log_density_x(t, a))
+    return math.exp(_log_density_x(float(t), a))
 
 
 def cdf_x(x: float, a: float) -> float:
@@ -99,19 +100,18 @@ def cdf_x(x: float, a: float) -> float:
     the test suite).
     """
     a = _check_load(a)
-    x = float(x)
-    if x < 0.0 or math.isnan(x):
+    if not x >= 0.0:
         raise DomainError(f"x must be >= 0, got {x}")
-    if math.isinf(x):
+    if x > sys.float_info.max:  # inf, or an integer past the double range
         return 1.0
-    return -math.expm1(_log_survival_x(x, a))
+    return -math.expm1(_log_survival_x(float(x), a))
 
 
 def density_y(y: float, a: float) -> float:
     """Density of Y_a: g(x, a) * dx/dy at x = y**(1/sqrt(a)) - 1, where
-    dx/dy = (1 + x)/(sqrt(a)*y), in log space."""
+    dx/dy = (1 + x)/(sqrt(a)*y), in log space. math.log takes y as given,
+    also an integer past the double range."""
     a = _check_load(a)
-    y = float(y)
     if not (y > 1.0):
         raise DomainError(f"density_y requires y > 1, got {y}")
     u = math.log(y) / math.sqrt(a)
@@ -125,11 +125,10 @@ def tail_y(y: float, a: float) -> float:
     """Survival function Pr{Y_a > y} = y**sqrt(a) e**(-a (y**(1/sqrt(a)) - 1)).
 
     Defined for y >= 1; the boundary y = 1 carries the full mass and
-    returns exactly 1.
+    returns exactly 1. As in density_y, y is not converted to a double.
     """
     a = _check_load(a)
-    y = float(y)
-    if y < 1.0 or math.isnan(y):
+    if not y >= 1.0:
         raise DomainError(f"tail_y requires y >= 1, got {y}")
     if y == 1.0:
         return 1.0
@@ -155,7 +154,7 @@ def h(x: float) -> float:
     ulp of the last, and -inf once that passes the largest double (below
     x ~ 1/723), where every tail it gives is 0.
     """
-    x = positive_finite(float(x), "h's argument", "x")
+    x = float(positive_finite(x, "h's argument", "x"))
     if x > _H_SERIES_SWITCH:
         return h_series(x, _H_SERIES_TERMS)
     inv_x = 1.0 / x
@@ -171,9 +170,9 @@ def h_series(x: float, terms: int) -> float:
     For x >= 1 the omitted tail is positive and below the first omitted
     term, so 30 terms give ~1e-33 truncation error.
     """
-    x = positive_finite(float(x), "h_series's argument", "x")
-    if terms < 1:
-        raise DomainError(f"terms must be >= 1, got {terms}")
+    x = float(positive_finite(x, "h_series's argument", "x"))
+    if isinstance(terms, bool) or not isinstance(terms, numbers.Integral) or terms < 1:
+        raise DomainError(f"terms must be an integer >= 1, got {terms!r}")
     inv_x = 1.0 / x
     power = 1.0
     factorial = 2.0  # (n+2)! starting at n = 0
@@ -191,7 +190,6 @@ def tail_y_via_h(y: float, a: float) -> float:
     Requires y > 1 strictly (the rewrite divides by log y).
     """
     a = _check_load(a)
-    y = float(y)
     if not (y > 1.0):
         raise DomainError(f"tail_y_via_h requires y > 1, got {y}")
     log_y = math.log(y)
@@ -215,7 +213,7 @@ def moment_y(a: float, beta: float) -> float:
     Reach: every a > 0 (betas 1e-9 to 30 checked from 5e-324 to 1.8e308).
     """
     a = _check_load(a)
-    beta = positive_finite(float(beta), "moment_y's beta", "beta")
+    beta = float(positive_finite(beta, "moment_y's beta", "beta"))
     r = math.sqrt(a)
     if a <= 1.0 and beta * r * (math.log(3.0) - 2.0 * math.log(a)) < 0.5 * _EPS:
         return 1.0
@@ -245,8 +243,8 @@ def check_stochastic_order(
     """
     a_low = _check_load(a_low)
     a_high = _check_load(a_high)
-    grid = tuple(float(y) for y in y_grid)
-    if any(y <= 1.0 for y in grid):
+    grid = tuple(y_grid)  # as tail_y takes them
+    if not all(y > 1.0 for y in grid):
         raise DomainError("all grid points must be > 1")
     for u, v in zip(grid, grid[1:]):
         if not (v > u):

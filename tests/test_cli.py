@@ -370,6 +370,13 @@ class TestSimulate:
         assert code == 2
         assert "unstable" in err
 
+    def test_server_count_past_the_double_range_rejected(self, capsys):
+        # n*mu raised OverflowError, and the CLI printed a traceback
+        n = "1" + "0" * 399
+        code, out, err = run_cli(capsys, "simulate", "--n", n, "--lambda", "1", "--mu", "1")
+        assert (code, out) == (2, "")
+        assert err == f"error: server count must be finite as a double, got n={n}\n"
+
     def test_negative_seed_rejected(self, capsys):
         code, out, err = run_cli(
             capsys, "simulate", "--n", "5", "--lambda", "4", "--mu", "1", "--seed", "-1"

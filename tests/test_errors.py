@@ -46,10 +46,26 @@ def test_delay_target_rejects_below_the_normal_range(epsilon):
     ("halfin_whitt.hw_limit", (10**400,)),
     ("halfin_whitt.staffing", (10**400, 1.0)),
     ("halfin_whitt.default_load_grid", (1, 10**400, 3)),
+    ("halfin_whitt.inverse_load", (10**400, 1.0)),
+    ("halfin_whitt.inverse_sweep", (1.0, (2.0, 10**400))),
+    ("mmn_oracle.birth_death_wait_prob", (10**400, 1.0)),
+    ("mmn_oracle.SimConfig", (10**400, 1.0, 1.0, 1000, 0)),
+    ("proof_kit.density_g", (1.0, 10**400)),
+    ("proof_kit.density_g", (10**400, 1.0)),
+    ("proof_kit.cdf_x", (1.0, 10**400)),
+    ("proof_kit.density_y", (2.0, 10**400)),
+    ("proof_kit.tail_y", (2.0, 10**400)),
+    ("proof_kit.tail_y_via_h", (2.0, 10**400)),
+    ("proof_kit.h", (10**400,)),
+    ("proof_kit.h_series", (10**400, 30)),
+    ("proof_kit.moment_y", (10**400, 1.0)),
+    ("proof_kit.moment_y", (1.0, 10**400)),
+    ("proof_kit.check_stochastic_order", (1.0, 10**400, (2.0,))),
+    ("proof_kit.check_stochastic_order", (10**400, 1.0, (2.0,))),
 ])
 def test_integers_past_the_double_range_are_domain_errors(call, args):
-    # float() of such an integer raises OverflowError; the shared checks
-    # read it as not finite
+    # float() of such an integer raises OverflowError; each entry checks
+    # before it converts, and reads it as not finite
     module, name = call.split(".")
     f = getattr(importlib.import_module(f"hw_staffing.{module}"), name)
     with pytest.raises(DomainError, match="finite"):

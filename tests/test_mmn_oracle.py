@@ -1,9 +1,11 @@
 """Birth-death solve and discrete-event simulation against the analytics."""
 
 import math
+import random
 import statistics
 import subprocess
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -11,7 +13,7 @@ import numpy as np
 import pytest
 
 from hw_staffing import mmn_oracle
-from hw_staffing.erlang import erlang_c_integer
+from hw_staffing.erlang import erlang_c_gamma, erlang_c_integer
 from hw_staffing.errors import DomainError
 from hw_staffing.mmn_oracle import SimConfig, SimEstimate, birth_death_wait_prob, simulate_mmn
 
@@ -52,6 +54,33 @@ class TestBirthDeath:
         # this replaced raised OverflowError from (4000, 2000)
         assert birth_death_wait_prob(400, 4.0) == 0.0
         assert birth_death_wait_prob(4000, 2000.0) == 0.0
+
+    def test_stopped_sum_is_the_full_loop_to_the_bit(self):
+        # below the load the sum stops at the first term that leaves it
+        # unchanged; the loop it stops early makes all n steps
+        def full_loop(n, a):
+            term, ratio = 1.0, 0.0
+            for k in range(n, 0, -1):
+                term *= k / a
+                ratio += term
+            return 1.0 / (1.0 + (1.0 - a / n) * ratio)
+
+        rng = random.Random(27)
+        for _ in range(1000):
+            n = int(10.0 ** rng.uniform(0.0, 4.0)) + 1
+            a = rng.choice([n * rng.random(), n - rng.uniform(0.0, 5.0) * math.sqrt(n),
+                            n * 10.0 ** rng.uniform(-6.0, 0.0)])
+            if 0.0 < a < n:
+                assert repr(birth_death_wait_prob(n, a)) == repr(full_loop(n, a)), (n, a)
+
+    @pytest.mark.parametrize("n, a", [(10**9, 1e9 - 1e4), (10**7, 5.0)])
+    def test_large_server_counts_within_a_time_budget(self, n, a):
+        # all n steps took 1.1 s at (1e7, 5), where the sum overflows at once,
+        # and 9.3 s at (1e8, 1e8 - 1e4), where a subnormal term held steady
+        start = time.perf_counter()
+        value = birth_death_wait_prob(n, a)
+        assert time.perf_counter() - start < 1.0
+        assert value == pytest.approx(erlang_c_gamma(n, a).value, rel=1e-10, abs=0.0)
 
     def test_instability_rejected(self):
         with pytest.raises(DomainError):

@@ -276,6 +276,11 @@ class TestHSeries:
         with pytest.raises(DomainError):
             h_series(0.0, 5)
 
+    @pytest.mark.parametrize("terms", [2.5, True, 5.0, 0, -3])
+    def test_terms_must_be_an_integer(self, terms):
+        with pytest.raises(DomainError, match="^terms must be an integer >= 1"):
+            h_series(2.0, terms)
+
 
 class TestTailRewrite:
     def test_identity_at_two_one(self):
@@ -299,6 +304,18 @@ class TestTailRewrite:
     def test_rejects_boundary(self):
         with pytest.raises(DomainError):
             tail_y_via_h(1.0, 1.0)
+
+
+@pytest.mark.parametrize("a", [1e-2, 4.0, 1e300])
+def test_points_past_the_double_range_read_their_limits(a):
+    # y or x is an integer that float() cannot hold: it is checked and then
+    # taken by math.log as given, or read as past every double
+    y = 10**400
+    assert cdf_x(y, a) == 1.0
+    assert density_y(y, a) == 0.0
+    assert tail_y(y, a) == 0.0
+    assert tail_y_via_h(y, a) == 0.0
+    assert check_stochastic_order(a, 2.0 * a, (2.0, y)).passed
 
 
 class TestMomentY:
