@@ -10,7 +10,7 @@ Three independent evaluation routes are exposed and cross-validated:
   where t overflows (tiny loads);
 * ``erlang_c_gamma`` -- the closed form obtained from that integral by
   parts, 1/C(s,a) = 1 + (s-a) * e**a * a**(-s) * Gamma(s) * Q(s,a), taken
-  in Temme's normalized variables at every s. hw_sweep and min_servers
+  in Temme's normalized variables at every s. Both sweeps and min_servers
   take it from the slack itself, through the private _gamma, as
   erlang_c_slack takes the quadrature: a few microseconds a row or step.
 
@@ -326,10 +326,10 @@ def erlang_c_gamma(s: float, a: float) -> DelayProbability:
 
 def _gamma(s: float, d: float, a: float) -> DelayProbability:
     """C(a + d, a) by erlang_c_gamma's assembly at s = a + d, with the slack
-    d as the caller holds it rather than s - a. hw_sweep passes
-    beta*sqrt(a) itself, as erlang_c_slack takes it: rounding s moves s - a
-    off the slack by up to half an ulp of s, at a = 1e15 and beta = 0.1 a
-    relative 2e-8, and C with it by 1.4e-9, a million times its bound.
+    d as the caller holds it rather than s - a. The sweeps pass beta*sqrt(x)
+    itself, as erlang_c_slack takes it: rounding s moves s - a off the
+    slack by up to half an ulp of s, at a = 1e15 and beta = 0.1 a relative
+    2e-8, and C with it by 1.4e-9, a million times its bound.
     The slack enters the prefactor and, as d/s, eta; elsewhere the rounding
     of s costs about an ulp."""
     half_s_eta2, q, rel_q, gamma_star, terms = _upper_gamma(s, a, d)

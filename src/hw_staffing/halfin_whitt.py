@@ -3,8 +3,8 @@
 The staffing rule s = a + beta*sqrt(a) keeps the delay probability
 C(a + beta*sqrt(a), a) nondegenerate as the offered load a grows; its limit
 is hw_limit(beta) = 1/(1 + beta*Phi(beta)/phi(beta)). The two sweeps here
-share one loop and one row type (SweepRow) and produce the evidence tables
-behind two facts:
+share one loop, one route (the gamma route at the slack) and one row type
+(SweepRow), and produce the evidence tables behind two facts:
 
 * the load-parametrized curve C(a + beta*sqrt(a), a) decreases strictly in
   a and stays above the limit for every beta > 0 (hw_sweep's SweepResult
@@ -176,9 +176,8 @@ def _sweep_rows(beta: float, grid: Sequence[float], hw: bool):
     for x in grid:
         # inverse_load raises DomainError at the first s <= beta**2
         a, s = (x, staffing(x, beta)) if hw else (inverse_load(x, beta), x)
-        d = beta * math.sqrt(x)
         try:
-            c = _gamma(s, d, a)
+            c = _gamma(s, beta * math.sqrt(x), a)
             rows.append(SweepRow(a, s, c.value, c.error_bound, None, c_star))
         except NumericalError as exc:
             rows.append(SweepRow(a, s, None, 0.0, str(exc), c_star))
@@ -214,16 +213,16 @@ def inverse_sweep(beta: float, s_grid: Sequence[float]) -> SweepResult:
 
     Every s must exceed beta**2. The rows carry no limit and no gap, and no
     monotonicity flag is computed; the rows feed the figure emitter as-is.
-    As in hw_sweep, C is evaluated at the slack beta*sqrt(s) itself, here
-    by the quadrature (erlang_c_slack): at s = 1e15 the rounding of the
-    row's a = s - beta*sqrt(s) would move the slack, and C with it by
-    ~1e-9 relative, far beyond the quadrature's bound.
+    As in hw_sweep, C comes from the gamma route at the slack beta*sqrt(s)
+    itself: at s = 1e15 rounding a = s - beta*sqrt(s) would move C by ~1e-9
+    relative. Below s = 5.6e-309 (grids reach it only for beta < 7.5e-155)
+    a row records the route's NumericalError, and a slack of 0 aborts nothing.
 
     The curve's shape, measured but not claimed: at large s,
     C = hw_limit(beta) + k_inv(beta)/sqrt(s) + O(1/s), with
     k_inv = -(beta**2*M_2/2 + I_1)/I_0**2 from the staffed curve's
     expansion (tests/test_halfin_whitt.py derives it, and checks it
-    against this function's quadrature at s = 1e8 for betas 0.1 to 3).
+    against the quadrature at s = 1e8 for betas 0.1 to 3).
     k_inv changes sign at beta_c = 0.638833. Above it the curve rises
     toward the limit from below; below it the curve rises, turns once and
     falls toward the limit from above. On 81-point log grids from just

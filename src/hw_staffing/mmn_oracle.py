@@ -70,10 +70,9 @@ class SimConfig(_SimFields):
         for name, value in (("n", n), ("measured_arrivals", measured_arrivals), ("seed", seed)):
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise DomainError(f"{name} must be an integer, got {value!r}")
-        if n < 1:
-            raise DomainError(f"server count must be a positive integer, got {n}")
-        if n > sys.float_info.max:  # before n*mu, which raises OverflowError
-            raise DomainError(f"server count must be finite as a double, got n={n}")
+        if not 1 <= n <= sys.float_info.max:  # checked before n*mu can overflow
+            raise DomainError(
+                f"server count must be a positive integer, finite as a double, got {n}")
         positive_finite(lam, "arrival rate", "lambda")
         positive_finite(mu, "service rate", "mu")
         if lam >= n * mu:
@@ -114,24 +113,20 @@ def birth_death_wait_prob(n: int, a: float) -> float:
     probability is 1/(1 + (1 - rho) * sum_{k<n} (a**k/k!) / (a**n/n!)). The
     sum is taken backward from k = n - 1, as sum_{j=1..n} prod_{i<j} (n-i)/a,
     each term the last times (n - j + 1)/a, so no exponent of size n*log(a)
-    is rounded. Where n >> a the sum overflows to inf, and the probability
-    is 0.0. Below the load (k < a) each term is smaller than the last, so
-    the sum stops at the first term that leaves it unchanged: later terms
-    cannot change it either, and the result is the full loop's to the bit.
+    is rounded. It stops at the first term that leaves it unchanged, with
+    the full loop's bits: that term lies below the load (above it the terms
+    grow), where later ones are smaller, or the sum is inf (n >> a: 0.0).
     """
     n = server_count(n, 1)
     if not (0.0 < a < n <= sys.float_info.max):  # nan fails too, before k/a can overflow
-        raise DomainError(f"requires 0 < a < n for stability, n finite as a double, got a={a}, n={n}")
+        raise DomainError(f"requires 0 < a < n for stability, n finite, got a={a}, n={n}")
     term = 1.0
     ratio = 0.0
     for k in range(n, 0, -1):
         term *= k / a
-        total = ratio + term
-        if total == math.inf:
-            return 0.0
-        if total == ratio and k < a:
+        if ratio + term == ratio:
             break
-        ratio = total
+        ratio += term
     return 1.0 / (1.0 + (1.0 - a / n) * ratio)
 
 

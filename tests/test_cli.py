@@ -375,7 +375,7 @@ class TestSimulate:
         n = "1" + "0" * 399
         code, out, err = run_cli(capsys, "simulate", "--n", n, "--lambda", "1", "--mu", "1")
         assert (code, out) == (2, "")
-        assert err == f"error: server count must be finite as a double, got n={n}\n"
+        assert err == f"error: server count must be a positive integer, finite as a double, got {n}\n"
 
     def test_negative_seed_rejected(self, capsys):
         code, out, err = run_cli(
