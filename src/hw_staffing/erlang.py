@@ -36,7 +36,6 @@ from .numerics import (
     _EPS,
     _LOG_MAX,
     _PEAK_OVERFLOW_NATS,
-    _V_MIN,
     _trapezoid,
     _upper_gamma,
     bisect_monotone,
@@ -188,12 +187,13 @@ def erlang_c_real(s: float, a: float) -> DelayProbability:
     cancellation. In w = log z the integrand z**2 * e**exponent peaks where
     sqrt(a)*z**2 - (s - a + 1)*z - 2*sqrt(a) = 0, and its second
     derivative there, sqrt(a)*z*((s - 1)/(sqrt(a) + z)**2 - 1), sets the
-    width; the exp-sinh map of integrate_semi_infinite is centred on that
-    peak and scaled by that width, and applied with the integrand in one
-    log term per node. At a node where x = e**w/sqrt(a) overflows, which
-    takes (s - a + 1)/a past about 3.5e306, the exponent is taken in log x
-    instead: log1p(x) = log x = w - log sqrt(a), and a*log1pmx(x) =
-    a*log x - e**w*sqrt(a). The reading at the peak follows the same rule.
+    width. numerics._trapezoid centres its exp-sinh map on that peak,
+    scales it by that width and applies it itself, with one call per node
+    into the integrand's log in w. At a node where x = e**w/sqrt(a)
+    overflows, which takes (s - a + 1)/a past about 3.5e306, the exponent
+    is taken in log x instead: log1p(x) = log x = w - log sqrt(a), and
+    a*log1pmx(x) = a*log x - e**w*sqrt(a). The reading at the peak follows
+    the same rule.
 
     The error bound is the gap between the last two trapezoid sums, but
     never below the rounding of the exponent: 1e-14 plus a few ulps of
@@ -266,23 +266,17 @@ def _quadrature(d: float, a: float) -> DelayProbability:
     if log_inv_c > _LOG_MAX + _PEAK_OVERFLOW_NATS:
         return DelayProbability(0.0, Method.QUADRATURE, 0.0)
 
-    def log_term(v: float) -> float:
-        # the exp-sinh map w = centre + width*(v + 1 - e**-v), times
+    def log_mass(w: float) -> float:
         # z * e**exponent * dz/dw at z = e**w; where x overflows, in log x
-        if v < _V_MIN:
-            return -math.inf
-        ev = math.exp(-v)
-        w = centre + width * (v + 1.0 - ev)
-        if w > _LOG_MAX:
-            return -math.inf
+        # (_trapezoid takes no node past w = _LOG_MAX, where z overflows)
         z = math.exp(w)
         x = z * inv_r
         if x < math.inf:
-            return 2.0 * w + a * log1pmx(x) + d1 * math.log1p(x) + log_width + math.log1p(ev)
+            return 2.0 * w + a * log1pmx(x) + d1 * math.log1p(x)
         log1p_x = w - log_r
-        return 2.0 * w + (a * log1p_x - z * r) + d1 * log1p_x + log_width + math.log1p(ev)
+        return 2.0 * w + (a * log1p_x - z * r) + d1 * log1p_x
 
-    shift, total, err, evaluations = _trapezoid(log_term)
+    shift, total, err, evaluations = _trapezoid(log_mass, centre, width)
     if shift + math.log(total) > _LOG_MAX:  # 1/C overflows: C underflows
         return DelayProbability(0.0, Method.QUADRATURE, 0.0, evaluations)
     value = 1.0 / (total * math.exp(shift))

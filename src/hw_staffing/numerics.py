@@ -9,10 +9,9 @@ rule whose step is halved until two successive sums agree to a fixed
 relative tolerance, 1e-12 (or 4096 integrand evaluations are spent),
 applied after an exp-sinh change of variables centred on the integrand's
 peak in log t. Each caller supplies that peak and its width, in closed form
-or from a one-dimensional equation; the real-server delay probability
-applies the map itself. Integrands arrive as
-*log* integrands so that peaks of magnitude e**(+-600) can be handled by
-max-shifting before exponentiation.
+or from a one-dimensional equation, and its *log* integrand in w = log t;
+the engine applies the map itself. Log integrands let peaks of magnitude
+e**(+-600) be handled by max-shifting before exponentiation.
 """
 
 from __future__ import annotations
@@ -41,11 +40,13 @@ _INV_SQRT_2 = 0.7071067811865476  # 1/sqrt(2)
 class BracketedRoot(NamedTuple):
     """A root located by bisect_monotone's safeguarded Illinois steps:
     lo <= value <= hi, |hi - lo| <= tol (unless f hit target exactly at
-    value, or the bracket reached floating-point resolution first)."""
+    value, or the bracket reached floating-point resolution first), and
+    the evaluations of f it cost, both ends included."""
 
     lo: float
     hi: float
     value: float
+    evaluations: int
 
 
 def _require_finite(x: float, name: str) -> float:
@@ -229,8 +230,9 @@ _PEAK_OVERFLOW_NATS = 40.0
 # The trapezoid rule stops once two successive sums agree to this share
 # of the last one.
 _REL_TOL = 1e-12
-# First trapezoid step in the exp-sinh variable v. The map gives the peak
-# about unit width in v, so h = 1 already samples it a few times.
+# First trapezoid step in the exp-sinh variable v. The map's slope at v = 0
+# is 2*width, so the peak, a width wide in w, is about half a unit wide in
+# v: h = 1 meets it at the centre, and the first halvings resolve it.
 _FIRST_STEP = 1.0
 # One integral may evaluate its integrand at most this often: the node
 # count doubles with every halving, so a non-convergent input fails after
@@ -243,7 +245,7 @@ _TRUNCATION_LOG_CUTOFF = 40.0
 # Relative rounding of a trapezoid sum of positive terms, each an ulp or
 # two off: the error estimate never claims less than this.
 _SUM_ROUNDING = 8 * _EPS
-# e**-v overflows below this; the map sends such nodes to w = -inf anyway.
+# e**-v overflows below this; the map sends such nodes to w = -inf: zero.
 _V_MIN = -700.0
 
 # Below t = 2**-52 an integrand counts as zero: 1 + t rounds to 1 there,
@@ -302,72 +304,72 @@ def _give_up(why, evaluations, h, total, error, shift):
     )
 
 
-def _trapezoid(log_term: Callable[[float], float]):
-    """Trapezoid rule for the integral of exp(log_term(v)) over the real line.
+def _trapezoid(log_mass: Callable[[float], float], centre: float, width: float):
+    """Trapezoid rule for the integral of exp(log_mass(w)) dw over the real
+    line, after the exp-sinh map w = centre + width*(v + 1 - e**-v).
 
-    Sums the terms on the nodes v = k*h, max-shifted by the running
-    maximum of log_term, which starts at log_term(0). From v = 0 each side
-    is walked outward until a term falls _TRUNCATION_LOG_CUTOFF nats below
-    the running maximum. Then h is halved, reusing every node, until two
-    successive sums agree to _REL_TOL. For an integrand analytic in a strip
-    around the real line and decaying double-exponentially, the error
-    falls like e**(-c/h), so each halving roughly squares it (Trefethen &
-    Weideman, SIAM Review 56, 2014).
+    The map fixes v = 0 at the peak, which the caller gives as centre, with
+    the width 1/sqrt(-log_mass''(centre)); it stretches the right side
+    linearly and compresses the left double-exponentially (Takahasi & Mori,
+    1974). On the nodes v = k*h the rule sums e**(f - shift), f =
+    log_mass(w) + log(width) + log1p(e**-v) the log of the integrand times
+    dw/dv, with the map written in line: one call a node. A node below
+    v = _V_MIN (e**-v overflows) or past w = _LOG_MAX (e**w does) counts
+    as zero, uncalled. The shift is the running maximum of f, which starts
+    at the centre's; a new maximum rescales the sum to itself.
+
+    From v = 0 the right side, then the left, is walked outward until a
+    term falls _TRUNCATION_LOG_CUTOFF nats below the running maximum,
+    which never falls, so no later walk would go further. Then h is halved,
+    reusing every node, until two successive sums agree to _REL_TOL. For
+    an integrand analytic in a strip around the real line and decaying
+    double-exponentially, the error falls like e**(-c/h), so each halving
+    roughly squares it (Trefethen & Weideman, SIAM Review 56, 2014).
 
     Returns (shift, total, error, evaluations): the integral is
     total * e**shift, with error * e**shift the gap between the last two
     sums (never below _SUM_ROUNDING * total). The evaluation cap is the
     only other stopping rule: NumericalError, with the last sum and its
     gap, once a walk or the next halving would pass _MAX_EVALUATIONS.
-
-    Each node is summed in line, in the walks and in the halving loop
-    alike: a term below the running maximum adds e**(f - shift) to acc,
-    and a new maximum rescales acc to itself and becomes the shift.
     """
-    exp = math.exp
+    exp, log1p, inf = math.exp, math.log1p, math.inf
+    v_min, log_max = _V_MIN, _LOG_MAX
+    log_width = math.log(width)
     h = _FIRST_STEP
-    shift = log_term(0.0)
-    if not (-math.inf < shift < math.inf):
+    # the centre node, v = 0: w = centre, and dw/dv = 2*width
+    shift = -inf if centre > log_max else log_mass(centre) + log_width + log1p(1.0)
+    if not (-inf < shift < inf):
         raise NumericalError(
             f"log integrand is {shift} at the centre of the quadrature map", iterations=1
         )
-    acc = 1.0  # sum of exp(log_term(v) - shift) over every node so far
+    acc = 1.0  # sum of exp(f - shift) over every node so far
     evaluations = 1
-    total, error, previous = h, math.inf, None
-    right = left = 0  # the outermost nodes, in units of h
-    f_right = f_left = math.inf  # their log terms; each side takes a first step
+    total, error = h, inf
+    ends = []  # the outermost nodes, in units of h: right, then left
+    for step in (1, -1):
+        k, f = 0, inf  # each side takes a first step
+        while f >= shift - _TRUNCATION_LOG_CUTOFF:
+            if evaluations >= _MAX_EVALUATIONS:
+                raise _give_up("the integrand tail did not decay",
+                               evaluations, h, total, error, shift)
+            k += step
+            v = k * h
+            if v < v_min:
+                f = -inf
+            else:
+                ev = exp(-v)
+                w = centre + width * (v + 1.0 - ev)
+                f = -inf if w > log_max else log_mass(w) + log_width + log1p(ev)
+            evaluations += 1
+            if f > shift:
+                acc = acc * exp(shift - f) + 1.0
+                shift = f
+            else:
+                acc += exp(f - shift)
+        ends.append(k)
+    right, left = ends
+    total = h * acc
     while True:
-        # extend each side until its outermost term has decayed
-        while f_right >= shift - _TRUNCATION_LOG_CUTOFF:
-            if evaluations >= _MAX_EVALUATIONS:
-                raise _give_up("the integrand tail did not decay",
-                               evaluations, h, total, error, shift)
-            right += 1
-            f_right = f = log_term(right * h)
-            evaluations += 1
-            if f > shift:
-                acc = acc * exp(shift - f) + 1.0
-                shift = f
-            else:
-                acc += exp(f - shift)
-        while f_left >= shift - _TRUNCATION_LOG_CUTOFF:
-            if evaluations >= _MAX_EVALUATIONS:
-                raise _give_up("the integrand tail did not decay",
-                               evaluations, h, total, error, shift)
-            left -= 1
-            f_left = f = log_term(left * h)
-            evaluations += 1
-            if f > shift:
-                acc = acc * exp(shift - f) + 1.0
-                shift = f
-            else:
-                acc += exp(f - shift)
-        total = h * acc
-        if previous is not None:
-            error = max(abs(total - previous * exp(previous_shift - shift)),
-                        _SUM_ROUNDING * total)
-            if error <= _REL_TOL * total:
-                return shift, total, error, evaluations
         if evaluations + right - left > _MAX_EVALUATIONS:
             raise _give_up("evaluation cap reached", evaluations, h, total, error, shift)
         previous, previous_shift = total, shift
@@ -376,13 +378,24 @@ def _trapezoid(log_term: Callable[[float], float]):
         right *= 2
         left *= 2
         for k in range(left + 1, right, 2):
-            f = log_term(k * h)
+            v = k * h
+            if v < v_min:
+                f = -inf
+            else:
+                ev = exp(-v)
+                w = centre + width * (v + 1.0 - ev)
+                f = -inf if w > log_max else log_mass(w) + log_width + log1p(ev)
             if f > shift:
                 acc = acc * exp(shift - f) + 1.0
                 shift = f
             else:
                 acc += exp(f - shift)
         evaluations += (right - left) // 2
+        total = h * acc
+        error = max(abs(total - previous * exp(previous_shift - shift)),
+                    _SUM_ROUNDING * total)
+        if error <= _REL_TOL * total:
+            return shift, total, error, evaluations
 
 
 def integrate_semi_infinite(
@@ -392,25 +405,21 @@ def integrate_semi_infinite(
 
     The integrand must be given in log space (may return -inf where it
     vanishes) with an eventually decaying tail. It is integrated in
-    w = log t about its peak, which the caller gives as centre, with the
-    width 1/sqrt(-m''(centre)) of the log mass m(w) = log_integrand(e**w) + w.
-    The exp-sinh map w = centre + width*(v + 1 - e**-v) fixes v = 0 at that
-    peak, stretches the right side linearly and compresses the left side
-    double-exponentially, and the trapezoid rule in v does the rest
-    (Takahasi & Mori, 1974); log_mass counts nodes below t = 2**-52, or
-    where t overflows, as zero. Returns inf without a quadrature where
-    log_mass(centre) + log(width) passes _LOG_MAX by _PEAK_OVERFLOW_NATS,
-    the rule erlang_c_real applies to 1/C. Raises NumericalError if the
-    mass below 2**-52 is not negligible, or, with the best estimate
-    attached, if the evaluation cap is hit first.
+    w = log t, as the log mass m(w) = log_integrand(e**w) + w, by
+    _trapezoid's exp-sinh rule about its peak, which the caller gives as
+    centre, with the width 1/sqrt(-m''(centre)); log_mass counts nodes
+    below t = 2**-52, or where t overflows, as zero. Returns inf without a
+    quadrature where log_mass(centre) + log(width) passes _LOG_MAX by
+    _PEAK_OVERFLOW_NATS, the rule erlang_c_real applies to 1/C. Raises
+    NumericalError if the mass below 2**-52 is not negligible, or, with the
+    best estimate attached, if the evaluation cap is hit first.
     """
 
     def log_mass(w: float) -> float:
         return log_integrand(math.exp(w)) + w if _W_MIN <= w <= _LOG_MAX else -math.inf
 
     peak = log_mass(centre)
-    log_width = math.log(width)
-    if peak + log_width > _LOG_MAX + _PEAK_OVERFLOW_NATS:
+    if peak + math.log(width) > _LOG_MAX + _PEAK_OVERFLOW_NATS:
         return math.inf
     # log_mass drops the mass below t = 2**-52, about e**log_mass(_W_MIN);
     # it must not matter at the quadrature's (or, below it, attainable) accuracy
@@ -418,15 +427,7 @@ def integrate_semi_infinite(
         raise NumericalError(
             f"integrand mass below t = 2**{_T_MIN_EXP} is not negligible", iterations=1
         )
-
-    def log_term(v: float) -> float:
-        if v < _V_MIN:
-            return -math.inf
-        ev = math.exp(-v)
-        w = centre + width * (v + 1.0 - ev)
-        return log_mass(w) + log_width + math.log1p(ev)
-
-    shift, total, _, _ = _trapezoid(log_term)
+    shift, total, _, _ = _trapezoid(log_mass, centre, width)
     return _unscale(total, shift)
 
 
@@ -462,7 +463,8 @@ def bisect_monotone(
     bisection, and on smooth f far less often: about a third as often for
     real_staffing_level's log C. Stops when the bracket
     width is <= tol or its midpoint is at floating-point resolution; value
-    is then the midpoint.
+    is then the midpoint. A BracketError for ends that do not bracket the
+    target carries the two evaluations as its iterations.
     """
     lo = _require_finite(lo, "lo")
     hi = _require_finite(hi, "hi")
@@ -473,14 +475,16 @@ def bisect_monotone(
 
     f_lo = f(lo) - target
     f_hi = f(hi) - target
+    evaluations = 2
     if f_lo == 0.0:
-        return BracketedRoot(lo, lo, lo)
+        return BracketedRoot(lo, lo, lo, evaluations)
     if f_hi == 0.0:
-        return BracketedRoot(hi, hi, hi)
+        return BracketedRoot(hi, hi, hi, evaluations)
     if (f_lo > 0.0) == (f_hi > 0.0):
         raise BracketError(
             f"target {target} not bracketed: f({lo})={f_lo + target}, "
-            f"f({hi})={f_hi + target}"
+            f"f({hi})={f_hi + target}",
+            iterations=evaluations,
         )
 
     half_tol = 0.5 * tol
@@ -504,8 +508,9 @@ def bisect_monotone(
         if not (0.0 < t < 1.0 and lo < x < hi):
             x = mid
         f_x = f(x) - target
+        evaluations += 1
         if f_x == 0.0:
-            return BracketedRoot(lo, hi, x)
+            return BracketedRoot(lo, hi, x, evaluations)
         if (f_x > 0.0) == (f_lo > 0.0):
             lo, f_lo = x, f_x
             if kept == "hi":
@@ -517,4 +522,4 @@ def bisect_monotone(
                 f_lo *= 0.5
             kept = "lo"
 
-    return BracketedRoot(lo, hi, 0.5 * (lo + hi))
+    return BracketedRoot(lo, hi, 0.5 * (lo + hi), evaluations)

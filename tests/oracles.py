@@ -71,12 +71,12 @@ def min_servers_plain(a: float, epsilon: float) -> int:
 
 
 def trapezoid_visit(log_term):
-    """numerics._trapezoid as it was: every node through a visit() closure.
+    """numerics._trapezoid as it was before it took the map: every node of
+    a log term in v through a visit() closure, and each tail walked after
+    every halving.
 
     Reads the engine's settings from numerics at call time, so a test that
-    patches one patches both. numerics._trapezoid, which sums each node in
-    line, must return the same (shift, total, error, evaluations), or
-    raise the same NumericalError, to the bit.
+    patches one patches both. integrate_exp_sinh_visit puts the map on top.
     """
     from hw_staffing import numerics
     from hw_staffing.errors import NumericalError
@@ -142,9 +142,11 @@ def trapezoid_visit(log_term):
 
 def integrate_exp_sinh_visit(log_integrand, centre, scale):
     """The exp-sinh map as numerics.integrate_exp_sinh applied it, over
-    trapezoid_visit: the map and the integrand as two calls per node, as
-    erlang_c_real made them. The library now applies the map inside
-    integrate_semi_infinite and erlang._quadrature."""
+    trapezoid_visit: the map and the log mass in w as two calls per node.
+    numerics._trapezoid(log_mass, centre, width) applies the map itself, in
+    line at each node, and walks each tail once; for any log mass it must
+    return the same (shift, total, error, evaluations), or raise the same
+    NumericalError, to the bit."""
     from hw_staffing import numerics
 
     log_scale = math.log(scale)
@@ -226,8 +228,8 @@ def erlang_c_slack_three_paths(d: float, a: float):
     in log x; where x overflows at the peak, every node in log x through a
     separate map over the log-x integrand. The library chooses per node,
     so it must match this to the bit wherever x_peak is finite, and take
-    the same work where it is not. The engine is trapezoid_visit, which
-    matches numerics._trapezoid to the bit.
+    the same work where it is not. The engine is integrate_exp_sinh_visit,
+    which matches numerics._trapezoid to the bit.
     """
     from hw_staffing import erlang
     from hw_staffing.erlang import DelayProbability, Method

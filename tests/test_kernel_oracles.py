@@ -1,13 +1,13 @@
 """The tightened inner loops against frozen copies of the loops they replaced.
 
-The trapezoid engine with the Erlang integrand and the Erlang-B step were
-rewritten for speed only, so every result must be the same double as
-before: value, error bound and work count, and for a NumericalError its
-message, estimate, bound and count. The quadrature's three node paths
-became one rule, which keeps those bits wherever x is finite at the
-integrand's peak. The frozen copies live in oracles.py. The lower-gamma
-series now runs against Temme's normalized prefactor, so its seeded
-inputs are checked against mpmath instead.
+The trapezoid engine and its exp-sinh map, the Erlang integrand and the
+Erlang-B step were rewritten for speed or simplicity only, so every
+result must be the same double as before: value, error bound and work
+count, and for a NumericalError its message, estimate, bound and count.
+The quadrature's three node paths became one rule, which keeps those
+bits wherever x is finite at the integrand's peak. The frozen copies live
+in oracles.py. The lower-gamma series now runs against Temme's normalized
+prefactor, so its seeded inputs are checked against mpmath instead.
 """
 
 import math
@@ -116,29 +116,54 @@ class TestQuadratureKernel:
             assert got == outcome(oracles.erlang_c_slack_visit, d, a)
 
     @pytest.mark.parametrize(
-        "log_term",
+        "log_mass",
         [
-            lambda v: -v * v,
-            lambda v: -abs(v),  # a kink: the sums converge slowly, cap reached
-            lambda v: 0.0,  # no decay: the walk gives up
-            lambda v: -1e-3 * v * v,  # too wide for the evaluation cap
-            lambda v: math.nan if v > 3.0 else -v * v / 8.0,
-            lambda v: math.nan,  # the centre itself
-            lambda v: 1e20 - v * v,  # the cutoff is below an ulp of the shift
-            lambda v: -math.exp(v) - math.exp(-v) + 40.0 * v,  # peak off the centre
+            lambda w: -w * w,
+            lambda w: -abs(w),  # a kink: the sums converge slowly, cap reached
+            lambda w: 0.0,  # no decay: the walks stop only at the map's two ends
+            lambda w: -1e-4 * w * w,  # too wide for the evaluation cap
+            lambda w: math.nan if w > 3.0 else -w * w / 8.0,
+            lambda w: math.nan,  # the centre itself
+            lambda w: 1e20 - w * w,  # the cutoff is below an ulp of the shift
+            lambda w: 40.0 * w - math.exp(w),  # peak off the centre
         ],
         ids=["gauss", "kink", "flat", "wide", "nan-tail", "nan-centre", "huge", "shifted"],
     )
-    def test_trapezoid_matches_frozen_engine(self, log_term):
-        assert outcome(numerics._trapezoid, log_term) == outcome(
-            oracles.trapezoid_visit, log_term
+    def test_trapezoid_matches_frozen_engine(self, log_mass):
+        assert outcome(numerics._trapezoid, log_mass, 0.0, 1.0) == outcome(
+            oracles.integrate_exp_sinh_visit, log_mass, 0.0, 1.0
         )
+
+    def test_trapezoid_walk_gives_up_as_frozen_engine(self, monkeypatch):
+        # the map's ends stop every walk within 1 411 nodes at the first
+        # step, so only a lower cap makes a walk give up
+        monkeypatch.setattr(numerics, "_MAX_EVALUATIONS", 512)
+        got = outcome(numerics._trapezoid, lambda w: 0.0, 0.0, 1.0)
+        assert got[0] == "NumericalError" and "did not decay" in got[1]
+        assert got == outcome(oracles.integrate_exp_sinh_visit, lambda w: 0.0, 0.0, 1.0)
+
+    def test_trapezoid_skips_nodes_past_the_map_floor(self):
+        # a Gaussian right tail and a left tail, 1/(1 - w), that the map
+        # cannot compress: its terms stay near e**0 in v, so the left walk
+        # runs to v = -701, past _V_MIN = -700, and the first halving meets
+        # v = -700.5. Below _V_MIN e**-v overflows; those nodes are zero.
+        seen = []
+
+        def log_mass(w):
+            seen.append(w)
+            return -0.5 * w * w if w >= 0.0 else -math.log1p(-w)
+
+        got = outcome(numerics._trapezoid, log_mass, 0.0, 1.0)
+        assert min(seen) < -1e303  # v = -700: w = 1 - 700 - e**700
+        assert got[0] == "NumericalError" and "evaluation cap reached" in got[1]
+        assert "step 0.25" in got[1]
+        assert got == outcome(oracles.integrate_exp_sinh_visit, log_mass, 0.0, 1.0)
 
     def test_moment_y_matches_frozen_engine(self, monkeypatch):
         rng = random.Random(7)
         cases = [(10.0 ** rng.uniform(-2.0, 300.0), rng.uniform(0.1, 3.0)) for _ in range(40)]
         got = [outcome(proof_kit.moment_y, a, beta) for a, beta in cases]
-        monkeypatch.setattr(numerics, "_trapezoid", oracles.trapezoid_visit)
+        monkeypatch.setattr(numerics, "_trapezoid", oracles.integrate_exp_sinh_visit)
         assert got == [outcome(proof_kit.moment_y, a, beta) for a, beta in cases]
 
 
@@ -261,6 +286,11 @@ class TestExactWork:
         monkeypatch.setattr(proof_kit, "h", counted)
         proof_kit.moment_y(a, beta)
         assert count == calls
+
+    def test_beta_for_target_bisection_evaluations(self):
+        # beta_for_target(0.2)'s solve: its two doubling probes come first
+        root = numerics.bisect_monotone(halfin_whitt.hw_limit, 0.0, 2.0, 0.2, 1e-12)
+        assert root.evaluations == 11
 
     @pytest.mark.parametrize("a, beta, terms", [(995.0, 0.1, 265), (968.0, 1.0, 238),
                                                 (1e6, 0.1, 0), (1e15, 3.0, 0)])

@@ -287,6 +287,13 @@ class TestBisectMonotone:
             bisect_monotone(lambda x: x, 0.0, 1.0, 5.0, 1e-9)
         message = str(excinfo.value)
         assert "0.0" in message and "1.0" in message
+        assert excinfo.value.iterations == 2  # both ends, and no step
+
+    @pytest.mark.parametrize("target", [0.0, 0.25, 1.0])  # an end, or a step's point
+    def test_evaluations_count_every_call(self, target):
+        calls = []
+        root = bisect_monotone(lambda x: calls.append(x) or x, 0.0, 1.0, target, 1e-9)
+        assert root.evaluations == len(calls)
 
     def test_result_type(self):
         def f(x):

@@ -21,7 +21,7 @@ SAMPLES = [
         "DelayProbability(value=0.25, method=<Method.QUADRATURE: 'quadrature'>, "
         "error_bound=1e-15, evaluations=65)",
     ),
-    (BracketedRoot(1.0, 2.0, 1.5), "BracketedRoot(lo=1.0, hi=2.0, value=1.5)"),
+    (BracketedRoot(1.0, 2.0, 1.5, 7), "BracketedRoot(lo=1.0, hi=2.0, value=1.5, evaluations=7)"),
     (
         _ROW,
         "SweepRow(a=4.0, s=6.0, c_value=0.25, error_bound=1e-15, error=None, c_star=0.2)",
