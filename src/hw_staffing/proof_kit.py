@@ -154,9 +154,14 @@ def h(x: float) -> float:
     ulp of the last, and -inf once that passes the largest double (below
     x ~ 1/723), where every tail it gives is 0.
     """
-    x = float(positive_finite(x, "h's argument", "x"))
+    return _h(float(positive_finite(x, "h's argument", "x")))
+
+
+def _h(x: float) -> float:
+    """h without the check, for a positive finite double x: moment_y's
+    integrand calls it at every node, where r/(c*t) always is one."""
     if x > _H_SERIES_SWITCH:
-        return h_series(x, _H_SERIES_TERMS)
+        return _h_series(x, _H_SERIES_TERMS)
     inv_x = 1.0 / x
     if inv_x > _LOG_MAX:
         log_magnitude = inv_x + 2.0 * math.log(x)
@@ -173,6 +178,11 @@ def h_series(x: float, terms: int) -> float:
     x = float(positive_finite(x, "h_series's argument", "x"))
     if isinstance(terms, bool) or not isinstance(terms, numbers.Integral) or terms < 1:
         raise DomainError(f"terms must be an integer >= 1, got {terms!r}")
+    return _h_series(x, terms)
+
+
+def _h_series(x: float, terms: int) -> float:
+    """h_series at a positive finite double x and an int terms >= 1, unchecked."""
     inv_x = 1.0 / x
     power = 1.0
     factorial = 2.0  # (n+2)! starting at n = 0
@@ -228,7 +238,7 @@ def moment_y(a: float, beta: float) -> float:
     width = 1.0 / math.sqrt(1.0 + u * u + u * (beta * u + 1.0) / r)
     c = min(r, 1.0)
     return 1.0 + beta * c * integrate_semi_infinite(
-        lambda x: beta * (c * x) + (c * x) ** 2 * h(r / (c * x)), centre - math.log(c), width)
+        lambda x: beta * (c * x) + (c * x) ** 2 * _h(r / (c * x)), centre - math.log(c), width)
 
 
 def check_stochastic_order(
