@@ -23,11 +23,6 @@ _EXIT_VERIFY_FAILED = 1
 _EXIT_DOMAIN = 2
 _EXIT_NUMERICAL = 3
 
-# compute --method auto takes the recurrence for an integer s below this
-# load. Its ~10*sqrt(a) steps pass 1 ms about here; from here up the
-# quadrature costs about 60 us and bounds C some 100 times more tightly.
-_RECURRENCE_MAX_LOAD = 1e6
-
 
 def fmt(x: float) -> str:
     """17 significant digits: round-trips any double."""
@@ -41,17 +36,12 @@ def fmt(x: float) -> str:
 
 def _cmd_compute(args) -> int:
     s, a = args.s, args.a
-
-    method = args.method
-    if method == "auto":
-        recurrence = float(s).is_integer() and a < _RECURRENCE_MAX_LOAD
-        method = "recurrence" if recurrence else "quadrature"
-    if method == "recurrence" and not float(s).is_integer():
-        raise DomainError(f"the recurrence method needs an integer server count, got s={s}")
-
-    results = []
+    # auto takes the gamma route: 4-18 us at any s and load, and at least as
+    # tight a bound as the others on the staffed curves from a = 1e2
+    method = "gamma" if args.method == "auto" else args.method
+    results = []  # erlang_c_integer rejects a fractional s
     if method == "recurrence" or (method == "all" and float(s).is_integer()):
-        results.append(erlang.erlang_c_integer(int(s), a))
+        results.append(erlang.erlang_c_integer(s, a))
     if method in ("quadrature", "all"):
         results.append(erlang.erlang_c_real(s, a))
     if method in ("gamma", "all"):
@@ -207,13 +197,8 @@ def _cmd_verify(args) -> int:
 def _cmd_simulate(args) -> int:
     from . import mmn_oracle
 
-    cfg = mmn_oracle.SimConfig(
-        n=args.n,
-        lam=args.lam,
-        mu=args.mu,
-        measured_arrivals=args.arrivals,
-        seed=args.seed,
-    )
+    cfg = mmn_oracle.SimConfig(n=args.n, lam=args.lam, mu=args.mu,
+                               measured_arrivals=args.arrivals, seed=args.seed)
     estimate = mmn_oracle.simulate_mmn(cfg)
     analytic = erlang.erlang_c_integer(cfg.n, cfg.offered_load).value
     if estimate.ci_halfwidth > 0.0:
@@ -236,19 +221,14 @@ def _cmd_simulate(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="hw-staffing",
-        description="Erlang C delay probabilities and square-root staffing.",
-    )
+        prog="hw-staffing", description="Erlang C delay probabilities and square-root staffing.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("compute", help="delay probability C(s, a)")
     p.add_argument("--s", type=float, required=True, help="servers (real)")
     p.add_argument("--a", type=float, required=True, help="offered load (erlangs)")
-    p.add_argument(
-        "--method",
-        choices=["auto", "recurrence", "quadrature", "gamma", "all"],
-        default="auto",
-    )
+    p.add_argument("--method", choices=["auto", "recurrence", "quadrature", "gamma", "all"],
+                   default="auto")
     p.set_defaults(handler=_cmd_compute)
 
     p = sub.add_parser("staff", help="invert the delay probability for staffing")
@@ -269,9 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_sweep)
 
     p = sub.add_parser("verify", help="run the property verification suites")
-    p.add_argument(
-        "--suite", default="all", help="all (the default), monotonicity, order or identities"
-    )
+    p.add_argument("--suite", default="all",
+                   help="all (the default), monotonicity, order or identities")
     p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("simulate", help="discrete-event M/M/n simulation oracle")

@@ -31,7 +31,7 @@ import math
 import sys
 from typing import NamedTuple
 
-from .errors import DomainError, delay_target, positive_finite, server_count
+from .errors import DomainError, count, delay_target, finite_real, positive_finite, work_ceiling
 from .numerics import (
     _EPS,
     _LOG_MAX,
@@ -96,10 +96,8 @@ class DelayProbability(NamedTuple):
 
 
 def _check_stable(s: float, a: float):
-    positive_finite(a, "offered load", "a")
-    if not abs(s) <= sys.float_info.max:  # also an integer past the double range
-        raise DomainError(f"server count must be finite, got s={s}")
-    s, a = float(s), float(a)
+    a = positive_finite(a, "offered load", "a")
+    s = finite_real(s, "server count", "s")
     if a >= s:
         raise DomainError(f"delay probability requires 0 < a < s (stability), got a={a}, s={s}")
     return s, a
@@ -130,10 +128,17 @@ def erlang_b_integer(n: int, a: float) -> float:
 
     B leaves the normal range about 38*sqrt(a) above the load; the first b
     below sys.float_info.min returns 0.0, an absolute error below 2.3e-308.
+    Above the load a step multiplies b by less than 1/(1 + (k - floor(a) - 1)/a),
+    so by Bennett's bound on (1 + u)*log1p(u) - u it has left by k = a + 2 + J,
+    J = c/3 + sqrt(c**2/9 + 2*a*c), c = 709. From errors.MAX_STEPS (1e7 steps of
+    min(n, a + 2 + J) - k0, near a = 8e11 on the staffed curves), DomainError.
     """
-    n = server_count(n, 0)
-    positive_finite(a, "offered load", "a")
+    n = count(n, "server count", 0, floats=True)
+    a = positive_finite(a, "offered load", "a")
     k0 = max(0, math.floor(min(n, a) - _WARM_START_SQRTS * math.sqrt(a)))
+    c = 709.0  # -log(sys.float_info.min), 708.4, rounded up: B leaves the normal range
+    work_ceiling(min(n, a + 2.0 + c / 3.0 + math.sqrt(c * c / 9.0 + 2.0 * a * c)) - k0,
+                 "the Erlang-B recurrence")
     b = 1.0 - k0 / a
     tiny = sys.float_info.min
     for k in range(k0 + 1, n + 1):
@@ -162,10 +167,11 @@ def erlang_c_integer(n: int, a: float) -> DelayProbability:
     L = min(n, sqrt(pi*a/2) + 4 + n - a); D, which cancels just above the
     load, within beta + 1.5*eps*(1 - D)/D + eps/2; C within
     2*beta + 1.5*eps/D + eps. Where b underflows to 0.0, C is below
-    sys.float_info.min/(1 - rho), which the bound adds.
+    sys.float_info.min/(1 - rho), which the bound adds. DomainError at once
+    past n = 2**53 (n + 1 rounds to n) or the recurrence's ceiling.
     """
-    n = server_count(n, 1)
-    _check_stable(n, a)
+    n = count(n, "server count", 1, 2**53, floats=True)
+    _, a = _check_stable(n, a)
     b = erlang_b_integer(n, a)
     rho = a / n
     denominator = 1.0 - rho * (1.0 - b)
@@ -216,9 +222,7 @@ def erlang_c_slack(d: float, a: float) -> DelayProbability:
     by more than C(a + beta*sqrt(a), a) falls per half decade of a when
     beta is small.
     """
-    positive_finite(a, "offered load", "a")
-    positive_finite(d, "slack", "d")
-    return _quadrature(float(d), float(a))
+    return _quadrature(positive_finite(d, "slack", "d"), positive_finite(a, "offered load", "a"))
 
 
 def _peak(d: float, a: float):
@@ -311,8 +315,7 @@ def erlang_c_gamma(s: float, a: float) -> DelayProbability:
     Reach: every s > a > 0 with s >= 5.6e-309, where 1/s is finite (below,
     NumericalError at once); the series ends within a few hundred terms, none
     above the switch (s >= 1000, a above about 0.73s), and evaluations
-    counts them. A call takes about 4.2 us at a = 4, 8.4 us at 1e2, 4.3 us
-    above the switch, 18 below.
+    counts them.
     """
     s, a = _check_stable(s, a)
     return _gamma(s, s - a, a)
@@ -352,8 +355,8 @@ def min_servers(a: float, epsilon: float) -> int:
     start lies up to 237 servers low. From a = 2**53, where n and n + 1
     are one double, DomainError.
     """
-    positive_finite(a, "offered load", "a")
-    delay_target(epsilon)
+    a = positive_finite(a, "offered load", "a")
+    epsilon = delay_target(epsilon)
     if a >= 2.0**53:
         raise DomainError(f"min_servers requires a < 2**53, got a={a}")
     from .halfin_whitt import beta_for_target
@@ -388,8 +391,8 @@ def real_staffing_level(a: float, epsilon: float) -> float:
     solver's evaluation at the bracket's upper end costs nothing; a call
     takes about 10 quadratures.
     """
-    positive_finite(a, "offered load", "a")
-    delay_target(epsilon)
+    a = positive_finite(a, "offered load", "a")
+    epsilon = delay_target(epsilon)
 
     @functools.cache
     def log_c(d: float) -> float:

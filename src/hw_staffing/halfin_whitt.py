@@ -17,13 +17,12 @@ share one loop, one route (the gamma route at the slack) and one row type
 from __future__ import annotations
 
 import math
-import numbers
-import sys
 from typing import NamedTuple, Sequence
 
 from .erlang import _gamma
-from .errors import DomainError, NumericalError, delay_target, positive_finite
-from .numerics import _require_finite, bisect_monotone, normal_cdf, normal_pdf
+from .errors import (
+    DomainError, NumericalError, count, delay_target, finite_real, increasing, positive_finite)
+from .numerics import bisect_monotone, normal_cdf, normal_pdf
 
 __all__ = [
     "SweepRow",
@@ -36,6 +35,9 @@ __all__ = [
     "inverse_sweep",
     "default_load_grid",
 ]
+
+# default_load_grid builds at most this many points.
+_MAX_POINTS = 10**6
 
 
 class SweepRow(NamedTuple):
@@ -92,11 +94,9 @@ def hw_limit(beta: float) -> float:
     beta = 0 is accepted as the boundary case and returns 1; negative beta
     is rejected.
     """
-    beta = _require_finite(beta, "beta")
-    if beta < 0.0:
-        raise DomainError(f"hw_limit requires beta >= 0, got {beta}")
     if beta == 0.0:
         return 1.0
+    beta = positive_finite(beta, "hw_limit's beta, if not 0,", "beta")
     pdf = normal_pdf(beta)
     if pdf == 0.0:  # beta beyond ~38: the limit underflows to zero
         return 0.0
@@ -106,15 +106,14 @@ def hw_limit(beta: float) -> float:
 def staffing(a: float, beta: float) -> float:
     """Square-root staffing level s = a + beta*sqrt(a); requires beta > 0
     so the result stays in the validity region a < s."""
-    positive_finite(a, "offered load", "a")
-    positive_finite(beta, "staffing slack", "beta")
-    return a + beta * math.sqrt(a)
+    a = positive_finite(a, "offered load", "a")
+    return a + positive_finite(beta, "staffing slack", "beta") * math.sqrt(a)
 
 
 def inverse_load(n: float, beta: float) -> float:
     """Offered load a = n - beta*sqrt(n); valid only for finite n > beta**2."""
-    positive_finite(beta, "staffing slack", "beta")
-    n = _require_finite(n, "inverse_load's server count n")
+    beta = positive_finite(beta, "staffing slack", "beta")
+    n = finite_real(n, "inverse_load's server count", "n")
     if not (n > beta * beta):
         raise DomainError(
             f"inverse_load requires n > beta**2 = {beta * beta} so the load "
@@ -125,7 +124,7 @@ def inverse_load(n: float, beta: float) -> float:
 
 def beta_for_target(epsilon: float) -> float:
     """Slack beta with hw_limit(beta) = epsilon, to 1e-12 by bisect_monotone."""
-    delay_target(epsilon)
+    epsilon = delay_target(epsilon)
     hi = 1.0
     while hw_limit(hi) > epsilon:
         hi *= 2.0
@@ -139,11 +138,10 @@ def default_load_grid(
     """The package's one grid: log-spaced from lo > 0 to hi, or evenly
     spaced; finite bounds, hi > lo unless the grid is the single point
     (lo,). The last point is hi only up to rounding. The defaults are
-    verify's load grid, spanning six orders of magnitude."""
-    if isinstance(points, bool) or not isinstance(points, numbers.Integral) or points < 1:
-        raise DomainError(f"points must be an integer >= 1, got {points!r}")
-    if not (abs(lo) <= sys.float_info.max and abs(hi) <= sys.float_info.max):
-        raise DomainError(f"grid bounds must be finite, got lo={lo}, hi={hi}")
+    verify's load grid, spanning six orders of magnitude; points runs to
+    1e6."""
+    points = count(points, "points", 1, _MAX_POINTS)
+    lo, hi = finite_real(lo, "grid bounds", "lo"), finite_real(hi, "grid bounds", "hi")
     if log_spaced and not lo > 0.0:
         raise DomainError(f"log spacing needs lo > 0, got lo={lo}")
     if points == 1:
@@ -162,19 +160,16 @@ def _sweep_rows(beta: float, grid: Sequence[float], hw: bool):
     SweepRow per grid value x, with C evaluated by the gamma route at the
     slack beta*sqrt(x) itself; hw selects only the parametrization."""
     grid_name = "a_grid" if hw else "s_grid"
-    positive_finite(beta, "staffing slack", "beta")
-    if len(grid) == 0:
+    beta = positive_finite(beta, "staffing slack", "beta")
+    grid = increasing(grid, grid_name)
+    if not grid:
         raise DomainError(f"{grid_name} must not be empty")
-    for x, y in zip(grid, grid[1:]):
-        if not (y > x):
-            raise DomainError(f"{grid_name} must be strictly increasing, got {x} before {y}")
-    if hw and grid[0] <= 0.0:
-        raise DomainError("all loads in a_grid must be positive")
 
     c_star = hw_limit(beta) if hw else None
     rows = []
     for x in grid:
-        # inverse_load raises DomainError at the first s <= beta**2
+        # DomainError at the first load a <= 0, or server count s <= beta**2
+        x = positive_finite(x, "offered load", "a") if hw else finite_real(x, "server count", "s")
         a, s = (x, staffing(x, beta)) if hw else (inverse_load(x, beta), x)
         try:
             c = _gamma(s, beta * math.sqrt(x), a)

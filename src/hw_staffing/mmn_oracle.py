@@ -31,14 +31,12 @@ alone; the rest of the package loads without it.
 from __future__ import annotations
 
 import math
-import numbers
-import sys
 from bisect import bisect_right
 from heapq import heapify, heapreplace
 from itertools import accumulate
 from typing import NamedTuple
 
-from .errors import DomainError, positive_finite, server_count
+from .errors import DomainError, count, positive_finite, work_ceiling
 
 __all__ = [
     "SimConfig",
@@ -51,6 +49,9 @@ _BATCHES = 32
 # Student-t 0.975 quantile at 31 degrees of freedom (batch-means CI).
 _T_CRIT_31 = 2.0395134463964077
 _CHUNK = 1 << 12  # most draws per array
+# SimConfig's ceilings: the stationary law holds n + 1 weights, and at
+# 0.2 us an arrival a replication of _MAX_ARRIVALS takes about 20 s.
+_MAX_SERVERS, _MAX_ARRIVALS = 10**6, 10**8
 
 
 class _SimFields(NamedTuple):
@@ -62,25 +63,19 @@ class _SimFields(NamedTuple):
 
 
 class SimConfig(_SimFields):
-    """Inputs of one simulation replication, which starts at stationarity."""
+    """Inputs of one simulation replication, which starts at stationarity:
+    n up to 1e6 servers, and 32 to 1e8 measured arrivals."""
 
     __slots__ = ()
 
     def __new__(cls, n: int, lam: float, mu: float, measured_arrivals: int, seed: int):
-        for name, value in (("n", n), ("measured_arrivals", measured_arrivals), ("seed", seed)):
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise DomainError(f"{name} must be an integer, got {value!r}")
-        if not 1 <= n <= sys.float_info.max:  # checked before n*mu can overflow
-            raise DomainError(
-                f"server count must be a positive integer, finite as a double, got {n}")
-        positive_finite(lam, "arrival rate", "lambda")
-        positive_finite(mu, "service rate", "mu")
+        n = count(n, "server count", 1, _MAX_SERVERS)
+        lam = positive_finite(lam, "arrival rate", "lambda")
+        mu = positive_finite(mu, "service rate", "mu")
         if lam >= n * mu:
             raise DomainError(f"unstable configuration: lambda={lam} >= n*mu={n * mu}")
-        if seed < 0:
-            raise DomainError(f"seed must be non-negative, got {seed}")
-        if measured_arrivals < _BATCHES:
-            raise DomainError(f"measured_arrivals must be >= {_BATCHES}, got {measured_arrivals}")
+        seed = count(seed, "seed", 0)
+        measured_arrivals = count(measured_arrivals, "measured_arrivals", _BATCHES, _MAX_ARRIVALS)
         return super().__new__(cls, n, lam, mu, measured_arrivals, seed)
 
     @classmethod
@@ -116,10 +111,19 @@ def birth_death_wait_prob(n: int, a: float) -> float:
     is rounded. It stops at the first term that leaves it unchanged, with
     the full loop's bits: that term lies below the load (above it the terms
     grow), where later ones are smaller, or the sum is inf (n >> a: 0.0).
+    With d = n - a, the first d/2 terms grow by 1 + d/(2a) a step or more,
+    so the loop ends once j*log1p(d/(2a)) passes 710 if that is within d/2;
+    else in d + 1 steps plus 8.7*sqrt(a) + 2 below the load, where the terms
+    fall under 2**-54 of the sum. Past errors.MAX_STEPS or n = 2**53, DomainError.
     """
-    n = server_count(n, 1)
-    if not (0.0 < a < n <= sys.float_info.max):  # nan fails too, before k/a can overflow
-        raise DomainError(f"requires 0 < a < n for stability, n finite, got a={a}, n={n}")
+    n = count(n, "server count", 1, 2**53, floats=True)  # past it n + 1 rounds to n
+    a = positive_finite(a, "offered load", "a")
+    if a >= n:
+        raise DomainError(f"requires 0 < a < n for stability, got a={a}, n={n}")
+    d = n - a
+    grow = 710.0 / math.log1p(d / (2.0 * a)) + 2.0
+    work_ceiling(min(n, grow if grow <= d / 2.0 else d + 9.0 * math.sqrt(a) + 3.0),
+                 "the birth-death sum")
     term = 1.0
     ratio = 0.0
     for k in range(n, 0, -1):

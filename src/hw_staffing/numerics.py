@@ -20,7 +20,7 @@ import math
 import sys
 from typing import Callable, NamedTuple
 
-from .errors import BracketError, DomainError, NumericalError
+from .errors import BracketError, DomainError, NumericalError, finite_real, positive_finite
 
 # log1pmx and _trapezoid are building blocks of erlang_c_real: importable,
 # but outside the package API, so that profiles charge their work to the
@@ -49,15 +49,9 @@ class BracketedRoot(NamedTuple):
     evaluations: int
 
 
-def _require_finite(x: float, name: str) -> float:
-    if not abs(x) <= sys.float_info.max:  # also an integer past the double range
-        raise DomainError(f"{name} must be finite, got {x!r}")
-    return float(x)
-
-
 def normal_pdf(x: float) -> float:
     """Standard normal density exp(-x**2/2)/sqrt(2*pi)."""
-    x = _require_finite(x, "x")
+    x = finite_real(x, "normal_pdf's argument", "x")
     return _INV_SQRT_2PI * math.exp(-0.5 * x * x)
 
 
@@ -68,7 +62,7 @@ def normal_cdf(x: float) -> float:
     erfc(-x/sqrt(2))/2, which keeps the relative error at libm level
     (~1e-16) even deep in the lower tail.
     """
-    x = _require_finite(x, "x")
+    x = finite_real(x, "normal_cdf's argument", "x")
     return 0.5 * math.erfc(-x * _INV_SQRT_2)
 
 
@@ -414,6 +408,8 @@ def integrate_semi_infinite(
     NumericalError if the mass below 2**-52 is not negligible, or, with the
     best estimate attached, if the evaluation cap is hit first.
     """
+    centre = finite_real(centre, "quadrature centre", "centre")
+    width = positive_finite(width, "quadrature width", "width")
 
     def log_mass(w: float) -> float:
         return log_integrand(math.exp(w)) + w if _W_MIN <= w <= _LOG_MAX else -math.inf
@@ -466,10 +462,10 @@ def bisect_monotone(
     is then the midpoint. A BracketError for ends that do not bracket the
     target carries the two evaluations as its iterations.
     """
-    lo = _require_finite(lo, "lo")
-    hi = _require_finite(hi, "hi")
-    if not (tol > 0.0):
-        raise DomainError(f"tol must be > 0, got {tol}")
+    lo = finite_real(lo, "bracket end", "lo")
+    hi = finite_real(hi, "bracket end", "hi")
+    target = finite_real(target, "target", "target")
+    tol = positive_finite(tol, "tolerance", "tol")
     if lo > hi:
         raise DomainError(f"need lo <= hi, got lo={lo}, hi={hi}")
 

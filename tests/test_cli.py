@@ -21,25 +21,25 @@ def run_cli(capsys, *argv):
 
 
 class TestCompute:
-    def test_integer_point_defaults_to_recurrence(self, capsys):
+    def test_integer_point_defaults_to_gamma(self, capsys):
         code, out, _ = run_cli(capsys, "compute", "--s", "2", "--a", "1")
         assert code == 0
         method, value, bound = out.split()
-        assert method == "recurrence"
+        assert method == "gamma"
         assert float(value) == pytest.approx(1.0 / 3.0, rel=1e-13)
         assert float(bound) > 0.0
 
-    @pytest.mark.parametrize("s, a, method", [
-        ("1000999", "999999", "recurrence"),  # just below the switch
-        ("1001000", "1e6", "quadrature"),  # the recurrence would take ~1 ms
+    @pytest.mark.parametrize("s, a", [
+        ("1000999", "999999"),  # the recurrence took these until auto had one route
+        ("1001000", "1e6"),  # and the quadrature these
     ])
-    def test_integer_point_switches_at_a_million(self, capsys, s, a, method):
+    def test_integer_point_takes_gamma_at_any_load(self, capsys, s, a):
         code, out, _ = run_cli(capsys, "compute", "--s", s, "--a", a)
         assert code == 0
         got, value, bound = out.split()
-        assert got == method
+        assert got == "gamma"
         want = oracles.erlang_c_mpmath(int(s), float(a))
-        assert abs(float(value) - want) <= float(bound) <= 1e-11 * want
+        assert abs(float(value) - want) <= float(bound) <= 1e-14 * want
 
     def test_all_methods_agree(self, capsys):
         code, out, _ = run_cli(capsys, "compute", "--s", "110", "--a", "100", "--method", "all")
@@ -50,19 +50,18 @@ class TestCompute:
         for v in values:
             assert v == pytest.approx(oracles.C_110_100, rel=1e-10)
 
-    def test_fractional_servers_defaults_to_quadrature(self, capsys):
+    def test_fractional_servers_defaults_to_gamma(self, capsys):
         code, out, _ = run_cli(capsys, "compute", "--s", "5.5", "--a", "4")
         assert code == 0
-        assert out.split()[0] == "quadrature"
+        assert out.split()[0] == "gamma"
         assert float(out.split()[1]) == pytest.approx(oracles.C_55_4, rel=1e-10)
 
     def test_fractional_servers_past_the_gamma_range(self, capsys):
-        # auto takes the quadrature for a real s, here within 1e-13 of the
-        # closed form; the gamma route raised here until it took Temme's
-        # expansion above s = 1000
+        # auto takes the gamma route, here within 1e-13 of the closed form;
+        # it raised here until it took Temme's expansion above s = 1000
         code, out, err = run_cli(capsys, "compute", "--s", "2000000.5", "--a", "2e6")
         method, value, bound = out.split()
-        assert (code, method, err) == (0, "quadrature", "")
+        assert (code, method, err) == (0, "gamma", "")
         assert float(value) == pytest.approx(0.99955704117930633, rel=1e-13)
         assert float(bound) < 1e-13
 
@@ -291,7 +290,7 @@ class TestSweep:
         )
         assert code == 2
         assert out == ""
-        assert err == "error: grid bounds must be finite, got lo=1.0, hi=inf\n"
+        assert err == "error: grid bounds must be finite, got hi=inf\n"
 
     def test_hw_loads_past_1e30_complete(self, capsys):
         code, out, _ = run_cli(
@@ -375,7 +374,8 @@ class TestSimulate:
         n = "1" + "0" * 399
         code, out, err = run_cli(capsys, "simulate", "--n", n, "--lambda", "1", "--mu", "1")
         assert (code, out) == (2, "")
-        assert err == f"error: server count must be a positive integer, finite as a double, got {n}\n"
+        assert err == (
+            f"error: server count must be a positive integer no larger than 1,000,000, got {n}\n")
 
     def test_negative_seed_rejected(self, capsys):
         code, out, err = run_cli(
@@ -383,7 +383,7 @@ class TestSimulate:
         )
         assert code == 2
         assert out == ""
-        assert err == "error: seed must be non-negative, got -1\n"
+        assert err == "error: seed must be a nonnegative integer, got -1\n"
 
     def test_warmup_option_gone(self, capsys):
         # replications start at stationarity, so there is no warm-up to set
@@ -401,7 +401,7 @@ class TestEntryPoint:
             text=True,
         )
         assert result.returncode == 0
-        assert result.stdout.split()[0] == "recurrence"
+        assert result.stdout.split()[0] == "gamma"
 
     def test_usage_error_is_exit_two(self):
         result = subprocess.run(

@@ -6,6 +6,7 @@ import sys
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -158,6 +159,44 @@ class TestErlangBSubnormalTail:
     def test_counts_past_the_float_range(self, a):
         # float(n) overflows; the stop comes long before n
         assert erlang_b_integer(10**400, a) == 0.0
+
+
+class TestRecurrenceCeiling:
+    @pytest.mark.parametrize("f, n, a", [
+        (erlang_b_integer, 2**53, sys.float_info.max),  # about 2**53 steps, none underflowing
+        (erlang_c_integer, 2**53, 2.0**53 - 2.0**27),  # about 1e9 steps, 95 s
+        (erlang_c_integer, 10**12, 1e12 - 1e6),  # 1.1e7 steps, just past the ceiling
+    ])
+    def test_past_the_ceiling_raises_at_once(self, f, n, a):
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match="ceiling of 10,000,000 steps; erlang_c_gamma"):
+            f(n, a)
+        assert time.perf_counter() - start < 0.1
+
+    def test_counts_past_two_to_the_53(self):
+        # n + 1 rounds to n there; the count is checked before a, so a numpy
+        # load no longer meets a huge n in min()
+        with pytest.raises(DomainError, match="no larger than 9,007,199,254,740,992"):
+            erlang_c_integer(sys.float_info.max, np.int64(5))
+        assert erlang_c_integer(2**53, np.int64(5)).value == 0.0
+
+    def test_step_count_bounds_the_loop(self):
+        # the count before the loop is an upper bound on the steps it takes
+        rng = random.Random(31)
+        for _ in range(300):
+            a = 10.0 ** rng.uniform(-3.0, 6.0)
+            n = rng.choice([math.floor(a + rng.uniform(0.0, 60.0) * math.sqrt(a)) + 1,
+                            math.floor(a * 10.0 ** rng.uniform(0.0, 3.0)) + 1])
+            k0 = max(0, math.floor(min(n, a) - 10.0 * math.sqrt(a)))
+            c = 709.0
+            bound = min(n, a + 2.0 + c / 3.0 + math.sqrt(c * c / 9.0 + 2.0 * a * c)) - k0
+            b, steps = 1.0 - k0 / a, 0
+            for k in range(k0 + 1, n + 1):
+                steps += 1
+                b = a * b / (k + a * b)
+                if b < sys.float_info.min:
+                    break
+            assert steps <= bound, (n, a)
 
 
 class TestErlangCInteger:

@@ -368,6 +368,12 @@ class TestInverseSweep:
         with pytest.raises(DomainError, match="points"):
             default_load_grid(1.0, 10.0, 0)
 
+    @pytest.mark.parametrize("points", [10**6 + 1, 10**400])
+    def test_default_load_grid_points_have_a_ceiling(self, points):
+        # 10**400 raised OverflowError, and a million points is the grid's ceiling
+        with pytest.raises(DomainError, match="^points must be a positive integer no larger than"):
+            default_load_grid(1.0, 2.0, points)
+
     def test_default_load_grid_rejects_fractional_points(self):
         with pytest.raises(DomainError, match="points"):
             default_load_grid(1.0, 10.0, 2.5)

@@ -82,6 +82,35 @@ class TestBirthDeath:
         assert time.perf_counter() - start < 1.0
         assert value == pytest.approx(erlang_c_gamma(n, a).value, rel=1e-10, abs=0.0)
 
+    @pytest.mark.parametrize("n, a", [(2**53, 2.0**53 - 2.0**30), (10**12, 1e12 - 5e6)])
+    def test_past_the_ceiling_raises_at_once(self, n, a):
+        # the terms grow for n - a steps, then fall for about 9*sqrt(a):
+        # 1.1e9 and 1.4e7 steps, minutes and seconds
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match="ceiling of 10,000,000 steps; erlang_c_gamma"):
+            birth_death_wait_prob(n, a)
+        assert time.perf_counter() - start < 0.1
+
+    def test_step_count_bounds_the_loop(self):
+        rng = random.Random(31)
+        for _ in range(300):
+            a = 10.0 ** rng.uniform(-3.0, 6.0)
+            n = rng.choice([math.floor(a + rng.uniform(0.0, 60.0) * math.sqrt(a)) + 1,
+                            math.floor(a * 10.0 ** rng.uniform(0.0, 3.0)) + 1])
+            if not a < n:
+                continue
+            d = n - a
+            grow = 710.0 / math.log1p(d / (2.0 * a)) + 2.0
+            bound = min(n, grow if grow <= d / 2.0 else d + 9.0 * math.sqrt(a) + 3.0)
+            term, ratio, steps = 1.0, 0.0, 0
+            for k in range(n, 0, -1):
+                steps += 1
+                term *= k / a
+                if ratio + term == ratio:
+                    break
+                ratio += term
+            assert steps <= bound, (n, a)
+
     def test_instability_rejected(self):
         with pytest.raises(DomainError):
             birth_death_wait_prob(3, 3.0)
@@ -126,9 +155,18 @@ class TestSimConfig:
         with pytest.raises(DomainError):
             SimConfig._make((2, 1.0, 1.0, 100, -1))
 
+    @pytest.mark.parametrize("field, value", [("n", 10**6 + 1), ("measured_arrivals", 10**8 + 1)])
+    def test_counts_past_their_ceilings(self, field, value):
+        # the stationary law holds n + 1 weights, and 1e8 arrivals take ~20 s
+        kwargs = dict(n=10**6, lam=1.0, mu=1.0, measured_arrivals=10**8, seed=1)
+        assert SimConfig(**kwargs).n == 10**6
+        kwargs[field] = value
+        with pytest.raises(DomainError, match="no larger than"):
+            SimConfig(**kwargs)
+
     def test_negative_seed_rejected(self):
         # checked up front: numpy's SeedSequence raises a bare ValueError
-        with pytest.raises(DomainError, match="^seed must be non-negative"):
+        with pytest.raises(DomainError, match="^seed must be a nonnegative integer"):
             SimConfig(n=2, lam=1.0, mu=1.0, measured_arrivals=100, seed=-1)
 
     @pytest.mark.parametrize(
@@ -156,7 +194,8 @@ class TestSimConfig:
     def test_non_integer_counts_rejected(self, field, value):
         kwargs = dict(n=2, lam=1.0, mu=1.0, measured_arrivals=100, seed=1)
         kwargs[field] = value
-        with pytest.raises(DomainError, match=f"^{field} must be an integer"):
+        name = {"n": "server count"}.get(field, field)
+        with pytest.raises(DomainError, match=f"^{name} must be an? [a-z ]*integer"):
             SimConfig(**kwargs)
 
 

@@ -318,6 +318,24 @@ def _steep_tanh(x):
     return math.tanh(1e6 * (x - 0.3))
 
 
+@pytest.mark.parametrize("args", [
+    (0.0, 1.0, 10**400, 1e-9),  # target - f overflowed converting the target
+    (0.0, 1.0, 0.5, math.inf),
+    (0.0, 1.0, 0.5, 0.0),
+    (0.0, 1.0, math.nan, 1e-9),
+])
+def test_bisect_arguments_are_checked(args):
+    with pytest.raises(DomainError, match="finite"):
+        bisect_monotone(lambda x: x, *args)
+
+
+@pytest.mark.parametrize("centre, width", [(0.0, 0.0), (0.0, -1.0), (math.nan, 1.0)])
+def test_quadrature_map_arguments_are_checked(centre, width):
+    # a width of 0 or below raised a bare ValueError from math.log
+    with pytest.raises(DomainError, match="finite"):
+        integrate_semi_infinite(lambda t: -t, centre, width)
+
+
 class TestBisectMonotoneWork:
     # (f, lo, hi, targets, exact root of f(x) = target)
     CASES = {

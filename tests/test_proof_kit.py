@@ -1,6 +1,7 @@
 """The auxiliary variables X_a, Y_a: densities, tails, rewrite, ordering."""
 
 import math
+import time
 
 import pytest
 from hypothesis import given
@@ -270,6 +271,31 @@ class TestHSeries:
     def test_frozen_switch_value(self):
         assert h_series(20.0, 30) == pytest.approx(oracles.H_SERIES_20_30, rel=1e-14)
 
+    def test_stopped_sum_is_the_full_loop_to_the_bit(self):
+        # from x = 1 each term is at most a third of the last: the sum stops
+        # where one no longer changes it, with the bits of all 30
+        def full_loop(x, terms):
+            power, factorial, total = 1.0, 2.0, 0.0
+            for n in range(terms):
+                total += power / factorial
+                power /= x
+                factorial *= n + 3.0
+            return -total
+
+        for x in _geom_grid(1.0, 1e3, 40):
+            assert h_series(x, 30) == full_loop(x, 30), x
+
+    def test_overflowing_power_is_not_nan(self):
+        # x**-n overflowed, then inf/inf: both returned nan
+        assert h_series(0.5, 2000) == pytest.approx(h(0.5), rel=1e-15)
+        assert h_series(0.001, 200) == -math.inf
+
+    def test_any_term_count_ends(self):
+        start = time.perf_counter()
+        assert h_series(2.0, 10**400) == h_series(2.0, 30)
+        assert h_series(0.02, 10**400) == pytest.approx(h(0.02), rel=1e-12)
+        assert time.perf_counter() - start < 0.1
+
     def test_domain(self):
         with pytest.raises(DomainError):
             h_series(1.0, 0)
@@ -278,7 +304,7 @@ class TestHSeries:
 
     @pytest.mark.parametrize("terms", [2.5, True, 5.0, 0, -3])
     def test_terms_must_be_an_integer(self, terms):
-        with pytest.raises(DomainError, match="^terms must be an integer >= 1"):
+        with pytest.raises(DomainError, match="^terms must be a positive integer"):
             h_series(2.0, terms)
 
 
