@@ -10,6 +10,7 @@ produce byte-identical stdout and files.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -41,7 +42,14 @@ def _cmd_compute(args) -> int:
     method = "gamma" if args.method == "auto" else args.method
     results = []  # erlang_c_integer rejects a fractional s
     if method == "recurrence" or (method == "all" and float(s).is_integer()):
-        results.append(erlang.erlang_c_integer(s, a))
+        try:
+            results.append(erlang.erlang_c_integer(s, a))
+        except DomainError as exc:
+            # past 2**53 or the recurrence's ceiling the other two routes still
+            # serve a stable point; an unstable one stays a domain error
+            if method == "recurrence" or not s > a:
+                raise
+            print(f"warning: recurrence skipped: {exc}", file=sys.stderr)
     if method in ("quadrature", "all"):
         results.append(erlang.erlang_c_real(s, a))
     if method in ("gamma", "all"):
@@ -264,9 +272,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser's parser, built once a process: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.handler(args)
     except DomainError as exc:

@@ -270,13 +270,18 @@ def _quadrature(d: float, a: float) -> DelayProbability:
     if log_inv_c > _LOG_MAX + _PEAK_OVERFLOW_NATS:
         return DelayProbability(0.0, Method.QUADRATURE, 0.0)
 
+    exp, log1p, inf = math.exp, math.log1p, math.inf
+
     def log_mass(w: float) -> float:
         # z * e**exponent * dz/dw at z = e**w; where x overflows, in log x
         # (_trapezoid takes no node past w = _LOG_MAX, where z overflows)
-        z = math.exp(w)
+        z = exp(w)
         x = z * inv_r
-        if x < math.inf:
-            return 2.0 * w + a * log1pmx(x) + d1 * math.log1p(x)
+        if x <= 0.25:
+            return 2.0 * w + a * log1pmx(x) + d1 * log1p(x)
+        if x < inf:  # log1pmx(x) is log1p(x) - x here: one log1p serves both
+            log1p_x = log1p(x)
+            return 2.0 * w + a * (log1p_x - x) + d1 * log1p_x
         log1p_x = w - log_r
         return 2.0 * w + (a * log1p_x - z * r) + d1 * log1p_x
 

@@ -12,6 +12,13 @@ peak in log t. Each caller supplies that peak and its width, in closed form
 or from a one-dimensional equation, and its *log* integrand in w = log t;
 the engine applies the map itself. Log integrands let peaks of magnitude
 e**(+-600) be handled by max-shifting before exponentiation.
+
+The map's own values at the nodes do not depend on the integrand, so one
+process-wide table (_NODES) holds them, built on first use and grown only
+when a call reaches past it, never beyond |k| <= 4096 nodes from the
+centre at any step. It keeps every function pure: each level of it is an
+immutable tuple, replaced whole in one assignment and never changed in
+place, and every entry is the same double whichever call computed it.
 """
 
 from __future__ import annotations
@@ -241,6 +248,15 @@ _TRUNCATION_LOG_CUTOFF = 40.0
 _SUM_ROUNDING = 8 * _EPS
 # e**-v overflows below this; the map sends such nodes to w = -inf: zero.
 _V_MIN = -700.0
+# The map's constants (v + 1 - e**-v, log1p(e**-v)) at the nodes v = k*h,
+# h = _FIRST_STEP*2**-j: _NODES[j] holds them for every k in [-n, n] at
+# j = 0, and for the odd k in [1 - 2n, 2n - 1], the nodes a halving adds,
+# at j >= 1; so n = len(_NODES[j]) // 2 at every level, and k sits at
+# index n + k, or n + (k - 1)//2. A node below _V_MIN holds (inf, 0.0):
+# its w is inf, past _LOG_MAX, so it counts as zero, uncalled. Levels only
+# grow, by a new tuple put in place whole (_node_level); n stays within
+# _MAX_EVALUATIONS at j = 0 and half that above, so |k| <= _MAX_EVALUATIONS.
+_NODES: dict[int, tuple[tuple[float, float], ...]] = {}
 
 # Below t = 2**-52 an integrand counts as zero: 1 + t rounds to 1 there,
 # and integrands written in 1 + t may reject it.
@@ -298,6 +314,33 @@ def _give_up(why, evaluations, h, total, error, shift):
     )
 
 
+def _node_ks(j: int, n: int) -> range:
+    """The k of _NODES[j]'s entries, in order, for a level of half-length n."""
+    return range(-n, n + 1) if j == 0 else range(1 - 2 * n, 2 * n, 2)
+
+
+def _node_level(j: int, n: int) -> tuple[tuple[float, float], ...]:
+    """_NODES[j], first grown to a half-length of at least n if it is shorter:
+    to double its old one or n, within the ceiling of _NODES, and at least 8."""
+    level = _NODES.get(j, ())
+    if len(level) // 2 >= n:
+        return level
+    ceiling = _MAX_EVALUATIONS if j == 0 else _MAX_EVALUATIONS // 2
+    n = min(max(n, len(level), 8), ceiling)
+    h = _FIRST_STEP * 0.5**j
+    entries = []
+    for k in _node_ks(j, n):
+        v = k * h
+        if v < _V_MIN:
+            entries.append((math.inf, 0.0))
+        else:
+            ev = math.exp(-v)
+            entries.append((v + 1.0 - ev, math.log1p(ev)))
+    level = tuple(entries)
+    _NODES[j] = level  # one assignment: a concurrent reader holds the old or the new
+    return level
+
+
 def _trapezoid(log_mass: Callable[[float], float], centre: float, width: float):
     """Trapezoid rule for the integral of exp(log_mass(w)) dw over the real
     line, after the exp-sinh map w = centre + width*(v + 1 - e**-v).
@@ -307,7 +350,9 @@ def _trapezoid(log_mass: Callable[[float], float], centre: float, width: float):
     linearly and compresses the left double-exponentially (Takahasi & Mori,
     1974). On the nodes v = k*h the rule sums e**(f - shift), f =
     log_mass(w) + log(width) + log1p(e**-v) the log of the integrand times
-    dw/dv, with the map written in line: one call a node. A node below
+    dw/dv: one call a node. The map's part, v + 1 - e**-v and log1p(e**-v),
+    is the same at every call, so it is read from _NODES, one level a step
+    h, which the first call to reach a node builds. A node below
     v = _V_MIN (e**-v overflows) or past w = _LOG_MAX (e**w does) counts
     as zero, uncalled. The shift is the running maximum of f, which starts
     at the centre's; a new maximum rescales the sum to itself.
@@ -326,12 +371,12 @@ def _trapezoid(log_mass: Callable[[float], float], centre: float, width: float):
     only other stopping rule: NumericalError, with the last sum and its
     gap, once a walk or the next halving would pass _MAX_EVALUATIONS.
     """
-    exp, log1p, inf = math.exp, math.log1p, math.inf
-    v_min, log_max = _V_MIN, _LOG_MAX
+    exp, inf = math.exp, math.inf
+    log_max = _LOG_MAX
     log_width = math.log(width)
     h = _FIRST_STEP
     # the centre node, v = 0: w = centre, and dw/dv = 2*width
-    shift = -inf if centre > log_max else log_mass(centre) + log_width + log1p(1.0)
+    shift = -inf if centre > log_max else log_mass(centre) + log_width + math.log1p(1.0)
     if not (-inf < shift < inf):
         raise NumericalError(
             f"log integrand is {shift} at the centre of the quadrature map", iterations=1
@@ -339,6 +384,8 @@ def _trapezoid(log_mass: Callable[[float], float], centre: float, width: float):
     acc = 1.0  # sum of exp(f - shift) over every node so far
     evaluations = 1
     total, error = h, inf
+    nodes = _node_level(0, 1)
+    n = len(nodes) // 2
     ends = []  # the outermost nodes, in units of h: right, then left
     for step in (1, -1):
         k, f = 0, inf  # each side takes a first step
@@ -347,13 +394,12 @@ def _trapezoid(log_mass: Callable[[float], float], centre: float, width: float):
                 raise _give_up("the integrand tail did not decay",
                                evaluations, h, total, error, shift)
             k += step
-            v = k * h
-            if v < v_min:
-                f = -inf
-            else:
-                ev = exp(-v)
-                w = centre + width * (v + 1.0 - ev)
-                f = -inf if w > log_max else log_mass(w) + log_width + log1p(ev)
+            if k * step > n:
+                nodes = _node_level(0, k * step)
+                n = len(nodes) // 2
+            t, log_jacobian = nodes[n + k]
+            w = centre + width * t
+            f = -inf if w > log_max else log_mass(w) + log_width + log_jacobian
             evaluations += 1
             if f > shift:
                 acc = acc * exp(shift - f) + 1.0
@@ -363,6 +409,7 @@ def _trapezoid(log_mass: Callable[[float], float], centre: float, width: float):
         ends.append(k)
     right, left = ends
     total = h * acc
+    j = 0
     while True:
         if evaluations + right - left > _MAX_EVALUATIONS:
             raise _give_up("evaluation cap reached", evaluations, h, total, error, shift)
@@ -371,14 +418,12 @@ def _trapezoid(log_mass: Callable[[float], float], centre: float, width: float):
         h *= 0.5
         right *= 2
         left *= 2
-        for k in range(left + 1, right, 2):
-            v = k * h
-            if v < v_min:
-                f = -inf
-            else:
-                ev = exp(-v)
-                w = centre + width * (v + 1.0 - ev)
-                f = -inf if w > log_max else log_mass(w) + log_width + log1p(ev)
+        j += 1
+        nodes = _node_level(j, max(right, -left) // 2)
+        n = len(nodes) // 2
+        for t, log_jacobian in nodes[n + left // 2:n + right // 2]:
+            w = centre + width * t
+            f = -inf if w > log_max else log_mass(w) + log_width + log_jacobian
             if f > shift:
                 acc = acc * exp(shift - f) + 1.0
                 shift = f

@@ -1,5 +1,6 @@
 """End-to-end CLI behaviour: output, files, exit codes, determinism."""
 
+import functools
 import math
 import subprocess
 import sys
@@ -7,9 +8,9 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from hw_staffing import halfin_whitt, numerics
+from hw_staffing import cli, erlang, halfin_whitt, numerics
 from hw_staffing.cli import main
-from hw_staffing.errors import NumericalError
+from hw_staffing.errors import DomainError, NumericalError
 
 import oracles
 
@@ -49,6 +50,25 @@ class TestCompute:
         values = [float(line.split()[1]) for line in lines]
         for v in values:
             assert v == pytest.approx(oracles.C_110_100, rel=1e-10)
+
+    @pytest.mark.parametrize("s, a", [
+        ("1e12", "999999000000"),  # past the recurrence's 1e7-step ceiling
+        ("1e16", "9999999000000000"),  # past 2**53
+    ])
+    def test_all_skips_a_refused_recurrence(self, capsys, s, a):
+        with pytest.raises(DomainError) as refused:
+            erlang.erlang_c_integer(float(s), float(a))
+        code, out, err = run_cli(capsys, "compute", "--s", s, "--a", a, "--method", "all")
+        assert (code, err) == (0, f"warning: recurrence skipped: {refused.value}\n")
+        (quadrature, q, q_bound), (gamma, g, g_bound) = (line.split() for line in out.splitlines())
+        assert (quadrature, gamma) == ("quadrature", "gamma")
+        assert abs(float(q) - float(g)) <= float(q_bound) + float(g_bound)
+
+    @pytest.mark.parametrize("s, a", [("5", "5"), ("1e16", "1e16"), ("5", "nan")])
+    def test_all_at_an_unstable_integer_point_is_domain_error(self, capsys, s, a):
+        code, out, err = run_cli(capsys, "compute", "--s", s, "--a", a, "--method", "all")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
 
     def test_fractional_servers_defaults_to_gamma(self, capsys):
         code, out, _ = run_cli(capsys, "compute", "--s", "5.5", "--a", "4")
@@ -391,6 +411,42 @@ class TestSimulate:
             main(["simulate", "--n", "5", "--lambda", "4", "--mu", "1", "--warmup", "5"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --warmup 5" in capsys.readouterr().err
+
+
+class TestParserReuse:
+    SEQUENCE = [
+        ["sweep", "--regime", "bogus", "--beta", "1"],  # a usage error: exit 2
+        ["compute", "--s", "110", "--a", "100", "--method", "all"],
+        ["sweep", "--regime", "hw", "--beta", "1", "--points", "5"],
+        ["verify", "--suite", "all"],
+    ]
+
+    @staticmethod
+    def _outcomes(capsys):
+        outcomes = []
+        for argv in TestParserReuse.SEQUENCE:
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            outcomes.append((code, captured.out, captured.err))
+        return outcomes
+
+    def test_one_parser_prints_what_fresh_parsers_print(self, capsys, monkeypatch):
+        built = []
+
+        def build():
+            built.append(cli.build_parser())
+            return built[-1]
+
+        monkeypatch.setattr(cli, "_parser", functools.cache(build))
+        reused = self._outcomes(capsys)
+        assert len(built) == 1
+        monkeypatch.setattr(cli, "_parser", cli.build_parser)  # a fresh parser a call
+        assert reused == self._outcomes(capsys)
+        assert [code for code, _, _ in reused] == [2, 0, 0, 0]
+        assert "invalid choice: 'bogus'" in reused[0][2]
 
 
 class TestEntryPoint:

@@ -1,6 +1,8 @@
 """Foundation module: special functions, quadrature, bisection."""
 
 import math
+import sys
+import threading
 
 import pytest
 from hypothesis import given
@@ -241,6 +243,111 @@ class TestIntegrateSemiInfinite:
 
         with pytest.raises(NumericalError):
             integrate_semi_infinite(log_integrand, *_gamma_peak(0.1))
+
+
+def _node_reach(level_index, level):
+    """The largest |k| among a _NODES level's entries."""
+    return max(map(abs, numerics._node_ks(level_index, len(level) // 2)))
+
+
+def _kinked(t):  # corner at t = 3: the sums converge slowly, the cap is reached
+    return -abs(math.log(t) - 3.0) * 7.0 - math.log(t)
+
+
+class TestNodeTable:
+    """numerics._NODES, the exp-sinh map's constants shared by every call.
+    Each test starts from an empty table of its own."""
+
+    @staticmethod
+    def _entries():
+        return sum(len(level) for level in numerics._NODES.values())
+
+    def test_second_identical_call_adds_no_entry(self, monkeypatch):
+        monkeypatch.setattr(numerics, "_NODES", {})
+        first = erlang.erlang_c_slack(10.0, 100.0)
+        entries = self._entries()
+        assert entries > 0
+        assert repr(erlang.erlang_c_slack(10.0, 100.0)) == repr(first)
+        assert self._entries() == entries
+
+    def test_capped_call_stays_within_the_ceiling(self, monkeypatch):
+        monkeypatch.setattr(numerics, "_NODES", {})
+        with pytest.raises(NumericalError, match="evaluation cap reached") as excinfo:
+            integrate_semi_infinite(_kinked, 3.0, 0.1)
+        assert 3000 < excinfo.value.iterations <= numerics._MAX_EVALUATIONS
+        reach = {j: _node_reach(j, level) for j, level in numerics._NODES.items()}
+        assert max(reach.values()) > 2000  # the call went far out at its last step
+        assert max(reach.values()) <= numerics._MAX_EVALUATIONS
+        # the largest half-lengths the engine can ask for, after requests past
+        # half of them, from which doubling alone would overshoot the ceiling
+        cap = numerics._MAX_EVALUATIONS
+        for j, first, largest in ((0, 2100, cap), (1, 1100, cap // 2), (9, 1100, cap // 2)):
+            numerics._node_level(j, first)
+            assert _node_reach(j, numerics._node_level(j, largest)) <= cap
+
+    def test_entries_are_the_map_in_line(self, monkeypatch):
+        # every level the staffed curves use holds, bit for bit, what the
+        # engine computed at each node before the table
+        monkeypatch.setattr(numerics, "_NODES", {})
+        for a in (1e-3, 0.5, 4.0, 1e2, 1e4, 1e6, 1e10, 1e15):
+            for beta in (0.1, 0.5, 1.0, 2.0, 3.0):
+                erlang.erlang_c_slack(beta * math.sqrt(a), a)
+            erlang.real_staffing_level(a, 0.2)
+        assert sorted(numerics._NODES) == list(range(len(numerics._NODES)))
+        assert len(numerics._NODES) >= 4
+        h = 1.0
+        for j in sorted(numerics._NODES):
+            level = numerics._NODES[j]
+            ks = numerics._node_ks(j, len(level) // 2)
+            assert len(ks) == len(level)
+            for k, (t, log_jacobian) in zip(ks, level):
+                v = k * h
+                ev = math.exp(-v)
+                assert (t.hex(), log_jacobian.hex()) == ((v + 1.0 - ev).hex(), math.log1p(ev).hex())
+            h *= 0.5
+
+    def test_nodes_past_the_map_floor_count_as_zero(self, monkeypatch):
+        monkeypatch.setattr(numerics, "_NODES", {})
+        numerics._trapezoid(lambda w: -0.5 * w * w, 0.0, 1.0)
+        level = numerics._node_level(0, 701)
+        ks = numerics._node_ks(0, len(level) // 2)
+        assert level[ks.index(-701)] == (math.inf, 0.0)
+        assert level[ks.index(-700)][0] == -700.0 + 1.0 - math.exp(700.0)
+
+    def test_concurrent_first_use_matches_serial(self, monkeypatch):
+        cases = [(beta * math.sqrt(a), a) for a in (1e-2, 4.0, 1e3, 1e8) for beta in (0.1, 1.0, 3.0)]
+
+        def work():
+            got = [repr(erlang.erlang_c_slack(d, a)) for d, a in cases]
+            try:
+                integrate_semi_infinite(_kinked, 3.0, 0.1)
+            except NumericalError as err:
+                got.append((str(err), repr(err.estimate), repr(err.error_bound)))
+            return got
+
+        monkeypatch.setattr(numerics, "_NODES", {})
+        serial = work()
+        start = threading.Barrier(4)
+
+        def run(i):
+            start.wait(timeout=30)
+            results[i] = work()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):  # three races, each on an empty table
+                monkeypatch.setattr(numerics, "_NODES", {})
+                results = [None] * 4
+                threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                assert results == [serial] * 4
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestLog1pmx:
