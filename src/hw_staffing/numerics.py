@@ -1,7 +1,6 @@
 """Foundation numerics: normal distribution, a cancellation-free
 log1p(x) - x, trapezoid quadrature in log space, and a bracketing root
-finder for monotone functions; privately, the regularized upper
-incomplete gamma Q(s, x) at 0 < x < s, all that the gamma route takes.
+finder for monotone functions.
 
 Everything here is a pure function of its arguments and safe to call
 concurrently. One quadrature engine serves every integral: a trapezoid
@@ -71,154 +70,6 @@ def normal_cdf(x: float) -> float:
     """
     x = finite_real(x, "normal_cdf's argument", "x")
     return 0.5 * math.erfc(-x * _INV_SQRT_2)
-
-
-_GAMMA_MAX_ITER = 10_000
-_GAMMA_EPS = 1e-16
-
-# Temme's uniform expansion serves s >= _TEMME_MIN_S with |eta| <= 0.3,
-# that is eta**2/2 <= _TEMME_MAX_HALF_ETA2.
-_TEMME_MIN_S = 1000.0
-_TEMME_MAX_HALF_ETA2 = 0.045
-# Taylor coefficients in eta of Temme's c_0 .. c_3, lowest degree first,
-# as tests/temme_coefficients.py derives them in exact rationals (c_k(0) =
-# -1/3, -1/540, 25/6048, 101/155520). Each is cut where its dropped terms,
-# at |eta| = 0.3 and s = 1000, sum below 2**-66.
-_TEMME_C = (
-    (-0.3333333333333333, 0.08333333333333333, -0.014814814814814815,
-     0.0011574074074074073, 0.0003527336860670194, -0.0001787551440329218,
-     3.919263178522438e-05, -2.185448510679992e-06, -1.85406221071516e-06,
-     8.296711340953087e-07, -1.7665952736826078e-07, 6.707853543401498e-09,
-     1.0261809784240309e-08, -4.382036018453353e-09, 9.14769958223679e-10,
-     -2.5514193994946248e-11, -5.830772132550426e-11, 2.4361948020667415e-11),
-    (-0.001851851851851852, -0.003472222222222222, 0.0026455026455026454,
-     -0.0009902263374485596, 0.00020576131687242798, -4.018775720164609e-07,
-     -1.8098550334489977e-05, 7.64916091608111e-06, -1.6120900894563446e-06,
-     4.647127802807434e-09, 1.378633446915721e-07, -5.752545603517705e-08,
-     1.1951628599778148e-08, -1.7543241719747647e-11, -1.0091543710600413e-09),
-    (0.004133597883597883, -0.0026813271604938273, 0.0007716049382716049,
-     2.0093878600823047e-06, -0.0001073665322636516, 5.2923448829120125e-05,
-     -1.2760635188618728e-05, 3.423578734096138e-08, 1.3721957309062934e-06,
-     -6.298992138380055e-07, 1.4280614206064242e-07),
-    (0.0006494341563786008, 0.00022947209362139917, -0.0004691894943952557,
-     0.00026772063206283885, -7.561801671883977e-05, -2.396505113867297e-07,
-     1.1082654115347302e-05, -5.6749528269915965e-06, 1.4230900732435883e-06),
-)
-# c_3 .. c_0 for Horner's rule, as (top coefficient, the rest downwards)
-_TEMME_HORNER = tuple((row[-1], row[-2::-1]) for row in reversed(_TEMME_C))
-# |c_4(eta)| <= this for |eta| <= 0.3 (tests/temme_coefficients.py): the
-# first term the expansion omits.
-_TEMME_C4_MAX = 0.0011246989202084807
-_SQRT_2PI = 2.5066282746310002  # sqrt(2*pi)
-
-
-def _gamma_star(s: float) -> float:
-    """Gamma*(s) = Gamma(s) / (sqrt(2*pi/s) * s**s * e**-s) for s > 0, within
-    5 eps (relative) from s = 1e-320 to 1e6: from s = 10, Stirling's series
-    to s**-13 (its first omitted term is below 3e-17 there); below,
-    sqrt(s)*Gamma(s), as Gamma(1 + s)/sqrt(s) under s = 1 (no overflow).
-    """
-    if s >= 10.0:
-        inv_s = 1.0 / s
-        t = inv_s * inv_s
-        head = math.exp(inv_s * (1.0 / 12.0 - t / 360.0))
-        if s > 400.0:  # the rest is below eps/2 from s ~ 382: its exp is 1.0
-            return head
-        tail = 1 / 1260 - t * (1 / 1680 - t * (1 / 1188 - t * (691 / 360360 - t / 156)))
-        return head * math.exp(inv_s * t * t * tail)
-    root = math.gamma(s) * math.sqrt(s) if s >= 1.0 else math.gamma(1.0 + s) / math.sqrt(s)
-    return root * math.exp(s) / (s**s * _SQRT_2PI)
-
-
-def _temme_upper_gamma(s: float, d: float):
-    """Q(s, s - d) by Temme's uniform expansion, for s >= 1000, |eta| <= 0.3.
-
-    With lambda = (s - d)/s, eta**2/2 = lambda - 1 - log(lambda) =
-    -log1pmx(-d/s) and sign(eta) = -sign(d), Temme (SIAM J. Math. Anal. 10,
-    1979; DLMF 8.12) gives the scaled function
-    e**(s*eta**2/2) * Q = e**(s*eta**2/2) * erfc(eta*sqrt(s/2))/2
-                          + sum_k c_k(eta) s**-k / sqrt(2*pi*s).
-    e**(s*eta**2/2) overflows once s*eta**2/2 passes about 700, so the
-    scaled function is returned as its two factors: (s*eta**2/2, Q), with
-    Q = erfc/2 + e**(-s*eta**2/2) * sum / sqrt(2*pi*s). The sum keeps
-    c_0..c_3; the first omitted term, |c_4| s**-4 / sqrt(2*pi*s), is
-    below 1.5e-17 at s = 1000. Returns None outside the expansion's range
-    (including |d| >= s/2, where log1pmx(-d/s) is not needed).
-    """
-    if s < _TEMME_MIN_S or not -0.5 * s < d < 0.5 * s:
-        return None
-    half_eta2 = -log1pmx(-d / s)
-    if half_eta2 > _TEMME_MAX_HALF_ETA2:
-        return None
-    # eta**2/2, about (d/s)**2/2, leaves the normal range and its digits
-    # from s ~ 1e300 on the staffed curves; below 1e-300, s*eta**2/2 is
-    # taken as d*(d/s)/2, good to a relative 2d/(3s)
-    half_s_eta2 = s * half_eta2 if half_eta2 > 1e-300 else 0.5 * d * (d / s)
-    eta = math.sqrt(2.0 * half_eta2)
-    root = math.sqrt(half_s_eta2)  # |eta|*sqrt(s/2)
-    if d > 0.0:
-        eta, root = -eta, -root
-    inv_s = 1.0 / s
-    series = 0.0
-    for c, row in _TEMME_HORNER:
-        for coefficient in row:
-            c = c * eta + coefficient
-        series = series * inv_s + c
-    q = 0.5 * math.erfc(root) + math.exp(-half_s_eta2) * series / (_SQRT_2PI * math.sqrt(s))
-    return half_s_eta2, q
-
-
-def _upper_gamma(s: float, x: float, d: float):
-    """(s*eta**2/2, Q(s, x), rel, Gamma*(s), terms) for 0 < x < s, the gamma
-    route's x = a, with d = s - x as the caller holds it: a slack given
-    apart from a rounded s is more exact than s - x. Q comes from Temme's
-    expansion where it serves (terms = 0), else from the lower-gamma
-    series (terms = its terms after the first), stopped at 10 000 terms
-    (NumericalError), against the prefactor
-    in the normalized form of DiDonato & Morris (ACM TOMS 12, 1986) and
-    Gil, Segura & Temme (SIAM J. Sci. Comput. 34, 2012):
-    x**s e**-x / Gamma(s) = e**-(s*eta**2/2) / (sqrt(2*pi/s) * Gamma*(s)),
-    s*eta**2/2 = x - s - s*log(x/s), taken as -s*log1pmx(-d/s) for
-    |d| < s/2 and as -(s*log(x/s) + d) elsewhere, where 1 - d/s would
-    lose the digits of x/s. rel bounds Q's relative
-    error beyond the prefactor's rounding: Temme's truncation (twice its
-    first omitted term, over Q >= 1/2); for the series' n terms after the
-    first, (n + 4)*eps*P/Q, n ulps for its terms and partial sums and 4
-    for the prefactor where P/Q passes 1 (s*eta**2/2 is small there), with
-    Q floored at half that error (1 - P rounds to 0 below s ~ 1e-12).
-    Below s ~ 5.6e-309 the series' first term 1/s overflows:
-    NumericalError at once, with no term taken.
-    """
-    gamma_star = _gamma_star(s)
-    temme = _temme_upper_gamma(s, d)
-    if temme is not None:
-        return (*temme, 4.0 * _TEMME_C4_MAX * (1.0 / s)**4 / math.sqrt(2.0 * math.pi * s),
-                gamma_star, 0)
-    term = 1.0 / s
-    if term == math.inf:
-        raise NumericalError(f"lower-gamma series: 1/s overflows for s={s}", iterations=0)
-    if -0.5 * s < d < 0.5 * s:
-        half_s_eta2 = -s * log1pmx(-d / s)
-    else:  # x/s held above 0: Q is 1 where it underflows
-        half_s_eta2 = -(s * math.log(x / s or 5e-324) + d)
-    # sqrt(s/(2*pi)), whose s/(2*pi) is subnormal below s ~ 1.4e-307
-    root = math.sqrt(s / (2.0 * math.pi)) if s > 1e-300 else math.sqrt(s) / _SQRT_2PI
-    prefactor = math.exp(-half_s_eta2) * root / gamma_star
-
-    total = term
-    denom = s
-    for n in range(1, _GAMMA_MAX_ITER + 1):
-        denom += 1.0
-        term *= x / denom
-        total += term
-        if term < total * _GAMMA_EPS:  # both positive: s > 0, x > 0
-            p = prefactor * total
-            q = max(1.0 - p, 0.5 * (n + 4) * _EPS * p)
-            return half_s_eta2, q, (n + 4) * _EPS * p / q, gamma_star, n
-    raise NumericalError(
-        f"lower-gamma series failed to converge for s={s}, x={x}",
-        iterations=_GAMMA_MAX_ITER,
-    )
 
 
 _EPS = 2.0**-52

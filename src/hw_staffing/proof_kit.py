@@ -170,8 +170,10 @@ def h_series(x: float, terms: int) -> float:
     For x >= 1 the omitted tail is positive and below the first omitted
     term, so 30 terms give ~1e-33 truncation error. The sum stops, with
     the bits of all terms, at the first term that leaves it unchanged (they
-    fall once n + 3 > 1/x): at most ~170 terms, (n+2)! is inf from n = 169.
-    Below x ~ 1/80, x**-n overflows before they fall, and the sum is -inf.
+    fall once n + 3 > 1/x): at most about 950 terms. Below x ~ 1/80,
+    x**-n would overflow before they fall, so once it passes 1e300 the
+    factorial so far is divided into it: the sum stays within 6e-14
+    (relative) of h down to x ~ 1/720, where h passes the largest double.
     """
     return _h_series(positive_finite(x, "h_series's argument", "x"), count(terms, "terms", 1))
 
@@ -189,6 +191,8 @@ def _h_series(x: float, terms: int) -> float:
         total += term
         power *= inv_x
         factorial *= n + 3.0
+        if power > 1e300:  # fold (n+2)! in before x**-n overflows (only below x ~ 1/80)
+            power, factorial = power / factorial, 1.0
     return -total
 
 

@@ -22,7 +22,7 @@ Every step here is a truncated power series in exact rationals:
    each division by eta drops a constant term that the recurrence makes
    vanish (asserted).
 
-hw_staffing.numerics keeps c_0..c_3 as literal doubles, each truncated
+hw_staffing.erlang keeps c_0..c_3 as literal doubles, each truncated
 where the dropped terms, at |eta| = 0.3 and s = 1000 (the route's
 switch), sum below 2**-66; tests/test_gamma_route.py re-runs this script and
 compares. The script also bounds |c_4(eta)| on |eta| <= 0.3, the first
@@ -123,7 +123,7 @@ def _dropped(coefficients, n, k):
 
 
 def tables():
-    """The literal tables of numerics: for k = 0..3, the doubles nearest the
+    """The literal tables of erlang: for k = 0..3, the doubles nearest the
     Taylor coefficients of c_k, lowest degree first, up to the truncation."""
     out = []
     for k, coefficients in enumerate(temme_series()[:KEPT]):

@@ -209,6 +209,26 @@ class TestSweep:
         assert (out1.with_suffix(".csv")).read_bytes() == (out2.with_suffix(".csv")).read_bytes()
         assert (out1.with_suffix(".svg")).read_bytes() == (out2.with_suffix(".svg")).read_bytes()
 
+    @pytest.mark.parametrize("log_x", [False, True])
+    def test_single_point_figure(self, tmp_path, capsys, log_x):
+        # one point spans no range in x or y: the chart widens both about
+        # it, so the point lands at the centre of the plot area, and each
+        # run writes the same bytes
+        args = ["sweep", "--regime", "hw", "--beta", "1", "--from", "7.5", "--points", "1",
+                "--format", "svg"] + (["--log-x"] if log_x else [])
+        paths = [tmp_path / "one.svg", tmp_path / "two.svg"]
+        for path in paths:
+            assert run_cli(capsys, *args, "--out", str(path))[0] == 0
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+        root = ET.parse(paths[0]).getroot()
+        svg = "{http://www.w3.org/2000/svg}"
+        (polyline,) = root.findall(f".//{svg}polyline")
+        x, y = map(float, polyline.get("points").split(","))
+        frame = root.findall(f"{svg}rect")[-1]  # the plot area's border
+        width, height = float(frame.get("width")), float(frame.get("height"))
+        assert x == pytest.approx(float(frame.get("x")) + width / 2, abs=0.01)
+        assert y == pytest.approx(float(frame.get("y")) + height / 2, abs=0.01)
+
     def test_svg_is_valid_svg_11(self, tmp_path, capsys):
         path = tmp_path / "figure.svg"
         code, _, _ = run_cli(

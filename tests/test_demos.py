@@ -1,6 +1,5 @@
 """Smoke test: the demos run to completion against the package."""
 
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -20,15 +19,11 @@ DEMOS = [
 
 
 def run_demo(demo, cwd):
-    # run from an empty directory: 06_figures writes its SVGs there
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-    )
+    # run from an empty directory: 06_figures writes its SVGs there; the
+    # package comes from PYTHONPATH, which conftest.py points at src
     return subprocess.run(
         [sys.executable, str(ROOT / "demos" / demo)],
         cwd=cwd,
-        env=env,
         capture_output=True,
         text=True,
         timeout=120,

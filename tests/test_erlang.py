@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hw_staffing import erlang, numerics
+from hw_staffing import erlang, halfin_whitt, numerics
 from hw_staffing.erlang import (
     Method,
     erlang_b_integer,
@@ -635,6 +635,19 @@ class TestMinServers:
         at, below = erlang_c_real(float(n), a), erlang_c_real(float(n - 1), a)
         assert at.value - at.error_bound <= epsilon * (1.0 + 1e-12), (n, at)
         assert below.value + below.error_bound > epsilon, (n, below)
+
+    @pytest.mark.parametrize("a, epsilon", [(4.0, 0.2), (25.0, 0.5), (99.9, 1e-3),
+                                            (640.0, 0.05), (1e4, 0.2), (1e6, 1e-8)])
+    def test_start_above_the_answer_walks_down(self, monkeypatch, a, epsilon):
+        # by the paper's theorem C(a + beta*sqrt(a), a) > hw_limit(beta), so
+        # the square-root start is at or below the answer and the walk down
+        # never steps; with beta one too high the start lies about sqrt(a)
+        # servers above the answer, and the walk comes down to it
+        want = min_servers(a, epsilon)
+        beta_for_target = halfin_whitt.beta_for_target
+        monkeypatch.setattr(halfin_whitt, "beta_for_target", lambda e: beta_for_target(e) + 1.0)
+        assert math.ceil(a + (beta_for_target(epsilon) + 1.0) * math.sqrt(a)) > want
+        assert min_servers(a, epsilon) == want
 
     @pytest.mark.parametrize("a", [2.0**53, 1e300])
     def test_loads_from_two_to_the_53_raise_at_once(self, a):

@@ -22,10 +22,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hw_staffing import numerics
+from hw_staffing import erlang
 from hw_staffing.erlang import erlang_c_gamma
 from hw_staffing.errors import NumericalError
-from hw_staffing.numerics import _EPS, _temme_upper_gamma
+from hw_staffing.numerics import _EPS
 
 import oracles
 import temme_coefficients
@@ -39,8 +39,8 @@ def within_bound_of_reference(s, a):
 
 class TestCoefficientTable:
     def test_library_table_is_the_generated_one(self):
-        assert numerics._TEMME_C == temme_coefficients.tables()
-        assert numerics._TEMME_C4_MAX == temme_coefficients.first_omitted_bound()
+        assert erlang._TEMME_C == temme_coefficients.tables()
+        assert erlang._TEMME_C4_MAX == temme_coefficients.first_omitted_bound()
 
     def test_known_values_at_zero(self):
         # Temme (1979), DLMF 8.12: c_0(0) .. c_3(0)
@@ -56,7 +56,7 @@ class TestCoefficientTable:
         script = Path(__file__).with_name("temme_coefficients.py")
         out = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
                              check=True, timeout=60).stdout
-        assert "c_3: 9 terms" in out and repr(numerics._TEMME_C4_MAX) in out
+        assert "c_3: 9 terms" in out and repr(erlang._TEMME_C4_MAX) in out
 
 
 class TestGammaStar:
@@ -71,7 +71,7 @@ class TestGammaStar:
             with mp.workdps(40):
                 s_ = mpf(s)
                 want = mp.gamma(s_) / (mp.sqrt(2 * mp.pi / s_) * s_**s_ * mp.exp(-s_))
-                assert abs(numerics._gamma_star(s) - want) <= 5 * _EPS * want, s
+                assert abs(erlang._gamma_star(s) - want) <= 5 * _EPS * want, s
 
 
 class TestTemmeKernel:
@@ -83,9 +83,8 @@ class TestTemmeKernel:
         # and below the normal range Q keeps an absolute error of a few
         # subnormal ulps
         x = s * ratio
-        half_s_eta2, q = _temme_upper_gamma(s, s - x)
-        if ratio <= 1.0:  # the gamma route's side, x <= s
-            assert numerics._upper_gamma(s, x, s - x)[1] == q
+        half_s_eta2, q, _, _, terms = erlang._upper_gamma(s, x, s - x)
+        assert terms == 0  # Temme's expansion, on both sides of x = s
         want = oracles.upper_gamma_mpmath(s, x)
         tolerance = 16 * _EPS * (1.0 + half_s_eta2) * want + 16 * math.ulp(0.0)
         assert abs(q - want) <= tolerance, (s, x)
@@ -101,12 +100,17 @@ class TestTemmeKernel:
         with mp.workdps(40):  # -s*log1pmx(-u) = d*(u/2 + u**2/3 + ...), u = d/s <= 1e-7
             u = mpf(d) / mpf(s)
             want = mpf(d) * u * (mpf(1) / 2 + u / 3 + u**2 / 4)
-        assert abs(_temme_upper_gamma(s, d)[0] - want) <= 4 * _EPS * want
+        assert abs(erlang._upper_gamma(s, s - d, d)[0] - want) <= 4 * _EPS * want
 
     @pytest.mark.parametrize("s, x", [(999.0, 990.0), (1e6, 0.72e6), (1e6, 1.34e6),
                                       (1e6, 10.0), (1e6, 1e12), (1e300, 1.0)])
     def test_outside_the_switch(self, s, x):
-        assert _temme_upper_gamma(s, s - x) is None
+        # below s = 1000 or past |eta| = 0.3, read from eta itself: at
+        # x > s + 1 the series would not converge
+        half_eta2, _ = erlang._half_eta2(s, x, s - x)
+        assert s < erlang._TEMME_MIN_S or half_eta2 > erlang._TEMME_MAX_HALF_ETA2
+        if x < s:
+            assert erlang._upper_gamma(s, x, s - x)[4] > 0
 
 
 class TestGammaRouteOnTheCurves:
@@ -165,7 +169,7 @@ class TestGammaRouteOnTheCurves:
     def test_where_q_falls_below_its_own_error(self, s, a):
         # 1 - P rounds to 0 below s ~ 1e-12: Q is then half the series'
         # error, with relative error 2, and C keeps a finite bound
-        _, q, rel, _, _ = numerics._upper_gamma(s, a, s - a)
+        _, q, rel, _, _ = erlang._upper_gamma(s, a, s - a)
         assert q > 0.0 and rel == 2.0
         within_bound_of_reference(s, a)
 
@@ -192,7 +196,7 @@ class TestGammaRouteOnTheCurves:
     def test_where_the_reciprocal_prefactor_overflows(self, s, a):
         # s*eta**2/2 past 700: E is taken in logs; C is 0, or subnormal
         # at (520, 52), or near 5e-307 at (500, 50)
-        assert numerics._upper_gamma(s, a, s - a)[0] > 700.0
+        assert erlang._upper_gamma(s, a, s - a)[0] > 700.0
         within_bound_of_reference(s, a)
 
     def test_bound_flat_above_the_switch(self):
@@ -209,7 +213,7 @@ def _eta_edge(s):
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):
             return hi
-        if _temme_upper_gamma(s, s - mid) is None:
+        if erlang._upper_gamma(s, mid, s - mid)[4]:  # the series ran
             lo = mid
         else:
             hi = mid
@@ -222,7 +226,7 @@ class TestSwitch:
             results = []
             for s in (math.nextafter(1000.0, 0.0), 1000.0):
                 a = s - beta * math.sqrt(s)
-                below = _temme_upper_gamma(s, s - a) is None
+                below = erlang._upper_gamma(s, a, s - a)[4] > 0
                 assert below == (s < 1000.0)
                 results.append(within_bound_of_reference(s, a))
             low, high = results
@@ -232,13 +236,13 @@ class TestSwitch:
     def test_across_eta_equals_point_3(self, s):
         inside = _eta_edge(s)
         outside = math.nextafter(inside, 0.0)
-        assert _temme_upper_gamma(s, s - inside) is not None
-        assert _temme_upper_gamma(s, s - outside) is None
+        assert erlang._upper_gamma(s, inside, s - inside)[4] == 0
+        assert erlang._upper_gamma(s, outside, s - outside)[4] > 0
         a, b = within_bound_of_reference(s, inside), within_bound_of_reference(s, outside)
         # one ulp of a moves log(1/C - 1) by about ulp(a)*(1/d + 0.4), far
         # below s*ulp(s)
         moved = s * math.ulp(s) * a.value
         assert abs(a.value - b.value) <= a.error_bound + b.error_bound + moved
-        qa = numerics._upper_gamma(s, inside, s - inside)[1]
-        qb = numerics._upper_gamma(s, outside, s - outside)[1]
+        qa = erlang._upper_gamma(s, inside, s - inside)[1]
+        qb = erlang._upper_gamma(s, outside, s - outside)[1]
         assert qa == pytest.approx(qb, rel=1e-12)

@@ -75,7 +75,7 @@ class TestNormalCdf:
 
 def upper_gamma(s, x):
     """Q(s, x) from the gamma route's kernel, for 0 < x < s + 1."""
-    return numerics._upper_gamma(s, x, s - x)[1]
+    return erlang._upper_gamma(s, x, s - x)[1]
 
 
 class TestUpperGammaRegularized:
@@ -192,6 +192,18 @@ class TestIntegrateSemiInfinite:
 
         assert integrate_semi_infinite(log_integrand, *_gamma_peak(1)) == math.inf
         assert calls == [1.0]
+
+    def test_integral_past_the_largest_double_is_inf_after_a_quadrature(self):
+        # log mass 719 at the peak, between _LOG_MAX and _LOG_MAX + 40: the
+        # quadrature runs, and its sum, e**720, is inf once unscaled
+        calls = []
+
+        def log_integrand(t):
+            calls.append(t)
+            return 720.0 - t
+
+        assert integrate_semi_infinite(log_integrand, *_gamma_peak(1)) == math.inf
+        assert len(calls) > 2
 
     def test_extreme_negative_shift(self):
         value = integrate_semi_infinite(lambda t: -600.0 - t, *_gamma_peak(1))

@@ -286,9 +286,26 @@ class TestHSeries:
             assert h_series(x, 30) == full_loop(x, 30), x
 
     def test_overflowing_power_is_not_nan(self):
-        # x**-n overflowed, then inf/inf: both returned nan
+        # x**-n overflowed, then inf/inf: both returned nan. At x = 0.001 the
+        # 200-term sum is finite, and the full one is -inf, as h is there
+        from mpmath import factorial, fsum, mp, mpf
+
         assert h_series(0.5, 2000) == pytest.approx(h(0.5), rel=1e-15)
-        assert h_series(0.001, 200) == -math.inf
+        with mp.workdps(50):
+            want = -fsum(mpf(0.001) ** -n / factorial(n + 2) for n in range(200))
+        assert h_series(0.001, 200) == pytest.approx(float(want), rel=1e-14)
+        assert h_series(0.001, 10**6) == h(0.001) == -math.inf
+
+    @pytest.mark.parametrize("x", [0.002, 0.005, 0.01, 0.0124, 0.0125])
+    def test_below_one_eightieth_against_mpmath(self, x):
+        # x**-n would overflow before the terms fall: the factorial is
+        # divided into it on the way, and the sum is h to 1e-14, not -inf
+        from mpmath import expm1, mp, mpf
+
+        with mp.workdps(50):
+            want = float(mpf(x) + mpf(x) ** 2 * -expm1(1 / mpf(x)))
+        assert h_series(x, 10**6) == pytest.approx(want, rel=1e-14)
+        assert h_series(x, 1000) == h_series(x, 10**6)
 
     def test_any_term_count_ends(self):
         start = time.perf_counter()
