@@ -492,7 +492,7 @@ def min_servers(a: float, epsilon: float) -> int:
     or below the answer (over 1e5 random (a, epsilon), C(n - 1) at the
     start stayed 1.4e-9 or more above the target, against the 1e-12 tie
     allowance). At most 4 evaluations for a in [1, 1e15] and epsilon in
-    [1e-3, 0.5], about 30 us a call; 16 and 0.5 ms at epsilon =
+    [1e-3, 0.5], 26-42 us a call; 16 and 0.5 ms at epsilon =
     sys.float_info.min (beta ~ 37.6), where the start lies up to 237
     servers low. From a = 2**53, where n and n + 1 are one double,
     DomainError.
@@ -521,17 +521,24 @@ def min_servers(a: float, epsilon: float) -> int:
 def real_staffing_level(a: float, epsilon: float) -> float:
     """Continuous staffing level s* = a + d* with C(a + d*, a) = epsilon.
 
-    The root is sought in the slack d = s - a, as erlang_c_slack takes it.
-    C falls from C(a, a) = 1 at d = 0, known without a quadrature, to 0,
-    so a bracket [0, hi] with hi doubling from max(1, sqrt(a)) holds d*,
-    and bisect_monotone's safeguarded Illinois steps pin it to within
-    max(_STAFFING_TOL, 2*ulp(a)): 1e-9 in s wherever the doubles near s
-    resolve it, and their spacing from a ~ 1e7 up. They solve
-    log C = log epsilon, which is close to linear in d over the bracket
-    where C itself falls by orders of magnitude; log C reads -inf once C
-    underflows to 0. C is computed at most once per d in one call, so the
-    solver's evaluation at the bracket's upper end costs nothing; a call
-    takes about 10 quadratures.
+    The root is sought in the slack d = s - a, as erlang_c_slack takes it,
+    by bisect_monotone's safeguarded Illinois steps on log C = log epsilon,
+    to within max(_STAFFING_TOL, 2*ulp(a)): 1e-9 in s wherever the doubles
+    near s resolve it, and their spacing from a ~ 1e7 up. log C is close to
+    linear in d near the root, and reads -inf once C underflows to 0.
+
+    From a = 1 the bracket is centred on refined square-root staffing,
+    d_ref = beta*sqrt(a) + halfin_whitt._slack_correction(beta) with beta =
+    beta_for_target(epsilon), which lay within 0.5/sqrt(a) of d* on
+    400 seeded (a, epsilon). Its half-width is max(1/sqrt(a), tol), with
+    tol counted only up to d_ref/2: past a ~ 1e30, where the tolerance
+    outgrows the slack, s = a + d rounds to a across [d_ref/2, 3*d_ref/2].
+    An end that misses the root becomes the other end, and the half-width
+    doubles; the lower end stops at d = 0, where C(a, a) = 1 is known
+    without a quadrature. Below a = 1 the bracket starts as [0, 1] and
+    grows the same way. C is computed at most once per d in one call, so the solver's
+    evaluations at the ends cost nothing: a call takes 7-8 quadratures for
+    a in [1, 1e5] and epsilon in [1e-3, 0.5], 7.5 on average.
     """
     a = positive_finite(a, "offered load", "a")
     epsilon = delay_target(epsilon)
@@ -544,8 +551,18 @@ def real_staffing_level(a: float, epsilon: float) -> float:
         return math.log(value) if value > 0.0 else -math.inf
 
     target = math.log(epsilon)
-    hi = max(1.0, math.sqrt(a))
-    while log_c(hi) > target:
-        hi *= 2.0
     tol = max(_STAFFING_TOL, 2.0 * math.ulp(a))
-    return a + bisect_monotone(log_c, 0.0, hi, target, tol).value
+    d_ref, width = 0.0, 1.0  # below a = 1, the bracket [0, 1]
+    if a >= 1.0:
+        from .halfin_whitt import _slack_correction, beta_for_target
+        beta = beta_for_target(epsilon)
+        d_ref = beta * math.sqrt(a) + _slack_correction(beta)
+        width = max(1.0 / math.sqrt(a), min(tol, 0.5 * d_ref))
+    lo, hi = max(d_ref - width, 0.0), d_ref + width
+    while log_c(hi) > target:  # hi short of the root: it becomes lo
+        width *= 2.0
+        lo, hi = hi, hi + width
+    while log_c(lo) < target:  # lo past the root: it becomes hi
+        width *= 2.0
+        lo, hi = max(lo - width, 0.0), lo
+    return a + bisect_monotone(log_c, lo, hi, target, tol).value

@@ -22,7 +22,7 @@ from typing import NamedTuple, Sequence
 from .erlang import _gamma
 from .errors import (
     DomainError, NumericalError, count, delay_target, finite_real, increasing, positive_finite)
-from .numerics import bisect_monotone, normal_cdf, normal_pdf
+from .numerics import _INV_SQRT_2, normal_cdf, normal_pdf
 
 __all__ = [
     "SweepRow",
@@ -38,6 +38,13 @@ __all__ = [
 
 # default_load_grid builds at most this many points.
 _MAX_POINTS = 10**6
+
+_LOG_SQRT_2PI = 0.9189385332046728  # log(sqrt(2*pi))
+_SQRT_2_OVER_PI = 0.7978845608028654  # sqrt(2/pi) = 1/R(0)
+# beta_for_target's tolerance in beta, and a ceiling on its Newton steps:
+# from its start it takes at most 5.
+_BETA_TOL = 1e-12
+_NEWTON_MAX_STEPS = 100
 
 
 class SweepRow(NamedTuple):
@@ -122,14 +129,70 @@ def inverse_load(n: float, beta: float) -> float:
     return n - beta * math.sqrt(n)
 
 
+def _log_mills(beta: float) -> float:
+    """log R(beta) for beta >= 0, R = Phi/phi the Mills ratio of the normal
+    lower tail, as log(erfc(-beta/sqrt(2))/2) + beta**2/2 + log(sqrt(2*pi)):
+    finite wherever beta is, although R itself overflows past beta ~ 37.7."""
+    return math.log(0.5 * math.erfc(-beta * _INV_SQRT_2)) + 0.5 * beta * beta + _LOG_SQRT_2PI
+
+
+def _slack_correction(beta: float) -> float:
+    """The constant of refined square-root staffing, s ~ a + beta*sqrt(a) +
+    _slack_correction(beta) for C(s, a) = hw_limit(beta) (Janssen, van
+    Leeuwaarden & Zwart, Oper. Res. 59, 2011): -I_1/M_2, with the moments
+    M_j = integral_0^inf z**j e**(-z**2/2 + beta*z) dz (M_0 = R, M_1 =
+    1 + beta*R, M_j = beta*M_(j-1) + (j - 1)*M_(j-2)) and I_1 = M_4/3 -
+    beta*M_3/2 - M_2, the 1/sqrt(a) term of 1/C on the staffed curve. The
+    recursion makes I_1 = -beta*M_3/6, so the constant is beta*M_3/(6*M_2),
+    positive and about beta**2/6 at large beta. The moments are taken over
+    R, from 1/R = e**-log R, which underflows harmlessly where R overflows.
+    """
+    m1 = beta + math.exp(-_log_mills(beta))
+    m2 = beta * m1 + 1.0
+    m3 = beta * m2 + 2.0 * m1
+    return beta * m3 / (6.0 * m2)
+
+
 def beta_for_target(epsilon: float) -> float:
-    """Slack beta with hw_limit(beta) = epsilon, to 1e-12 by bisect_monotone."""
+    """Slack beta with hw_limit(beta) = epsilon, to 1e-12, by safeguarded
+    Newton steps.
+
+    hw_limit(beta) = epsilon where g(beta) = log(beta) + log R(beta) -
+    log((1 - epsilon)/epsilon) is 0, R = Phi/phi (_log_mills); g rises
+    with slope 1/beta + 1/R + beta, since R' = 1 + beta*R. The root lies
+    below (1/epsilon - 1)*sqrt(2/pi), as R >= R(0) = sqrt(pi/2), and below
+    max(1, sqrt(2*log(1/epsilon - 1))), as R >= e**(beta**2/2)*sqrt(pi/2).
+    The steps start from that first bound where it is below 0.5 (the
+    small-beta asymptote, as epsilon nears 1), and elsewhere from the
+    large-beta asymptote sqrt(2*(log(1/epsilon - 1) - log(sqrt(2*pi)))),
+    held in [0.5, the bound]. Each step's sign of g moves one end of the
+    bracket [0, bound], and a step that would leave the bracket bisects it
+    instead (rtsafe, Press et al., Numerical Recipes, 3rd ed., 9.4). The
+    solve stops after the first step of at most 1e-12: at most 5 steps,
+    3-5 for epsilon in [1e-3, 0.5], from sys.float_info.min to 1 - 2**-53.
+    """
     epsilon = delay_target(epsilon)
-    hi = 1.0
-    while hw_limit(hi) > epsilon:
-        hi *= 2.0
-    root = bisect_monotone(hw_limit, 0.0, hi, epsilon, 1e-12)
-    return root.value
+    odds = (1.0 - epsilon) / epsilon  # 1 - epsilon is exact from 0.5 up
+    target = math.log(odds)
+    small = odds * _SQRT_2_OVER_PI
+    lo, hi = 0.0, min(small, max(1.0, math.sqrt(2.0 * max(target, 0.0))))
+    if small < 0.5:
+        beta = small
+    else:
+        beta = min(max(math.sqrt(max(2.0 * (target - _LOG_SQRT_2PI), 0.0)), 0.5), hi)
+    for _ in range(_NEWTON_MAX_STEPS):
+        log_r = _log_mills(beta)
+        g = math.log(beta) + log_r - target
+        if g > 0.0:
+            hi = beta
+        else:
+            lo = beta
+        step = g / (1.0 / beta + math.exp(-log_r) + beta)
+        if abs(step) <= _BETA_TOL:
+            return beta - step
+        beta = beta - step if lo < beta - step < hi else 0.5 * (lo + hi)
+    raise NumericalError(f"beta_for_target did not converge for epsilon={epsilon}",
+                         iterations=_NEWTON_MAX_STEPS)
 
 
 def default_load_grid(

@@ -119,9 +119,11 @@ _W_MIN = _T_MIN_EXP * math.log(2.0)
 # evaluations.
 _SPARE_STEPS = 2
 # Its truncation toward the midpoint is _ITP_SHIFT * w**2 / w0 for a
-# bracket of width w out of a first width w0: a fifth of the bracket at
-# the start, vanishing against the Illinois step as the bracket closes.
-_ITP_SHIFT = 0.2
+# bracket of width w out of a first width w0: a hundredth of the bracket
+# at the start, vanishing against the Illinois step as the bracket closes.
+# A larger share holds smooth functions near bisection pace: at 0.2,
+# real_staffing_level took 9.8 quadratures a call, against 7.5 at 0.01.
+_ITP_SHIFT = 0.01
 
 
 def log1pmx(x: float) -> float:
@@ -339,7 +341,7 @@ def bisect_monotone(
     (Dowell & Jarratt, BIT 11, 1971). The point is then safeguarded as in
     the ITP method (Oliveira & Takahashi, ACM TOMS 47, 2021):
 
-    * it moves toward the midpoint by 0.2*w**2/w0 (w the bracket width,
+    * it moves toward the midpoint by 0.01*w**2/w0 (w the bracket width,
       w0 the first), or onto the midpoint if that is nearer, so that it
       cannot crawl along one end while the bracket is wide;
     * it is clamped tol/2 inside the bracket, so that once it lands within
@@ -352,8 +354,9 @@ def bisect_monotone(
       an end.
 
     So f is evaluated at most _SPARE_STEPS times more often than by plain
-    bisection, and on smooth f far less often: about a third as often for
-    real_staffing_level's log C. Stops when the bracket
+    bisection, and on smooth f far less often: real_staffing_level's log C,
+    from a bracket 2/sqrt(a) wide (a in [1, 1e5]), takes 5-6 steps where
+    bisection takes 23-31. Stops when the bracket
     width is <= tol or its midpoint is at floating-point resolution; value
     is then the midpoint. A BracketError for ends that do not bracket the
     target carries the two evaluations as its iterations.

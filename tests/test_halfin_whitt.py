@@ -24,20 +24,25 @@ from hw_staffing.numerics import normal_cdf, normal_pdf
 import oracles
 
 
-def _k_inv(beta):
-    """The inverse curve's first-order coefficient -(beta**2*M_2/2 + I_1)/I_0**2,
-    from the moments M_j = integral_0^inf z**j e**(-z**2/2 + beta*z) dz:
-    M_0 = Phi(beta)/phi(beta), M_1 = 1 + beta*M_0 and
-    M_j = beta*M_(j-1) + (j - 1)*M_(j-2); I_0 = M_1 = 1/hw_limit(beta) and
-    I_1 = M_4/3 - beta*M_3/2 - M_2, the first terms of the staffed curve's
-    expansion 1/C = I_0 + I_1/sqrt(a) + ... (the load-parametrized gap is
-    -I_1/I_0**2). Putting beta*sqrt(s/a) for beta adds the beta**2*M_2/2."""
+def _moments(beta):
+    """(M_0, ..., M_4) and I_1 from the moments M_j = integral_0^inf z**j
+    e**(-z**2/2 + beta*z) dz: M_0 = Phi(beta)/phi(beta), M_1 = 1 + beta*M_0
+    and M_j = beta*M_(j-1) + (j - 1)*M_(j-2); I_0 = M_1 = 1/hw_limit(beta)
+    and I_1 = M_4/3 - beta*M_3/2 - M_2 are the first terms of the staffed
+    curve's expansion 1/C = I_0 + I_1/sqrt(a) + ... (the load-parametrized
+    gap is -I_1/I_0**2)."""
     m = [normal_cdf(beta) / normal_pdf(beta)]
     m.append(1.0 + beta * m[0])
     for j in range(2, 5):
         m.append(beta * m[j - 1] + (j - 1) * m[j - 2])
-    i_0, i_1 = m[1], m[4] / 3.0 - beta * m[3] / 2.0 - m[2]
-    return -(beta**2 * m[2] / 2.0 + i_1) / i_0**2
+    return m, m[4] / 3.0 - beta * m[3] / 2.0 - m[2]
+
+
+def _k_inv(beta):
+    """The inverse curve's first-order coefficient -(beta**2*M_2/2 + I_1)/I_0**2
+    (_moments); putting beta*sqrt(s/a) for beta adds the beta**2*M_2/2."""
+    m, i_1 = _moments(beta)
+    return -(beta**2 * m[2] / 2.0 + i_1) / m[1] ** 2
 
 
 class TestHwLimit:
@@ -146,6 +151,32 @@ class TestBetaForTarget:
     def test_target_below_the_normal_range(self, epsilon):
         with pytest.raises(DomainError, match="sys.float_info.min"):
             beta_for_target(epsilon)
+
+    def test_within_tolerance_of_a_40_digit_root(self):
+        # hw_limit(beta) = eps, taken as log(beta*Phi/phi) = log((1 - eps)/eps),
+        # so that findroot's absolute tolerance cannot stop it where eps is tiny
+        from mpmath import findroot, log, mpf, ncdf, npdf, workdps
+
+        targets = ([sys.float_info.min] + [10.0**-k for k in range(300, 0, -10)]
+                   + [0.0075, 0.01, 0.0103, 0.2, 0.5]
+                   + [1.0 - 10.0**-k for k in range(1, 17)] + [1.0 - 2.0**-53])
+        for epsilon in targets:
+            beta = beta_for_target(epsilon)
+            with workdps(40):
+                e, b = mpf(epsilon), mpf(beta)
+                root = findroot(lambda x: log(x * ncdf(x) / npdf(x)) - log((1 - e) / e),
+                                (b * (1 - mpf(10) ** -6), b * (1 + mpf(10) ** -6)),
+                                solver="anderson")
+                assert abs(b - root) <= 1e-12, (epsilon, beta, root)
+
+
+class TestSlackCorrection:
+    @pytest.mark.parametrize("beta", [0.1, 0.3, 0.5, 1.0, 2.0, 3.0])
+    def test_is_minus_i_1_over_m_2(self, beta):
+        # the refined square-root start of real_staffing_level: a sign slip
+        # there costs quadratures but no accuracy, so only this test sees it
+        m, i_1 = _moments(beta)
+        assert halfin_whitt._slack_correction(beta) == pytest.approx(-i_1 / m[2], rel=1e-13)
 
 
 class TestHwSweep:

@@ -288,10 +288,28 @@ class TestExactWork:
         proof_kit.moment_y(a, beta)
         assert count == calls
 
-    def test_beta_for_target_bisection_evaluations(self):
-        # beta_for_target(0.2)'s solve: its two doubling probes come first
-        root = numerics.bisect_monotone(halfin_whitt.hw_limit, 0.0, 2.0, 0.2, 1e-12)
-        assert root.evaluations == 11
+    def test_beta_for_target_newton_steps(self, monkeypatch):
+        # one Mills ratio a Newton step; at most 5 across [1e-3, 0.5], also
+        # in the pocket 0.0075-0.0103 where bisecting hw_limit took 25-49
+        # evaluations against 11-17 elsewhere
+        steps = [0]
+        log_mills = halfin_whitt._log_mills
+
+        def counted(beta):
+            steps[0] += 1
+            return log_mills(beta)
+
+        monkeypatch.setattr(halfin_whitt, "_log_mills", counted)
+        rng = random.Random(34)
+        pocket = [0.0075 + 0.0028 * k / 49 for k in range(50)]
+        for epsilon in pocket + [10.0 ** rng.uniform(-3.0, math.log10(0.5)) for _ in range(300)]:
+            steps[0] = 0
+            halfin_whitt.beta_for_target(epsilon)
+            assert steps[0] <= 5, (epsilon, steps[0])
+        for epsilon, want in ((0.2, 4), (0.01, 5)):
+            steps[0] = 0
+            halfin_whitt.beta_for_target(epsilon)
+            assert steps[0] == want
 
     @pytest.mark.parametrize("a, beta, terms", [(995.0, 0.1, 265), (968.0, 1.0, 238),
                                                 (1e6, 0.1, 0), (1e15, 3.0, 0)])

@@ -481,6 +481,25 @@ class TestBisectMonotoneWork:
         assert root.value == pytest.approx(math.exp(2.0), abs=1e-12)
         assert len(calls) <= _bisection_evaluations(1.0, 1e4, 1e-12) // 2
 
+    def test_smooth_decreasing_function_from_a_tight_bracket(self):
+        # log erfc, shaped like real_staffing_level's log C, bracketed 0.03
+        # either side of 33 roots (offset by -0.4, 0 and 0.3 of that): 194
+        # evaluations in all, 253 with the ITP truncation at 0.2*w**2/w0,
+        # under which the steps stayed near bisection pace
+        def f(x):
+            return math.log(math.erfc(x))
+
+        evaluations = []
+        for k in range(11):
+            root = 0.5 + 0.25 * k
+            for offset in (-0.4, 0.0, 0.3):
+                lo, hi = root + 0.03 * (offset - 1.0), root + 0.03 * (offset + 1.0)
+                found = bisect_monotone(f, lo, hi, f(root), 1e-9)
+                assert found.value == pytest.approx(root, abs=1e-9)
+                evaluations.append(found.evaluations)
+        assert max(evaluations) <= 8
+        assert sum(evaluations) <= 195
+
     def test_infinite_end_value_falls_back_to_midpoint(self):
         # the regula falsi point is undefined while f(hi) is -inf
         root = bisect_monotone(lambda x: -math.inf if x > 3.0 else -x, 0.0, 10.0, -2.5, 1e-9)
