@@ -12,16 +12,17 @@ Three independent evaluation routes are exposed and cross-validated:
   parts, 1/C(s,a) = 1 + (s-a) * e**a * a**(-s) * Gamma(s) * Q(s,a), taken
   in Temme's normalized variables at every s, with its own kernel here:
   Gamma*(s), and Q from Temme's uniform expansion or the lower-gamma
-  series, whichever _upper_gamma picks. Both sweeps and min_servers
-  take it from the slack itself, through the private _gamma, as
-  erlang_c_slack takes the quadrature: a few microseconds a row or step.
+  series, whichever _upper_gamma picks. Both sweeps and both staffing
+  inversions take it from the slack itself, through the private _gamma,
+  as erlang_c_slack takes the quadrature: a few microseconds a row or step.
 
 Each result carries an error bound, and the routes agree within them. On
 the staffed curves s = a + beta*sqrt(a), at any load, the quadrature's is
 about 1.5e-14 relative and the gamma route's at most 2e-14; the
 recurrence's grows with its steps, about 3*eps*(sqrt(pi*a/2) + n - a), to
-1.8e-11 at a = 1e8. The staffing inversions sit on top of them:
-min_servers on the gamma route, real_staffing_level on the quadrature.
+1.8e-11 at a = 1e8. The staffing inversions sit on top of them: both
+search on the gamma route, and the quadrature certifies each root of
+real_staffing_level, so the two routes check each other at every answer.
 """
 
 from __future__ import annotations
@@ -215,7 +216,8 @@ def erlang_c_slack(d: float, a: float) -> DelayProbability:
     s = a + d. That matters on the square-root-staffed curve at large
     loads: at a = 1e15 rounding s moves beta by up to 2e-9, and C with it
     by more than C(a + beta*sqrt(a), a) falls per half decade of a when
-    beta is small.
+    beta is small. real_staffing_level calls it to certify the root its
+    gamma-route search finds, at the two ends of the answer's tolerance.
     """
     return _quadrature(positive_finite(d, "slack", "d"), positive_finite(a, "offered load", "a"))
 
@@ -354,12 +356,16 @@ def _half_eta2(s: float, x: float, d: float):
     s ~ 1e300 on the staffed curves, so below 1e-300 s*eta**2/2 is taken as
     d*(d/s)/2, good to a relative 2d/(3s). Elsewhere 1 - d/s would lose the
     digits of x/s: eta**2/2 reads inf, past Temme's range, and s*eta**2/2 is
-    -(s*log(x/s) + d), with x/s held above 0 (Q is 1 where it underflows).
+    -(s*log(x/s) + d). Below the normal range x/s keeps fewer digits (one at
+    5e-324, where a subnormal load put C 9e-7 off), and then underflows:
+    there log(x/s) is log x - log s.
     """
     if -0.5 * s < d < 0.5 * s:
         half_eta2 = -log1pmx(-d / s)
         return half_eta2, s * half_eta2 if half_eta2 > 1e-300 else 0.5 * d * (d / s)
-    return math.inf, -(s * math.log(x / s or 5e-324) + d)
+    ratio = x / s
+    log_ratio = math.log(ratio) if ratio >= sys.float_info.min else math.log(x) - math.log(s)
+    return math.inf, -(s * log_ratio + d)
 
 
 def _upper_gamma(s: float, x: float, d: float):
@@ -521,10 +527,11 @@ def min_servers(a: float, epsilon: float) -> int:
 def real_staffing_level(a: float, epsilon: float) -> float:
     """Continuous staffing level s* = a + d* with C(a + d*, a) = epsilon.
 
-    The root is sought in the slack d = s - a, as erlang_c_slack takes it,
-    by bisect_monotone's safeguarded Illinois steps on log C = log epsilon,
-    to within max(_STAFFING_TOL, 2*ulp(a)): 1e-9 in s wherever the doubles
-    near s resolve it, and their spacing from a ~ 1e7 up. log C is close to
+    The root is sought in the slack d = s - a on the gamma route (_gamma
+    at s = a + d, with the slack as given), by bisect_monotone's
+    safeguarded Illinois steps on log C = log epsilon, to within tol/4,
+    tol = max(_STAFFING_TOL, 2*ulp(a)): 1e-9 in s wherever the doubles near
+    s resolve it, and their spacing from a ~ 1e7 up. log C is close to
     linear in d near the root, and reads -inf once C underflows to 0.
 
     From a = 1 the bracket is centred on refined square-root staffing,
@@ -535,10 +542,19 @@ def real_staffing_level(a: float, epsilon: float) -> float:
     outgrows the slack, s = a + d rounds to a across [d_ref/2, 3*d_ref/2].
     An end that misses the root becomes the other end, and the half-width
     doubles; the lower end stops at d = 0, where C(a, a) = 1 is known
-    without a quadrature. Below a = 1 the bracket starts as [0, 1] and
-    grows the same way. C is computed at most once per d in one call, so the solver's
-    evaluations at the ends cost nothing: a call takes 7-8 quadratures for
-    a in [1, 1e5] and epsilon in [1e-3, 0.5], 7.5 on average.
+    without evaluating it. Below a = 1 the bracket starts as [0, 1] and
+    grows the same way. C is computed at most once per d in one call, so
+    the solver's evaluations at the ends cost nothing: a call takes at
+    most 8 gamma evaluations for a in [1, 1e5] and epsilon in [1e-3, 0.5].
+
+    The quadrature then certifies the root d_g: erlang_c_slack's C at
+    d_g - tol/2 (C = 1 with no quadrature where that is at or below 0) and
+    d_g + tol/2 must lie on either side of epsilon, so the answer a + d_g
+    lies within tol/2 of the quadrature's own root, and the two routes
+    check each other at every answer. Two quadratures a call, one where
+    the lower end is d = 0. Where they do not bracket epsilon,
+    NumericalError, with a + d_g as its estimate and the levels the search
+    visited plus the quadratures as its iterations.
     """
     a = positive_finite(a, "offered load", "a")
     epsilon = delay_target(epsilon)
@@ -547,7 +563,7 @@ def real_staffing_level(a: float, epsilon: float) -> float:
     def log_c(d: float) -> float:
         if d == 0.0:
             return 0.0  # C(a, a) = 1
-        value = erlang_c_slack(d, a).value
+        value = _gamma(a + d, d, a).value
         return math.log(value) if value > 0.0 else -math.inf
 
     target = math.log(epsilon)
@@ -565,4 +581,14 @@ def real_staffing_level(a: float, epsilon: float) -> float:
     while log_c(lo) < target:  # lo past the root: it becomes hi
         width *= 2.0
         lo, hi = max(lo - width, 0.0), lo
-    return a + bisect_monotone(log_c, lo, hi, target, tol).value
+    d = bisect_monotone(log_c, lo, hi, target, 0.25 * tol).value
+    # the certificate: the quadrature's root lies within tol/2 of d
+    lo, hi = max(d - 0.5 * tol, 0.0), d + 0.5 * tol
+    c_lo = erlang_c_slack(lo, a).value if lo > 0.0 else 1.0
+    c_hi = erlang_c_slack(hi, a).value
+    if c_lo >= epsilon >= c_hi:
+        return a + d
+    raise NumericalError(
+        f"the quadrature's C(a + d, a) = {c_lo!r}, {c_hi!r} at d = {lo!r}, {hi!r} does not "
+        f"bracket epsilon = {epsilon!r} around the gamma route's root (a={a})",
+        estimate=a + d, iterations=log_c.cache_info().currsize + (2 if lo > 0.0 else 1))

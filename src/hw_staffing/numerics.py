@@ -122,7 +122,8 @@ _SPARE_STEPS = 2
 # bracket of width w out of a first width w0: a hundredth of the bracket
 # at the start, vanishing against the Illinois step as the bracket closes.
 # A larger share holds smooth functions near bisection pace: at 0.2,
-# real_staffing_level took 9.8 quadratures a call, against 7.5 at 0.01.
+# real_staffing_level's search took 9.9 gamma-route evaluations a call,
+# against 7.7 at 0.01.
 _ITP_SHIFT = 0.01
 
 
@@ -354,9 +355,9 @@ def bisect_monotone(
       an end.
 
     So f is evaluated at most _SPARE_STEPS times more often than by plain
-    bisection, and on smooth f far less often: real_staffing_level's log C,
-    from a bracket 2/sqrt(a) wide (a in [1, 1e5]), takes 5-6 steps where
-    bisection takes 23-31. Stops when the bracket
+    bisection, and on smooth f far less often: real_staffing_level's log C
+    on the gamma route, from a bracket 2/sqrt(a) wide (a in [1, 1e5]),
+    takes 5-6 steps where bisection takes 25-33. Stops when the bracket
     width is <= tol or its midpoint is at floating-point resolution; value
     is then the midpoint. A BracketError for ends that do not bracket the
     target carries the two evaluations as its iterations.

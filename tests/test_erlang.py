@@ -22,7 +22,7 @@ from hw_staffing.erlang import (
     min_servers,
     real_staffing_level,
 )
-from hw_staffing.errors import DomainError, NumericalError
+from hw_staffing.errors import DomainError, NumericalError, StaffingError
 from hw_staffing.halfin_whitt import hw_limit
 
 import oracles
@@ -691,7 +691,7 @@ class TestRealStaffingLevel:
 
     @staticmethod
     def _count_quadratures(monkeypatch):
-        # the solver reaches C through erlang_c_slack, one quadrature a call
+        # the certificate reaches C through erlang_c_slack, one quadrature a call
         calls = []
 
         def counted(d, a):
@@ -701,36 +701,69 @@ class TestRealStaffingLevel:
         monkeypatch.setattr(erlang, "erlang_c_slack", counted)
         return calls
 
+    @staticmethod
+    def _count_gamma(monkeypatch):
+        # the search reaches C through _gamma: the slacks it evaluates
+        calls = []
+        gamma = erlang._gamma
+
+        def counted(s, d, a):
+            calls.append(d)
+            return gamma(s, d, a)
+
+        monkeypatch.setattr(erlang, "_gamma", counted)
+        return calls
+
+    @staticmethod
+    def _refined_start_cases():
+        rng = random.Random(34)
+        return [(10.0 ** rng.uniform(0.0, 5.0), 10.0 ** rng.uniform(-3.0, math.log10(0.5)))
+                for _ in range(300)]
+
     def test_quadratures_per_call(self, monkeypatch):
+        # the certificate's two ends, d_g -+ tol/2 (8 quadratures at most
+        # when the search ran on the quadrature, 14 from a bracket [0, hi])
         calls = self._count_quadratures(monkeypatch)
-        per_call = []
         for a in (1.0, 7.0, 50.0, 400.0, 3e3, 2e4, 1e5):
             for epsilon in (1e-3, 0.01, 0.05, 0.2, 0.5):
                 calls.clear()
                 s = real_staffing_level(a, epsilon)
                 assert erlang_c_real(s, a).value == pytest.approx(epsilon, rel=1e-6)
-                per_call.append(len(calls))
-        assert max(per_call) <= 8  # 14 and a median of 10 from a bracket [0, hi]
-        assert sorted(per_call)[len(per_call) // 2] <= 8
+                assert len(calls) == 2, (a, epsilon, calls)
+                assert calls[0] < s - a < calls[1]
+
+    def test_one_quadrature_where_the_lower_end_is_zero(self, monkeypatch):
+        # the root lies within tol/2 of d = 0, where C(a, a) = 1 is known
+        calls = self._count_quadratures(monkeypatch)
+        for a in (0.5, 9.0, 1e4):
+            calls.clear()
+            s = real_staffing_level(a, 1.0 - 2.0**-53)
+            assert len(calls) == 1 and calls[0] > s - a, (a, calls)
 
     def test_quadratures_from_the_refined_start(self, monkeypatch):
         # the root lies within 0.5/sqrt(a) of d_ref = beta*sqrt(a) +
-        # _slack_correction(beta), the bracket's centre; from it a call took
-        # 7.54 quadratures on average here, and 10.3 from the bracket [0, hi]
+        # _slack_correction(beta), the bracket's centre
         calls = self._count_quadratures(monkeypatch)
-        rng = random.Random(34)
-        per_call = []
-        for _ in range(300):
-            a = 10.0 ** rng.uniform(0.0, 5.0)
-            epsilon = 10.0 ** rng.uniform(-3.0, math.log10(0.5))
+        for a, epsilon in self._refined_start_cases():
             calls.clear()
             d = real_staffing_level(a, epsilon) - a
-            per_call.append(len(calls))
+            assert len(calls) == 2, (a, epsilon, calls)
             beta = halfin_whitt.beta_for_target(epsilon)
             d_ref = beta * math.sqrt(a) + halfin_whitt._slack_correction(beta)
             assert abs(d - d_ref) <= 0.5 / math.sqrt(a), (a, epsilon, d, d_ref)
+
+    def test_gamma_evaluations_from_the_refined_start(self, monkeypatch):
+        # 7.67 on average here, all of them the solver's: the bracket around
+        # d_ref has not missed. Solving to tol rather than tol/4 took 7.56,
+        # the quadrature search 7.54 to tol and 10.3 from a bracket [0, hi]
+        calls = self._count_gamma(monkeypatch)
+        per_call = []
+        for a, epsilon in self._refined_start_cases():
+            calls.clear()
+            real_staffing_level(a, epsilon)
+            per_call.append(len(calls))
         assert max(per_call) <= 8
-        assert sum(per_call) <= 7.6 * len(per_call)
+        assert sum(per_call) <= 7.7 * len(per_call)
 
     @pytest.mark.parametrize("a", [1e7, 1e8, 1e10, 1e12])
     @pytest.mark.parametrize("epsilon", [1e-2, 1e-6])
@@ -738,19 +771,42 @@ class TestRealStaffingLevel:
         # the tolerance widens with the doubles near s, so the solver stops
         # short of bisecting to floating-point resolution
         calls = self._count_quadratures(monkeypatch)
+        gamma_calls = self._count_gamma(monkeypatch)
         s = real_staffing_level(a, epsilon)
-        assert len(calls) <= 7, calls
+        assert len(calls) == 2, calls
+        assert len(gamma_calls) <= 8, gamma_calls
         assert erlang_c_slack(s - a, a).value == pytest.approx(epsilon, rel=1e-5)
 
     def test_no_level_evaluated_twice(self, monkeypatch):
         # the bracket's upper end is where the solver starts: C there is reused
-        calls = self._count_quadratures(monkeypatch)
+        calls = self._count_gamma(monkeypatch)
         for a in (1.0, 7.0, 50.0, 400.0, 3e3, 2e4, 1e5):
             for epsilon in (1e-3, 0.01, 0.05, 0.2, 0.5):
                 calls.clear()
                 real_staffing_level(a, epsilon)
                 assert calls and len(calls) == len(set(calls)), (a, epsilon, calls)
-                assert 0.0 not in calls  # C(a, a) = 1 needs no quadrature
+                assert 0.0 not in calls  # C(a, a) = 1 needs no evaluation
+
+    def test_certificate_rejects_a_drifted_gamma_route(self, monkeypatch):
+        # with the gamma route's C read 1e-6 high, its root moves by about
+        # 1e-6/|d log C/dd|, far past tol/2 = 5e-10: the quadrature refuses
+        # it, and the error carries the drifted root as its estimate
+        s = real_staffing_level(100.0, 0.2)
+        gamma = erlang._gamma
+
+        def drifted(s, d, a):
+            result = gamma(s, d, a)
+            return result._replace(value=result.value * (1.0 + 1e-6))
+
+        monkeypatch.setattr(erlang, "_gamma", drifted)
+        with monkeypatch.context() as m:  # both routes drifted: the certificate holds
+            m.setattr(erlang, "erlang_c_slack", lambda d, a: drifted(a + d, d, a))
+            estimate = real_staffing_level(100.0, 0.2)
+        assert estimate - s > 1e-6
+        with pytest.raises(NumericalError, match="bracket epsilon") as caught:
+            real_staffing_level(100.0, 0.2)
+        assert caught.value.estimate == estimate
+        assert caught.value.iterations >= 3
 
     @pytest.mark.parametrize("a,epsilon,s", [
         (1e8, 0.5, 100005060.70027193),
@@ -786,3 +842,45 @@ class TestRealStaffingLevel:
         # C underflows to 0 on the way to the bracket: log C is then -inf
         s = real_staffing_level(a, 1e-300)
         assert erlang_c_real(s, a).value == pytest.approx(1e-300, rel=1e-7)
+
+    @pytest.mark.parametrize("a", [10.0**k for k in range(-2, 16)] + [1e30, 1e300])
+    @pytest.mark.parametrize("epsilon", [sys.float_info.min, 1e-3, 0.2, 1.0 - 2.0**-53])
+    def test_domain(self, a, epsilon):
+        # an answer s has the quadrature's C on either side of epsilon over
+        # s -+ tol/2, in the slack; or the call raises a StaffingError; each
+        # well within 50 ms (3 ms at worst when measured, a = 1 at
+        # sys.float_info.min)
+        tol = max(1e-9, 2.0 * math.ulp(a))
+        start = time.perf_counter()
+        try:
+            s = real_staffing_level(a, epsilon)
+        except StaffingError:
+            s = None
+        assert time.perf_counter() - start <= 0.05
+        if s is not None:
+            lo, hi = max(s - a - 0.5 * tol, 0.0), s - a + 0.5 * tol
+            c_lo = erlang_c_slack(lo, a).value if lo > 0.0 else 1.0
+            assert c_lo >= epsilon >= erlang_c_slack(hi, a).value, (s, lo, hi)
+
+    @pytest.mark.parametrize("a", [5e-324, 1e-320])
+    @pytest.mark.parametrize("epsilon", [sys.float_info.min, 1e-3, 0.2])
+    def test_certified_at_subnormal_loads(self, a, epsilon):
+        # the certificate refused these while the gamma route read log(a/s)
+        # from a subnormal a/s
+        s = real_staffing_level(a, epsilon)
+        assert erlang_c_slack(s - a, a).value == pytest.approx(epsilon, rel=1e-6)
+
+    def test_against_mpmath(self):
+        # C at the answer misses epsilon by at most the two routes' error,
+        # twice the quadrature's bound, plus the slope of C times the width
+        # the root is pinned to
+        rng = random.Random(35)
+        c = oracles.erlang_c_mpmath
+        tol = 1e-9
+        for _ in range(12):
+            a = 10.0 ** rng.uniform(0.0, 5.0)
+            epsilon = 10.0 ** rng.uniform(-3.0, math.log10(0.5))
+            s = real_staffing_level(a, epsilon)
+            slope = (c(s - tol, a) - c(s + tol, a)) / (2.0 * tol)
+            bound = erlang_c_real(s, a).error_bound
+            assert abs(c(s, a) - epsilon) <= 2.0 * bound + slope * tol, (a, epsilon, s)

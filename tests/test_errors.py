@@ -188,3 +188,16 @@ def test_hostile_values_return_or_raise_typed_errors_in_time(name):
     finally:
         signal.signal(signal.SIGALRM, previous)
     assert escapes == []
+
+
+def test_real_staffing_level_certifies_at_hostile_values():
+    # the quadrature confirms the gamma route's root wherever the arguments
+    # pass the gate: an answer or a DomainError, never a NumericalError
+    answers = 0
+    for a, epsilon in itertools.product(_HOSTILE, repeat=2):
+        try:
+            hw_staffing.real_staffing_level(a, epsilon)
+            answers += 1
+        except DomainError:
+            pass
+    assert answers > 0

@@ -225,6 +225,16 @@ class TestGammaSeries:
             want = oracles.erlang_c_gammainc(s, a)
             assert abs(result.value - want) <= result.error_bound, (s, a, result, want)
 
+    @pytest.mark.parametrize("a", [5e-324, 1e-320, 1e-310, 1e-300])
+    def test_erlang_gamma_at_subnormal_ratios(self, a):
+        # a/s below the normal range keeps few digits: log(a/s) read from
+        # it put C 8.9e-7 off at a = 5e-324 (bound 8e-15), and 6e-11 off at
+        # 1e-320; it is log a - log s there
+        for d in (1e-6, 0.0021636159157122593, 0.5, 3.0, 50.0):
+            result = erlang._gamma(a + d, d, a)
+            want = oracles.erlang_c_gammainc(a + d, a)
+            assert abs(result.value - want) <= result.error_bound, (a, d, result, want)
+
 
 def _staffing_cases():
     rng = random.Random(29)
@@ -340,6 +350,43 @@ class TestExactWork:
             counts[0] = 0
             min_servers(a, epsilon)
             assert counts[0] <= 4, (a, epsilon, counts[0])
+
+    @pytest.mark.parametrize("a, epsilon", [(1.0, 0.5), (37.0, 0.2), (2.5e3, 0.01), (1e5, 1e-3)])
+    def test_staffing_request_work(self, monkeypatch, a, epsilon):
+        # one whole request of perfbench's staffing workload, phase by phase:
+        # gamma-route evaluations, quadratures and beta_for_target's Newton
+        # steps (one Mills ratio each)
+        work = {"gamma": 0, "quadrature": 0, "newton": 0}
+
+        def counting(module, name, key):
+            original = getattr(module, name)
+
+            def counted(*args):
+                work[key] += 1
+                return original(*args)
+
+            monkeypatch.setattr(module, name, counted)
+
+        counting(erlang, "_gamma", "gamma")
+        counting(erlang, "_quadrature", "quadrature")
+        counting(halfin_whitt, "_log_mills", "newton")
+
+        def spent(f, *args):
+            for key in work:
+                work[key] = 0
+            return f(*args), dict(work)
+
+        n, work_n = spent(min_servers, a, epsilon)
+        assert work_n["gamma"] <= 4 and work_n["quadrature"] == 0, work_n
+        s, work_s = spent(real_staffing_level, a, epsilon)
+        assert work_s["gamma"] <= 8 and work_s["quadrature"] == 2, work_s
+        beta, work_beta = spent(halfin_whitt.beta_for_target, epsilon)
+        assert work_beta["newton"] <= 5 and work_beta["gamma"] == 0, work_beta
+        s_hw, work_hw = spent(halfin_whitt.staffing, a, beta)
+        assert work_hw == {"gamma": 0, "quadrature": 0, "newton": 0}
+        _, work_c = spent(erlang_c_gamma, s_hw, a)
+        assert work_c == {"gamma": 1, "quadrature": 0, "newton": 0}
+        assert n - 1 <= s <= n
 
     @pytest.mark.parametrize("a, calls", [(1e-2, 14), (4.0, 16), (1e2, 16),
                                           (1e4, 16), (1e6, 16), (1e15, 16)])
