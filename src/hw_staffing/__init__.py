@@ -23,10 +23,10 @@ _MODULE_OF = {
     name: module
     for module, names in {
         "erlang": "DelayProbability Method erlang_b_integer erlang_c_gamma erlang_c_integer "
-        "erlang_c_real erlang_c_slack min_servers real_staffing_level",
+        "erlang_c_real erlang_c_slack",
         "errors": "BracketError DomainError NumericalError StaffingError",
         "halfin_whitt": "SweepResult SweepRow beta_for_target default_load_grid hw_limit "
-        "hw_sweep inverse_load inverse_sweep staffing",
+        "hw_sweep inverse_load inverse_sweep min_servers real_staffing_level staffing",
         "mmn_oracle": "SimConfig SimEstimate birth_death_wait_prob simulate_mmn",
         "numerics": "BracketedRoot bisect_monotone integrate_semi_infinite normal_cdf normal_pdf",
         "proof_kit": "OrderReport cdf_x check_stochastic_order density_g density_y h h_series "

@@ -37,8 +37,8 @@ def fmt(x: float) -> str:
 
 def _cmd_compute(args) -> int:
     s, a = args.s, args.a
-    # auto takes the gamma route: 4-18 us at any s and load, and at least as
-    # tight a bound as the others on the staffed curves from a = 1e2
+    # auto takes the gamma route: one assembly at any s and load, and at least
+    # as tight a bound as the others on the staffed curves from a = 1e2
     method = "gamma" if args.method == "auto" else args.method
     results = []  # erlang_c_integer rejects a fractional s
     if method == "recurrence" or (method == "all" and float(s).is_integer()):
@@ -76,9 +76,9 @@ def _cmd_staff(args) -> int:
     if args.a is None:
         raise DomainError(f"--a is required for mode {args.mode}")
     if args.mode == "integer":
-        print(f"n = {erlang.min_servers(args.a, args.epsilon)}")
+        print(f"n = {halfin_whitt.min_servers(args.a, args.epsilon)}")
     else:
-        print(f"s = {fmt(erlang.real_staffing_level(args.a, args.epsilon))}")
+        print(f"s = {fmt(halfin_whitt.real_staffing_level(args.a, args.epsilon))}")
     return _EXIT_OK
 
 

@@ -20,23 +20,18 @@ Each result carries an error bound, and the routes agree within them. On
 the staffed curves s = a + beta*sqrt(a), at any load, the quadrature's is
 about 1.5e-14 relative and the gamma route's at most 2e-14; the
 recurrence's grows with its steps, about 3*eps*(sqrt(pi*a/2) + n - a), to
-1.8e-11 at a = 1e8. The staffing inversions sit on top of them: both
-search on the gamma route, and the quadrature certifies each root of
-real_staffing_level, so the two routes check each other at every answer.
+1.8e-11 at a = 1e8.
 """
 
 from __future__ import annotations
 
-import bisect
 import enum
-import functools
 import math
 import sys
 from typing import NamedTuple
 
-from .errors import (DomainError, NumericalError, count, delay_target, finite_real,
-                     positive_finite, work_ceiling)
-from .numerics import _EPS, _LOG_MAX, _PEAK_OVERFLOW_NATS, _trapezoid, bisect_monotone, log1pmx
+from .errors import DomainError, NumericalError, count, finite_real, positive_finite, work_ceiling
+from .numerics import _EPS, _LOG_MAX, _PEAK_OVERFLOW_NATS, _trapezoid, log1pmx
 
 __all__ = [
     "Method",
@@ -46,8 +41,6 @@ __all__ = [
     "erlang_c_real",
     "erlang_c_slack",
     "erlang_c_gamma",
-    "min_servers",
-    "real_staffing_level",
 ]
 
 # Rounding allowances, in ulps of the size of the terms that set each
@@ -65,12 +58,6 @@ _SLACK_SQRTS_UNDERFLOW = 1e3
 # erlang_b_integer starts K = _WARM_START_SQRTS multiples of sqrt(a) below
 # min(n, a); its docstring derives the value.
 _WARM_START_SQRTS = 10
-
-# Accept C(n,a) == epsilon as "meeting" an SLA target epsilon up to this
-# relative slack, so exact-boundary targets resolve deterministically.
-_TIE_REL_TOL = 1e-12
-# real_staffing_level pins s* to this width in s.
-_STAFFING_TOL = 1e-9
 
 
 class Method(enum.Enum):
@@ -483,112 +470,3 @@ def _gamma(s: float, d: float, a: float) -> DelayProbability:
     rel_e = _GAMMA_ULPS * _EPS * (1.0 + half_s_eta2) + rel_q
     return DelayProbability(value, Method.GAMMA_CLOSED_FORM,
                             value * ((1.0 - value) * rel_e + 2.0 * _EPS), terms)
-
-
-def min_servers(a: float, epsilon: float) -> int:
-    """Smallest integer n > a with C(n, a) <= epsilon.
-
-    Searches on the gamma route (_gamma at the slack n - a) from the
-    square-root start max(floor(a) + 1, ceil(a + beta*sqrt(a))), beta =
-    beta_for_target(epsilon): if C(n) meets the target, down while C(n - 1)
-    meets it and n - 1 > a; else up in doubling steps, then by bisection,
-    to an n that meets it next to one that misses. The walk down is a guard
-    that has not been seen to step: by the paper's theorem
-    C(a + beta*sqrt(a), a) > hw_limit(beta) = epsilon, so the start lies at
-    or below the answer (over 1e5 random (a, epsilon), C(n - 1) at the
-    start stayed 1.4e-9 or more above the target, against the 1e-12 tie
-    allowance). At most 4 evaluations for a in [1, 1e15] and epsilon in
-    [1e-3, 0.5], 26-42 us a call; 16 and 0.5 ms at epsilon =
-    sys.float_info.min (beta ~ 37.6), where the start lies up to 237
-    servers low. From a = 2**53, where n and n + 1 are one double,
-    DomainError.
-    """
-    a = positive_finite(a, "offered load", "a")
-    epsilon = delay_target(epsilon)
-    if a >= 2.0**53:
-        raise DomainError(f"min_servers requires a < 2**53, got a={a}")
-    from .halfin_whitt import beta_for_target
-    limit, floor_a = epsilon * (1.0 + _TIE_REL_TOL), math.floor(a)
-
-    def meets(n: int) -> bool:  # the slack n - a rounds once, also past 2**53
-        return _gamma(float(n), (n - floor_a) - (a - floor_a), a).value <= limit
-
-    n = max(floor_a + 1, math.ceil(a + beta_for_target(epsilon) * math.sqrt(a)))
-    if meets(n):
-        while n - 1 > a and meets(n - 1):
-            n -= 1
-        return n
-    step = 1  # n misses: up in doubling steps, then bisect (n, n + step]
-    while not meets(n + step):
-        n, step = n + step, 2 * step
-    return n + 1 + bisect.bisect_left(range(n + 1, n + step), True, key=meets)
-
-
-def real_staffing_level(a: float, epsilon: float) -> float:
-    """Continuous staffing level s* = a + d* with C(a + d*, a) = epsilon.
-
-    The root is sought in the slack d = s - a on the gamma route (_gamma
-    at s = a + d, with the slack as given), by bisect_monotone's
-    safeguarded Illinois steps on log C = log epsilon, to within tol/4,
-    tol = max(_STAFFING_TOL, 2*ulp(a)): 1e-9 in s wherever the doubles near
-    s resolve it, and their spacing from a ~ 1e7 up. log C is close to
-    linear in d near the root, and reads -inf once C underflows to 0.
-
-    From a = 1 the bracket is centred on refined square-root staffing,
-    d_ref = beta*sqrt(a) + halfin_whitt._slack_correction(beta) with beta =
-    beta_for_target(epsilon), which lay within 0.5/sqrt(a) of d* on
-    400 seeded (a, epsilon). Its half-width is max(1/sqrt(a), tol), with
-    tol counted only up to d_ref/2: past a ~ 1e30, where the tolerance
-    outgrows the slack, s = a + d rounds to a across [d_ref/2, 3*d_ref/2].
-    An end that misses the root becomes the other end, and the half-width
-    doubles; the lower end stops at d = 0, where C(a, a) = 1 is known
-    without evaluating it. Below a = 1 the bracket starts as [0, 1] and
-    grows the same way. C is computed at most once per d in one call, so
-    the solver's evaluations at the ends cost nothing: a call takes at
-    most 8 gamma evaluations for a in [1, 1e5] and epsilon in [1e-3, 0.5].
-
-    The quadrature then certifies the root d_g: erlang_c_slack's C at
-    d_g - tol/2 (C = 1 with no quadrature where that is at or below 0) and
-    d_g + tol/2 must lie on either side of epsilon, so the answer a + d_g
-    lies within tol/2 of the quadrature's own root, and the two routes
-    check each other at every answer. Two quadratures a call, one where
-    the lower end is d = 0. Where they do not bracket epsilon,
-    NumericalError, with a + d_g as its estimate and the levels the search
-    visited plus the quadratures as its iterations.
-    """
-    a = positive_finite(a, "offered load", "a")
-    epsilon = delay_target(epsilon)
-
-    @functools.cache
-    def log_c(d: float) -> float:
-        if d == 0.0:
-            return 0.0  # C(a, a) = 1
-        value = _gamma(a + d, d, a).value
-        return math.log(value) if value > 0.0 else -math.inf
-
-    target = math.log(epsilon)
-    tol = max(_STAFFING_TOL, 2.0 * math.ulp(a))
-    d_ref, width = 0.0, 1.0  # below a = 1, the bracket [0, 1]
-    if a >= 1.0:
-        from .halfin_whitt import _slack_correction, beta_for_target
-        beta = beta_for_target(epsilon)
-        d_ref = beta * math.sqrt(a) + _slack_correction(beta)
-        width = max(1.0 / math.sqrt(a), min(tol, 0.5 * d_ref))
-    lo, hi = max(d_ref - width, 0.0), d_ref + width
-    while log_c(hi) > target:  # hi short of the root: it becomes lo
-        width *= 2.0
-        lo, hi = hi, hi + width
-    while log_c(lo) < target:  # lo past the root: it becomes hi
-        width *= 2.0
-        lo, hi = max(lo - width, 0.0), lo
-    d = bisect_monotone(log_c, lo, hi, target, 0.25 * tol).value
-    # the certificate: the quadrature's root lies within tol/2 of d
-    lo, hi = max(d - 0.5 * tol, 0.0), d + 0.5 * tol
-    c_lo = erlang_c_slack(lo, a).value if lo > 0.0 else 1.0
-    c_hi = erlang_c_slack(hi, a).value
-    if c_lo >= epsilon >= c_hi:
-        return a + d
-    raise NumericalError(
-        f"the quadrature's C(a + d, a) = {c_lo!r}, {c_hi!r} at d = {lo!r}, {hi!r} does not "
-        f"bracket epsilon = {epsilon!r} around the gamma route's root (a={a})",
-        estimate=a + d, iterations=log_c.cache_info().currsize + (2 if lo > 0.0 else 1))

@@ -1,4 +1,4 @@
-"""Square-root staffing and its heavy-traffic limit.
+"""Square-root staffing, its heavy-traffic limit, and the staffing inversions.
 
 The staffing rule s = a + beta*sqrt(a) keeps the delay probability
 C(a + beta*sqrt(a), a) nondegenerate as the offered load a grows; its limit
@@ -12,17 +12,24 @@ share one loop, one route (the gamma route at the slack) and one row type
 * the server-parametrized curve C(s, s - beta*sqrt(s)) is NOT claimed to be
   monotone -- inverse_sweep only emits the data. Its measured shape is in
   inverse_sweep's docstring.
+
+The staffing inversions min_servers and real_staffing_level search from
+square-root staffing at beta = beta_for_target(epsilon). Both search on
+the gamma route, and the quadrature certifies each root of
+real_staffing_level, so the two routes check each other at every answer.
 """
 
 from __future__ import annotations
 
+import bisect
+import functools
 import math
 from typing import NamedTuple, Sequence
 
-from .erlang import _gamma
+from .erlang import _gamma, erlang_c_slack
 from .errors import (
     DomainError, NumericalError, count, delay_target, finite_real, increasing, positive_finite)
-from .numerics import _INV_SQRT_2, normal_cdf, normal_pdf
+from .numerics import _INV_SQRT_2, bisect_monotone, normal_cdf, normal_pdf
 
 __all__ = [
     "SweepRow",
@@ -31,6 +38,8 @@ __all__ = [
     "staffing",
     "inverse_load",
     "beta_for_target",
+    "min_servers",
+    "real_staffing_level",
     "hw_sweep",
     "inverse_sweep",
     "default_load_grid",
@@ -45,6 +54,12 @@ _SQRT_2_OVER_PI = 0.7978845608028654  # sqrt(2/pi) = 1/R(0)
 # from its start it takes at most 5.
 _BETA_TOL = 1e-12
 _NEWTON_MAX_STEPS = 100
+
+# Accept C(n,a) == epsilon as "meeting" an SLA target epsilon up to this
+# relative slack, so exact-boundary targets resolve deterministically.
+_TIE_REL_TOL = 1e-12
+# real_staffing_level pins s* to this width in s.
+_STAFFING_TOL = 1e-9
 
 
 class SweepRow(NamedTuple):
@@ -195,6 +210,112 @@ def beta_for_target(epsilon: float) -> float:
                          iterations=_NEWTON_MAX_STEPS)
 
 
+def min_servers(a: float, epsilon: float) -> int:
+    """Smallest integer n > a with C(n, a) <= epsilon.
+
+    Searches on the gamma route (_gamma at the slack n - a) from the
+    square-root start max(floor(a) + 1, ceil(a + beta*sqrt(a))), beta =
+    beta_for_target(epsilon): if C(n) meets the target, down while C(n - 1)
+    meets it and n - 1 > a; else up in doubling steps, then by bisection,
+    to an n that meets it next to one that misses. The walk down is a guard
+    that has not been seen to step: by the paper's theorem
+    C(a + beta*sqrt(a), a) > hw_limit(beta) = epsilon, so the start lies at
+    or below the answer (over 1e5 random (a, epsilon), C(n - 1) at the
+    start stayed 1.4e-9 or more above the target, against the 1e-12 tie
+    allowance). At most 4 evaluations for a in [1, 1e15] and epsilon in
+    [1e-3, 0.5]; 16 at epsilon = sys.float_info.min (beta ~ 37.6), where
+    the start lies up to 237 servers low. From a = 2**53, where n and
+    n + 1 are one double, DomainError.
+    """
+    a = positive_finite(a, "offered load", "a")
+    epsilon = delay_target(epsilon)
+    if a >= 2.0**53:
+        raise DomainError(f"min_servers requires a < 2**53, got a={a}")
+    limit, floor_a = epsilon * (1.0 + _TIE_REL_TOL), math.floor(a)
+
+    def meets(n: int) -> bool:  # the slack n - a rounds once, also past 2**53
+        return _gamma(float(n), (n - floor_a) - (a - floor_a), a).value <= limit
+
+    n = max(floor_a + 1, math.ceil(a + beta_for_target(epsilon) * math.sqrt(a)))
+    if meets(n):
+        while n - 1 > a and meets(n - 1):
+            n -= 1
+        return n
+    step = 1  # n misses: up in doubling steps, then bisect (n, n + step]
+    while not meets(n + step):
+        n, step = n + step, 2 * step
+    return n + 1 + bisect.bisect_left(range(n + 1, n + step), True, key=meets)
+
+
+def real_staffing_level(a: float, epsilon: float) -> float:
+    """Continuous staffing level s* = a + d* with C(a + d*, a) = epsilon.
+
+    The root is sought in the slack d = s - a on the gamma route (_gamma
+    at s = a + d, with the slack as given), by bisect_monotone's
+    safeguarded Illinois steps on log C = log epsilon, to within tol/4,
+    tol = max(_STAFFING_TOL, 2*ulp(a)): 1e-9 in s wherever the doubles near
+    s resolve it, and their spacing from a ~ 1e7 up. log C is close to
+    linear in d near the root, and reads -inf once C underflows to 0.
+
+    From a = 1 the bracket is centred on refined square-root staffing,
+    d_ref = beta*sqrt(a) + _slack_correction(beta) with beta =
+    beta_for_target(epsilon), which lay within 0.5/sqrt(a) of d* on
+    400 seeded (a, epsilon). Its half-width is max(1/sqrt(a), tol), with
+    tol counted only up to d_ref/2: past a ~ 1e30, where the tolerance
+    outgrows the slack, s = a + d rounds to a across [d_ref/2, 3*d_ref/2].
+    An end that misses the root becomes the other end, and the half-width
+    doubles; the lower end stops at d = 0, where C(a, a) = 1 is known
+    without evaluating it. Below a = 1 the bracket starts as [0, 1] and
+    grows the same way. C is computed at most once per d in one call, so
+    the solver's evaluations at the ends cost nothing: a call takes at
+    most 8 gamma evaluations for a in [1, 1e5] and epsilon in [1e-3, 0.5].
+
+    The quadrature then certifies the root d_g: erlang_c_slack's C at
+    d_g - tol/2 (C = 1 with no quadrature where that is at or below 0) and
+    d_g + tol/2 must lie on either side of epsilon, so the answer a + d_g
+    lies within tol/2 of the quadrature's own root, and the two routes
+    check each other at every answer. Two quadratures a call, one where
+    the lower end is d = 0. Where they do not bracket epsilon,
+    NumericalError, with a + d_g as its estimate and the levels the search
+    visited plus the quadratures as its iterations.
+    """
+    a = positive_finite(a, "offered load", "a")
+    epsilon = delay_target(epsilon)
+
+    @functools.cache
+    def log_c(d: float) -> float:
+        if d == 0.0:
+            return 0.0  # C(a, a) = 1
+        value = _gamma(a + d, d, a).value
+        return math.log(value) if value > 0.0 else -math.inf
+
+    target = math.log(epsilon)
+    tol = max(_STAFFING_TOL, 2.0 * math.ulp(a))
+    d_ref, width = 0.0, 1.0  # below a = 1, the bracket [0, 1]
+    if a >= 1.0:
+        beta = beta_for_target(epsilon)
+        d_ref = beta * math.sqrt(a) + _slack_correction(beta)
+        width = max(1.0 / math.sqrt(a), min(tol, 0.5 * d_ref))
+    lo, hi = max(d_ref - width, 0.0), d_ref + width
+    while log_c(hi) > target:  # hi short of the root: it becomes lo
+        width *= 2.0
+        lo, hi = hi, hi + width
+    while log_c(lo) < target:  # lo past the root: it becomes hi
+        width *= 2.0
+        lo, hi = max(lo - width, 0.0), lo
+    d = bisect_monotone(log_c, lo, hi, target, 0.25 * tol).value
+    # the certificate: the quadrature's root lies within tol/2 of d
+    lo, hi = max(d - 0.5 * tol, 0.0), d + 0.5 * tol
+    c_lo = erlang_c_slack(lo, a).value if lo > 0.0 else 1.0
+    c_hi = erlang_c_slack(hi, a).value
+    if c_lo >= epsilon >= c_hi:
+        return a + d
+    raise NumericalError(
+        f"the quadrature's C(a + d, a) = {c_lo!r}, {c_hi!r} at d = {lo!r}, {hi!r} does not "
+        f"bracket epsilon = {epsilon!r} around the gamma route's root (a={a})",
+        estimate=a + d, iterations=log_c.cache_info().currsize + (2 if lo > 0.0 else 1))
+
+
 def default_load_grid(
     lo: float = 0.01, hi: float = 1e4, points: int = 40, log_spaced: bool = True
 ) -> tuple[float, ...]:
@@ -253,8 +374,8 @@ def hw_sweep(beta: float, a_grid: Sequence[float]) -> SweepResult:
     the smallest gap above the limit; the curve is verified when both are
     positive. C comes from the gamma route at the slack beta*sqrt(a)
     itself (erlang._gamma), so the rounding of the row's s cannot make the
-    curve jitter at large loads. A row costs 4-18 us and no quadrature, and
-    its bound is at most 2e-14 relative for betas 0.1 to 3 at any load:
+    curve jitter at large loads. A row costs no quadrature, and its bound
+    is at most 2e-14 relative for betas 0.1 to 3 at any load:
     41-point grids from a = 1 certify betas 0.1, 1 and 3 to 1e26.
     """
     rows = _sweep_rows(beta, a_grid, hw=True)

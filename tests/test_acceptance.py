@@ -12,14 +12,16 @@ from fractions import Fraction
 
 from hw_staffing import erlang
 from hw_staffing.cli import main as cli_main
-from hw_staffing.erlang import (
-    erlang_c_gamma,
-    erlang_c_integer,
-    erlang_c_real,
+from hw_staffing.erlang import erlang_c_gamma, erlang_c_integer, erlang_c_real
+from hw_staffing.halfin_whitt import (
+    beta_for_target,
+    default_load_grid,
+    hw_limit,
+    hw_sweep,
     min_servers,
     real_staffing_level,
+    staffing,
 )
-from hw_staffing.halfin_whitt import beta_for_target, default_load_grid, hw_limit, hw_sweep, staffing
 from hw_staffing.mmn_oracle import SimConfig, birth_death_wait_prob, simulate_mmn
 from hw_staffing.numerics import integrate_semi_infinite
 from hw_staffing.proof_kit import (

@@ -19,11 +19,9 @@ from hw_staffing.erlang import (
     erlang_c_integer,
     erlang_c_real,
     erlang_c_slack,
-    min_servers,
-    real_staffing_level,
 )
 from hw_staffing.errors import DomainError, NumericalError, StaffingError
-from hw_staffing.halfin_whitt import hw_limit
+from hw_staffing.halfin_whitt import hw_limit, min_servers, real_staffing_level
 
 import oracles
 
@@ -691,27 +689,29 @@ class TestRealStaffingLevel:
 
     @staticmethod
     def _count_quadratures(monkeypatch):
-        # the certificate reaches C through erlang_c_slack, one quadrature a call
+        # the certificate reaches C through halfin_whitt's erlang_c_slack,
+        # one quadrature a call
         calls = []
 
         def counted(d, a):
             calls.append(d)
             return erlang_c_slack(d, a)
 
-        monkeypatch.setattr(erlang, "erlang_c_slack", counted)
+        monkeypatch.setattr(halfin_whitt, "erlang_c_slack", counted)
         return calls
 
     @staticmethod
     def _count_gamma(monkeypatch):
-        # the search reaches C through _gamma: the slacks it evaluates
+        # the search reaches C through halfin_whitt's _gamma: the slacks it
+        # evaluates
         calls = []
-        gamma = erlang._gamma
+        gamma = halfin_whitt._gamma
 
         def counted(s, d, a):
             calls.append(d)
             return gamma(s, d, a)
 
-        monkeypatch.setattr(erlang, "_gamma", counted)
+        monkeypatch.setattr(halfin_whitt, "_gamma", counted)
         return calls
 
     @staticmethod
@@ -762,7 +762,7 @@ class TestRealStaffingLevel:
             calls.clear()
             real_staffing_level(a, epsilon)
             per_call.append(len(calls))
-        assert max(per_call) <= 8
+        assert 1 <= min(per_call) and max(per_call) <= 8
         assert sum(per_call) <= 7.7 * len(per_call)
 
     @pytest.mark.parametrize("a", [1e7, 1e8, 1e10, 1e12])
@@ -774,7 +774,7 @@ class TestRealStaffingLevel:
         gamma_calls = self._count_gamma(monkeypatch)
         s = real_staffing_level(a, epsilon)
         assert len(calls) == 2, calls
-        assert len(gamma_calls) <= 8, gamma_calls
+        assert 1 <= len(gamma_calls) <= 8, gamma_calls
         assert erlang_c_slack(s - a, a).value == pytest.approx(epsilon, rel=1e-5)
 
     def test_no_level_evaluated_twice(self, monkeypatch):
@@ -792,15 +792,15 @@ class TestRealStaffingLevel:
         # 1e-6/|d log C/dd|, far past tol/2 = 5e-10: the quadrature refuses
         # it, and the error carries the drifted root as its estimate
         s = real_staffing_level(100.0, 0.2)
-        gamma = erlang._gamma
+        gamma = halfin_whitt._gamma
 
         def drifted(s, d, a):
             result = gamma(s, d, a)
             return result._replace(value=result.value * (1.0 + 1e-6))
 
-        monkeypatch.setattr(erlang, "_gamma", drifted)
+        monkeypatch.setattr(halfin_whitt, "_gamma", drifted)
         with monkeypatch.context() as m:  # both routes drifted: the certificate holds
-            m.setattr(erlang, "erlang_c_slack", lambda d, a: drifted(a + d, d, a))
+            m.setattr(halfin_whitt, "erlang_c_slack", lambda d, a: drifted(a + d, d, a))
             estimate = real_staffing_level(100.0, 0.2)
         assert estimate - s > 1e-6
         with pytest.raises(NumericalError, match="bracket epsilon") as caught:

@@ -50,7 +50,7 @@ def test_delay_target_rejects_below_the_normal_range(epsilon):
 # has one below it; the last two raised OverflowError from a comparison or a
 # quotient of their unconverted arguments
 _PAST_THE_RANGE = [
-    ("erlang.min_servers", (10**400, 0.2), "finite"),
+    ("halfin_whitt.min_servers", (10**400, 0.2), "finite"),
     ("erlang.erlang_c_real", (10**401, 10**400), "finite"),
     ("erlang.erlang_c_real", (10**401, 1.0), "finite"),
     ("erlang.erlang_c_integer", (10**400, 1.0), "no larger than"),

@@ -1,13 +1,19 @@
-"""What each entry point loads, and the package's public surface.
+"""What each entry point loads, the layering of the modules, and the
+package's public surface.
 
 The package loads its modules on first use. These tests pin, in fresh
 interpreters, the ``hw_staffing`` modules that each entry leaves in
 sys.modules, so a stray top-level import fails here without timing
-anything; and they check that every public name still resolves.
+anything. They read the imports between the package's modules from the
+source, and check that those form no cycle. And they check that every
+public name still resolves.
 """
 
+import ast
+import graphlib
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -73,6 +79,59 @@ class TestLoadedModules:
     def test_each_command_loads_only_its_modules(self, argv, extra):
         code = f"from hw_staffing import cli; cli.main({argv!r})"
         assert loaded_after(code) == CLI | {f"hw_staffing.{m}" for m in extra}
+
+
+def sibling_imports() -> list[tuple[str, str, str | None]]:
+    """(module, sibling it imports, enclosing function or None) for each
+    import of one module of the package by another, read from the source."""
+    package = Path(hw_staffing.__file__).parent
+    siblings = {path.stem for path in package.glob("*.py")}
+    found = []
+    for path in sorted(package.glob("*.py")):
+
+        def visit(node, function):
+            for child in ast.iter_child_nodes(node):
+                names = []
+                if isinstance(child, ast.ImportFrom):
+                    base = "." * child.level + (child.module or "")
+                    if base in (".", "hw_staffing"):
+                        names = [alias.name for alias in child.names]
+                    elif base.startswith((".", "hw_staffing.")):
+                        names = [base.lstrip(".").removeprefix("hw_staffing.").split(".")[0]]
+                elif isinstance(child, ast.Import):
+                    names = [alias.name.split(".")[1] for alias in child.names
+                             if alias.name.startswith("hw_staffing.")]
+                found.extend((path.stem, name, function) for name in names if name in siblings)
+                inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+                visit(child, child.name if inner and function is None else function)
+
+        visit(ast.parse(path.read_text(encoding="utf-8")), None)
+    return found
+
+
+class TestLayering:
+    def test_the_reader_sees_both_kinds_of_import(self):
+        found = sibling_imports()
+        assert ("halfin_whitt", "erlang", None) in found
+        assert ("cli", "verify", "_cmd_verify") in found
+
+    def test_module_imports_form_no_cycle(self):
+        graph = {}
+        for module, sibling, _ in sibling_imports():
+            graph.setdefault(module, set()).add(sibling)
+        order = list(graphlib.TopologicalSorter(graph).static_order())  # CycleError on a cycle
+        assert order.index("erlang") < order.index("halfin_whitt")
+
+    def test_erlang_imports_only_errors_and_numerics(self):
+        # the three routes and their kernels; the inversions live in halfin_whitt
+        assert {s for m, s, _ in sibling_imports() if m == "erlang"} == {"errors", "numerics"}
+
+    def test_only_cli_commands_import_inside_a_function(self):
+        # each command loads its own modules on first use (TestLoadedModules);
+        # a library module imports its siblings at the top
+        late = [(m, s, f) for m, s, f in sibling_imports() if f is not None]
+        assert late and all(m == "cli" and f.startswith(("_cmd_", "_sweep_"))
+                            for m, s, f in late), late
 
 
 class TestPublicSurface:

@@ -21,11 +21,14 @@ from hw_staffing.erlang import (
     erlang_b_integer,
     erlang_c_gamma,
     erlang_c_slack,
+)
+from hw_staffing.errors import NumericalError
+from hw_staffing.halfin_whitt import (
+    default_load_grid,
+    inverse_sweep,
     min_servers,
     real_staffing_level,
 )
-from hw_staffing.errors import NumericalError
-from hw_staffing.halfin_whitt import default_load_grid, inverse_sweep
 
 import oracles
 
@@ -262,10 +265,19 @@ class TestRecurrenceStep:
                 assert min_servers(a, epsilon) == oracles.min_servers_plain(a, epsilon)
 
     def test_real_staffing_level_matches_frozen_kernel(self, monkeypatch):
+        # the certificate's quadratures, by the frozen kernel: each call
+        # takes one or two
         cases = _staffing_cases()
         got = [real_staffing_level(a, epsilon) for a, epsilon in cases]
-        monkeypatch.setattr(erlang, "erlang_c_slack", oracles.erlang_c_slack_visit)
+        calls = [0]
+
+        def frozen(d, a):
+            calls[0] += 1
+            return oracles.erlang_c_slack_visit(d, a)
+
+        monkeypatch.setattr(halfin_whitt, "erlang_c_slack", frozen)
         assert got == [real_staffing_level(a, epsilon) for a, epsilon in cases]
+        assert len(cases) <= calls[0] <= 2 * len(cases)
 
 
 class TestExactWork:
@@ -329,15 +341,16 @@ class TestExactWork:
         assert erlang_c_gamma(a + beta * math.sqrt(a), a).evaluations == terms
 
     @staticmethod
-    def _count_gamma(monkeypatch, module=erlang):
+    def _count_gamma(monkeypatch):
+        # the inversions and the sweeps call halfin_whitt's _gamma
         counts = [0]
-        gamma = module._gamma
+        gamma = halfin_whitt._gamma
 
         def counted(*args):
             counts[0] += 1
             return gamma(*args)
 
-        monkeypatch.setattr(module, "_gamma", counted)
+        monkeypatch.setattr(halfin_whitt, "_gamma", counted)
         return counts
 
     def test_min_servers_gamma_evaluations(self, monkeypatch):
@@ -349,12 +362,13 @@ class TestExactWork:
             epsilon = 10.0 ** rng.uniform(-3.0, math.log10(0.5))
             counts[0] = 0
             min_servers(a, epsilon)
-            assert counts[0] <= 4, (a, epsilon, counts[0])
+            assert 1 <= counts[0] <= 4, (a, epsilon, counts[0])
 
     @pytest.mark.parametrize("a, epsilon", [(1.0, 0.5), (37.0, 0.2), (2.5e3, 0.01), (1e5, 1e-3)])
     def test_staffing_request_work(self, monkeypatch, a, epsilon):
         # one whole request of perfbench's staffing workload, phase by phase:
-        # gamma-route evaluations, quadratures and beta_for_target's Newton
+        # gamma-route evaluations (the inversions call halfin_whitt's _gamma,
+        # erlang_c_gamma erlang's), quadratures and beta_for_target's Newton
         # steps (one Mills ratio each)
         work = {"gamma": 0, "quadrature": 0, "newton": 0}
 
@@ -368,6 +382,7 @@ class TestExactWork:
             monkeypatch.setattr(module, name, counted)
 
         counting(erlang, "_gamma", "gamma")
+        counting(halfin_whitt, "_gamma", "gamma")
         counting(erlang, "_quadrature", "quadrature")
         counting(halfin_whitt, "_log_mills", "newton")
 
@@ -377,11 +392,13 @@ class TestExactWork:
             return f(*args), dict(work)
 
         n, work_n = spent(min_servers, a, epsilon)
-        assert work_n["gamma"] <= 4 and work_n["quadrature"] == 0, work_n
+        assert 1 <= work_n["gamma"] <= 4 and work_n["quadrature"] == 0, work_n
         s, work_s = spent(real_staffing_level, a, epsilon)
-        assert work_s["gamma"] <= 8 and work_s["quadrature"] == 2, work_s
+        assert 1 <= work_s["gamma"] <= 8 and work_s["quadrature"] == 2, work_s
         beta, work_beta = spent(halfin_whitt.beta_for_target, epsilon)
         assert work_beta["newton"] <= 5 and work_beta["gamma"] == 0, work_beta
+        # one beta solve in each inversion, and the refined start's Mills ratio
+        assert work_n["newton"] == work_beta["newton"] == work_s["newton"] - 1
         s_hw, work_hw = spent(halfin_whitt.staffing, a, beta)
         assert work_hw == {"gamma": 0, "quadrature": 0, "newton": 0}
         _, work_c = spent(erlang_c_gamma, s_hw, a)
@@ -420,7 +437,7 @@ class TestExactWork:
         def no_quadrature(d, a):
             raise AssertionError(f"quadrature at d={d}, a={a}")
 
-        counts = self._count_gamma(monkeypatch, halfin_whitt)
+        counts = self._count_gamma(monkeypatch)
         monkeypatch.setattr(erlang, "_quadrature", no_quadrature)
         for beta in (0.01, 1.0, 10.0):
             counts[0] = 0

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hw_staffing import erlang, numerics
+from hw_staffing import erlang, halfin_whitt, numerics
 from hw_staffing.errors import BracketError, DomainError, NumericalError
 from hw_staffing.numerics import (
     BracketedRoot,
@@ -304,7 +304,7 @@ class TestNodeTable:
         for a in (1e-3, 0.5, 4.0, 1e2, 1e4, 1e6, 1e10, 1e15):
             for beta in (0.1, 0.5, 1.0, 2.0, 3.0):
                 erlang.erlang_c_slack(beta * math.sqrt(a), a)
-            erlang.real_staffing_level(a, 0.2)
+            halfin_whitt.real_staffing_level(a, 0.2)
         assert sorted(numerics._NODES) == list(range(len(numerics._NODES)))
         assert len(numerics._NODES) >= 4
         h = 1.0
