@@ -9,6 +9,7 @@ decade log scale on x.
 from __future__ import annotations
 
 import math
+import sys
 from typing import Sequence
 
 from .errors import DomainError
@@ -21,6 +22,7 @@ _MARGIN_LEFT = 78.0
 _MARGIN_RIGHT = 24.0
 _MARGIN_TOP = 46.0
 _MARGIN_BOTTOM = 58.0
+_MAX = sys.float_info.max
 
 
 def _nice_step(span: float, target_ticks: int = 5) -> float:
@@ -33,8 +35,6 @@ def _nice_step(span: float, target_ticks: int = 5) -> float:
 
 
 def _linear_ticks(lo: float, hi: float) -> list[float]:
-    if hi <= lo:
-        return [lo]
     step = _nice_step(hi - lo)
     first = math.ceil(lo / step)
     return [k * step for k in range(first, math.floor(hi / step) + 1)]
@@ -46,6 +46,17 @@ def _decade_ticks(lo: float, hi: float) -> list[float]:
         for k in range(math.ceil(math.log10(lo) - 1e-9), math.floor(math.log10(hi) + 1e-9) + 1)
     ]
     return ticks if len(ticks) >= 2 else _linear_ticks(lo, hi)
+
+
+def _widen(v: float, log: bool) -> tuple[float, float]:
+    """A band about the value of a flat series: v/2 to 2v on a log axis,
+    v -+ 0.5 on a linear one, or v -+ |v|/4 where 0.5 is lost in v's
+    rounding (|v| from about 2**53); each end kept finite."""
+    if log:
+        return v / 2.0, min(2.0 * v, _MAX)
+    if v - 0.5 < v + 0.5:
+        return v - 0.5, v + 0.5
+    return max(v - 0.25 * abs(v), -_MAX), min(v + 0.25 * abs(v), _MAX)
 
 
 def _fmt_coord(v: float) -> str:
@@ -64,18 +75,17 @@ def polyline_chart(
     """Render one (x, y) series as a standalone SVG 1.1 document."""
     if len(xs) != len(ys) or not xs:
         raise DomainError("chart needs equally sized, non-empty x and y data")
+    if not all(map(math.isfinite, (*xs, *ys))):
+        raise DomainError("chart data must be finite")
     if log_x and min(xs) <= 0.0:
         raise DomainError("log x axis requires positive x data")
 
     x_lo, x_hi = min(xs), max(xs)
     y_lo, y_hi = min(ys), max(ys)
     if y_hi == y_lo:  # flat series still needs a visible band
-        y_lo, y_hi = y_lo - 0.5, y_hi + 0.5
+        y_lo, y_hi = _widen(y_lo, False)
     if x_hi == x_lo:
-        if log_x:  # keep the expanded range positive
-            x_lo, x_hi = x_lo / 2.0, x_hi * 2.0
-        else:
-            x_lo, x_hi = x_lo - 0.5, x_hi + 0.5
+        x_lo, x_hi = _widen(x_lo, log_x)
 
     plot_w = _WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
     plot_h = _HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM

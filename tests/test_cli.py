@@ -11,6 +11,7 @@ import pytest
 from hw_staffing import cli, erlang, halfin_whitt, numerics
 from hw_staffing.cli import main
 from hw_staffing.errors import DomainError, NumericalError
+from hw_staffing.svg import polyline_chart
 
 import oracles
 
@@ -228,6 +229,27 @@ class TestSweep:
         width, height = float(frame.get("width")), float(frame.get("height"))
         assert x == pytest.approx(float(frame.get("x")) + width / 2, abs=0.01)
         assert y == pytest.approx(float(frame.get("y")) + height / 2, abs=0.01)
+
+    @pytest.mark.parametrize("load", ["1e17", "1.7e308"])
+    def test_single_point_figure_at_large_loads(self, tmp_path, capsys, load):
+        # past about 2**53, a -+ 0.5 rounds back to a: the chart widens the
+        # flat x range by a quarter of a instead of dividing by zero, and
+        # keeps its ends finite near the largest double
+        path = tmp_path / "figure.svg"
+        code, _, err = run_cli(capsys, "sweep", "--regime", "hw", "--beta", "1", "--from", load,
+                               "--points", "1", "--format", "svg", "--out", str(path))
+        assert code == 0, err
+        root = ET.parse(path).getroot()
+        svg = "{http://www.w3.org/2000/svg}"
+        assert root.tag == f"{svg}svg" and root.get("version") == "1.1"
+        (polyline,) = root.findall(f".//{svg}polyline")
+        x, y = map(float, polyline.get("points").split(","))
+        frame = root.findall(f"{svg}rect")[-1]
+        left, top = float(frame.get("x")), float(frame.get("y"))
+        assert left <= x <= left + float(frame.get("width"))
+        assert top <= y <= top + float(frame.get("height"))
+        if load == "1e17":
+            assert x == pytest.approx(left + float(frame.get("width")) / 2, abs=0.01)
 
     def test_svg_is_valid_svg_11(self, tmp_path, capsys):
         path = tmp_path / "figure.svg"
@@ -467,6 +489,34 @@ class TestParserReuse:
         assert reused == self._outcomes(capsys)
         assert [code for code, _, _ in reused] == [2, 0, 0, 0]
         assert "invalid choice: 'bogus'" in reused[0][2]
+
+
+class TestChart:
+    @pytest.mark.parametrize("xs, ys", [([], []), ([1.0], [1.0, 2.0])])
+    def test_data_of_unequal_or_no_length_is_domain_error(self, xs, ys):
+        with pytest.raises(DomainError, match="equally sized, non-empty"):
+            polyline_chart(xs, ys, title="t", x_label="x", y_label="y")
+
+    def test_log_axis_needs_positive_x(self):
+        with pytest.raises(DomainError, match="positive x data"):
+            polyline_chart([0.0, 1.0], [0.5, 0.4], title="t", x_label="x", y_label="y",
+                           log_x=True)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    def test_nonfinite_data_is_domain_error(self, bad, axis):
+        # these raised ValueError or OverflowError from the scale and ticks
+        xs, ys = [1.0, 2.0], [0.5, 0.4]
+        (xs if axis == "x" else ys)[1] = bad
+        with pytest.raises(DomainError, match="finite"):
+            polyline_chart(xs, ys, title="t", x_label="x", y_label="y")
+
+    def test_flat_series_keeps_its_half_unit_band(self):
+        # where 0.5 widens the range, the band is v -+ 0.5, as it always was
+        chart = polyline_chart([1.0, 2.0], [3.0, 3.0], title="t", x_label="x", y_label="y")
+        ticks = [line.rsplit(">", 2)[-2].split("<")[0] for line in chart.splitlines()
+                 if 'text-anchor="end"' in line]
+        assert ticks == ["2.6", "2.8", "3", "3.2", "3.4"]
 
 
 class TestEntryPoint:
