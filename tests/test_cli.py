@@ -294,6 +294,16 @@ class TestSweep:
         first = out.strip().splitlines()[1].split(",")
         assert float(first[0]) >= 9.0
 
+    @pytest.mark.parametrize("fmt", ["csv", "svg", "both"])
+    def test_unwritable_out_is_a_usage_error(self, tmp_path, capsys, fmt):
+        # a missing directory raised FileNotFoundError with a traceback, exit 1
+        out = tmp_path / "missing" / "f"
+        code, _, err = run_cli(capsys, "sweep", "--regime", "hw", "--beta", "1",
+                               "--points", "3", "--format", fmt, "--out", str(out))
+        assert code == 2
+        assert err.startswith("error: [Errno 2] No such file or directory") and str(out) in err
+        assert "Traceback" not in err
+
     def test_svg_to_stdout_rejected(self, capsys):
         code, _, err = run_cli(
             capsys, "sweep", "--regime", "hw", "--beta", "1", "--format", "svg"
