@@ -153,9 +153,7 @@ def _cmd_sweep(args) -> int:
     if args.out == "-" and args.format != "csv":
         raise DomainError("svg output cannot go to stdout; give --out PATH")
 
-    grid = list(halfin_whitt.default_load_grid(lo, hi, points, args.log_x))
-    if points > 1:
-        grid[-1] = hi
+    grid = halfin_whitt.default_load_grid(lo, hi, points, args.log_x)
     if args.regime == "hw":
         result = halfin_whitt.hw_sweep(beta, grid)
     else:

@@ -321,7 +321,7 @@ def default_load_grid(
 ) -> tuple[float, ...]:
     """The package's one grid: log-spaced from lo > 0 to hi, or evenly
     spaced; finite bounds, hi > lo unless the grid is the single point
-    (lo,). The last point is hi only up to rounding. The defaults are
+    (lo,). It starts at lo and ends at hi exactly. The defaults are
     verify's load grid, spanning six orders of magnitude; points runs to
     1e6."""
     points = count(points, "points", 1, _MAX_POINTS)
@@ -334,9 +334,9 @@ def default_load_grid(
         raise DomainError(f"need hi > lo for {points} points, got lo={lo}, hi={hi}")
     if log_spaced:
         r = math.log(hi / lo) / (points - 1)
-        return tuple(lo * math.exp(r * i) for i in range(points))
+        return tuple(lo * math.exp(r * i) for i in range(points - 1)) + (hi,)
     step = (hi - lo) / (points - 1)
-    return tuple(lo + step * i for i in range(points))
+    return tuple(lo + step * i for i in range(points - 1)) + (hi,)
 
 
 def _sweep_rows(beta: float, grid: Sequence[float], hw: bool):
