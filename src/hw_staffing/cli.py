@@ -154,10 +154,8 @@ def _cmd_sweep(args) -> int:
         raise DomainError("svg output cannot go to stdout; give --out PATH")
 
     grid = halfin_whitt.default_load_grid(lo, hi, points, args.log_x)
-    if args.regime == "hw":
-        result = halfin_whitt.hw_sweep(beta, grid)
-    else:
-        result = halfin_whitt.inverse_sweep(beta, grid)
+    sweep = halfin_whitt.hw_sweep if args.regime == "hw" else halfin_whitt.inverse_sweep
+    result = sweep(beta, grid)
 
     if not any(r.c_value is not None for r in result.rows):
         raise NumericalError(f"every sweep row failed; first row: {result.rows[0].error}")

@@ -14,7 +14,7 @@ Three independent evaluation routes are exposed and cross-validated:
   Gamma*(s), and Q from Temme's uniform expansion or the lower-gamma
   series, whichever _upper_gamma picks. Both sweeps and both staffing
   inversions take it from the slack itself, through the private _gamma,
-  as erlang_c_slack takes the quadrature: a few microseconds a row or step.
+  as erlang_c_slack takes the quadrature.
 
 Each result carries an error bound, and the routes agree within them. On
 the staffed curves s = a + beta*sqrt(a), at any load, the quadrature's is
@@ -203,8 +203,7 @@ def erlang_c_slack(d: float, a: float) -> DelayProbability:
     s = a + d. That matters on the square-root-staffed curve at large
     loads: at a = 1e15 rounding s moves beta by up to 2e-9, and C with it
     by more than C(a + beta*sqrt(a), a) falls per half decade of a when
-    beta is small. real_staffing_level calls it to certify the root its
-    gamma-route search finds, at the two ends of the answer's tolerance.
+    beta is small. real_staffing_level's certificate calls it.
     """
     return _quadrature(positive_finite(d, "slack", "d"), positive_finite(a, "offered load", "a"))
 

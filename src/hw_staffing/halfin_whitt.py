@@ -2,9 +2,12 @@
 
 The staffing rule s = a + beta*sqrt(a) keeps the delay probability
 C(a + beta*sqrt(a), a) nondegenerate as the offered load a grows; its limit
-is hw_limit(beta) = 1/(1 + beta*Phi(beta)/phi(beta)). The two sweeps here
-share one loop, one route (the gamma route at the slack) and one row type
-(SweepRow), and produce the evidence tables behind two facts:
+is hw_limit(beta) = 1/(1 + beta*Phi(beta)/phi(beta)). The inversions
+min_servers and real_staffing_level search the gamma route from that rule
+at beta = beta_for_target(epsilon), and the quadrature certifies each root
+of real_staffing_level. The two sweeps share one loop, one route (the gamma
+route at the slack) and one row type (SweepRow), and produce the evidence
+tables behind two facts:
 
 * the load-parametrized curve C(a + beta*sqrt(a), a) decreases strictly in
   a and stays above the limit for every beta > 0 (hw_sweep's SweepResult
@@ -12,11 +15,6 @@ share one loop, one route (the gamma route at the slack) and one row type
 * the server-parametrized curve C(s, s - beta*sqrt(s)) is NOT claimed to be
   monotone -- inverse_sweep only emits the data. Its measured shape is in
   inverse_sweep's docstring.
-
-The staffing inversions min_servers and real_staffing_level search from
-square-root staffing at beta = beta_for_target(epsilon). Both search on
-the gamma route, and the quadrature certifies each root of
-real_staffing_level, so the two routes check each other at every answer.
 """
 
 from __future__ import annotations
@@ -54,7 +52,6 @@ _SQRT_2_OVER_PI = 0.7978845608028654  # sqrt(2/pi) = 1/R(0)
 # from its start it takes at most 5.
 _BETA_TOL = 1e-12
 _NEWTON_MAX_STEPS = 100
-
 # Accept C(n,a) == epsilon as "meeting" an SLA target epsilon up to this
 # relative slack, so exact-boundary targets resolve deterministically.
 _TIE_REL_TOL = 1e-12
