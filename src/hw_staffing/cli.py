@@ -1,7 +1,7 @@
 """Command-line surface: compute, staff, sweep, verify, simulate.
 
-Exit codes: 0 success, 1 verification failure, 2 domain or usage error
-(an --out path that cannot be written among them), 3 numerical error. All numeric output uses 17 significant digits so parsing
+Exit codes: 0 success, 1 verification failure, 2 domain or usage error,
+3 numerical error. All numeric output uses 17 significant digits so parsing
 the text reproduces the binary value. The library's accuracy is fixed and
 no environment variable or file is read, so identical argument vectors
 produce byte-identical stdout and files.
@@ -278,7 +278,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (DomainError, OSError) as exc:
+    except (DomainError, OSError) as exc:  # OSError: an --out that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_DOMAIN
     except NumericalError as exc:

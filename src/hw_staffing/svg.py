@@ -50,7 +50,7 @@ def _decade_ticks(lo: float, hi: float) -> list[float]:
 
 def _widen(v: float, log: bool) -> tuple[float, float]:
     """A finite band about a flat series' value: v/2 to 2v on a log axis, else
-    v -+ 0.5, or v -+ |v|/4 where 0.5 is lost in v's rounding (from 2**53)."""
+    v -+ 0.5, or v -+ |v|/4 where 0.5 is lost in v's rounding (|v| from about 2**53)."""
     if log:
         return v / 2.0, min(2.0 * v, _MAX)
     if v - 0.5 < v + 0.5:
