@@ -87,25 +87,25 @@ def sibling_imports() -> list[tuple[str, str, str | None]]:
     package = Path(hw_staffing.__file__).parent
     siblings = {path.stem for path in package.glob("*.py")}
     found = []
+
+    def visit(module, node, function):
+        for child in ast.iter_child_nodes(node):
+            names = []
+            if isinstance(child, ast.ImportFrom):
+                base = "." * child.level + (child.module or "")
+                if base in (".", "hw_staffing"):
+                    names = [alias.name for alias in child.names]
+                elif base.startswith((".", "hw_staffing.")):
+                    names = [base.lstrip(".").removeprefix("hw_staffing.").split(".")[0]]
+            elif isinstance(child, ast.Import):
+                names = [alias.name.split(".")[1] for alias in child.names
+                         if alias.name.startswith("hw_staffing.")]
+            found.extend((module, name, function) for name in names if name in siblings)
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(module, child, child.name if inner and function is None else function)
+
     for path in sorted(package.glob("*.py")):
-
-        def visit(node, function):
-            for child in ast.iter_child_nodes(node):
-                names = []
-                if isinstance(child, ast.ImportFrom):
-                    base = "." * child.level + (child.module or "")
-                    if base in (".", "hw_staffing"):
-                        names = [alias.name for alias in child.names]
-                    elif base.startswith((".", "hw_staffing.")):
-                        names = [base.lstrip(".").removeprefix("hw_staffing.").split(".")[0]]
-                elif isinstance(child, ast.Import):
-                    names = [alias.name.split(".")[1] for alias in child.names
-                             if alias.name.startswith("hw_staffing.")]
-                found.extend((path.stem, name, function) for name in names if name in siblings)
-                inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
-                visit(child, child.name if inner and function is None else function)
-
-        visit(ast.parse(path.read_text(encoding="utf-8")), None)
+        visit(path.stem, ast.parse(path.read_text(encoding="utf-8")), None)
     return found
 
 
