@@ -203,7 +203,9 @@ def erlang_c_slack(d: float, a: float) -> DelayProbability:
     s = a + d. That matters on the square-root-staffed curve at large
     loads: at a = 1e15 rounding s moves beta by up to 2e-9, and C with it
     by more than C(a + beta*sqrt(a), a) falls per half decade of a when
-    beta is small. real_staffing_level's certificate calls it.
+    beta is small. real_staffing_level's certificate calls it once, at the
+    gamma route's root, and holds the two routes to their summed bounds
+    there.
     """
     return _quadrature(positive_finite(d, "slack", "d"), positive_finite(a, "offered load", "a"))
 

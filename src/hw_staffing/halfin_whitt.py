@@ -5,7 +5,8 @@ C(a + beta*sqrt(a), a) nondegenerate as the offered load a grows; its limit
 is hw_limit(beta) = 1/(1 + beta*Phi(beta)/phi(beta)). The inversions
 min_servers and real_staffing_level search the gamma route from that rule
 at beta = beta_for_target(epsilon), and the quadrature certifies each root
-of real_staffing_level. The two sweeps share one loop, one route (the gamma
+of real_staffing_level, agreeing with the gamma route there within both
+routes' bounds. The two sweeps share one loop, one route (the gamma
 route at the slack) and one row type (SweepRow), and produce the evidence
 tables behind two facts:
 
@@ -264,26 +265,29 @@ def real_staffing_level(a: float, epsilon: float) -> float:
     doubles; the lower end stops at d = 0, where C(a, a) = 1 is known
     without evaluating it. Below a = 1 the bracket starts as [0, 1] and
     grows the same way. C is computed at most once per d in one call, so
-    the solver's evaluations at the ends cost nothing: a call takes at
+    the solver's evaluations at the ends cost nothing: the search takes at
     most 8 gamma evaluations for a in [1, 1e5] and epsilon in [1e-3, 0.5].
 
-    The quadrature then certifies the root d_g: erlang_c_slack's C at
-    d_g - tol/2 (C = 1 with no quadrature where that is at or below 0) and
-    d_g + tol/2 must lie on either side of epsilon, so the answer a + d_g
-    lies within tol/2 of the quadrature's own root, and the two routes
-    check each other at every answer. Two quadratures a call, one where
-    the lower end is d = 0. Where they do not bracket epsilon,
-    NumericalError, with a + d_g as its estimate and the levels the search
-    visited plus the quadratures as its iterations.
+    One quadrature then certifies the root d_g: erlang_c_slack's C at d_g
+    and the gamma route's (one more gamma evaluation, unless the search
+    ended on a level it evaluated) must agree within their summed error
+    bounds b_q + b_g. The gamma route's root lies within
+    tol/8 of d_g, so the quadrature's lies within tol/8 + (b_q +
+    b_g)/|dC/dd| of it: within tol/2 wherever the bounds are small against
+    the slope. On 6 424 seeded (a, epsilon), from a = 1e-323 to the
+    largest double, the routes differed by at most 0.13 of their summed
+    bounds. Otherwise NumericalError, with a + d_g as its estimate and the
+    gamma evaluations plus the quadrature as its iterations.
     """
     a = positive_finite(a, "offered load", "a")
     epsilon = delay_target(epsilon)
 
-    @functools.cache
+    gamma = functools.cache(lambda d: _gamma(a + d, d, a))
+
     def log_c(d: float) -> float:
         if d == 0.0:
             return 0.0  # C(a, a) = 1
-        value = _gamma(a + d, d, a).value
+        value = gamma(d).value
         return math.log(value) if value > 0.0 else -math.inf
 
     target = math.log(epsilon)
@@ -300,17 +304,16 @@ def real_staffing_level(a: float, epsilon: float) -> float:
     while log_c(lo) < target:  # lo past the root: it becomes hi
         width *= 2.0
         lo, hi = max(lo - width, 0.0), lo
-    d = bisect_monotone(log_c, lo, hi, target, 0.25 * tol).value
-    # the certificate: the quadrature's root lies within tol/2 of d
-    lo, hi = max(d - 0.5 * tol, 0.0), d + 0.5 * tol
-    c_lo = erlang_c_slack(lo, a).value if lo > 0.0 else 1.0
-    c_hi = erlang_c_slack(hi, a).value
-    if c_lo >= epsilon >= c_hi:
+    d = bisect_monotone(log_c, lo, hi, target, 0.25 * tol).value  # d > 0
+    # the certificate: both routes agree at d within their summed bounds
+    c_q, c_g = erlang_c_slack(d, a), gamma(d)
+    if abs(c_q.value - c_g.value) <= c_q.error_bound + c_g.error_bound:
         return a + d
     raise NumericalError(
-        f"the quadrature's C(a + d, a) = {c_lo!r}, {c_hi!r} at d = {lo!r}, {hi!r} does not "
-        f"bracket epsilon = {epsilon!r} around the gamma route's root (a={a})",
-        estimate=a + d, iterations=log_c.cache_info().currsize + (2 if lo > 0.0 else 1))
+        f"the quadrature's C(a + d, a) = {c_q.value!r} and the gamma route's {c_g.value!r} "
+        f"at d = {d!r} differ by more than their summed error bounds (a={a}, "
+        f"epsilon={epsilon!r})",
+        estimate=a + d, iterations=gamma.cache_info().currsize + 1)
 
 
 def default_load_grid(

@@ -23,11 +23,13 @@ _MARGIN_RIGHT = 24.0
 _MARGIN_TOP = 46.0
 _MARGIN_BOTTOM = 58.0
 _MAX = sys.float_info.max
+_TINY = math.ulp(0.0)  # 5e-324, the finest spacing of the doubles
 
 
 def _nice_step(span: float, target_ticks: int = 5) -> float:
-    raw = span / target_ticks
-    magnitude = 10.0 ** math.floor(math.log10(raw))
+    # below the finest spacing, span/target_ticks and 10**k round to 0
+    raw = max(span / target_ticks, _TINY)
+    magnitude = max(10.0 ** math.floor(math.log10(raw)), _TINY)
     for mult in (1.0, 2.0, 5.0):
         if raw <= mult * magnitude:
             return mult * magnitude
@@ -49,10 +51,11 @@ def _decade_ticks(lo: float, hi: float) -> list[float]:
 
 
 def _widen(v: float, log: bool) -> tuple[float, float]:
-    """A finite band about a flat series' value: v/2 to 2v on a log axis, else
-    v -+ 0.5, or v -+ |v|/4 where 0.5 is lost in v's rounding (|v| from about 2**53)."""
+    """A finite band about a flat series' value: v/2 to 2v on a log axis (v to
+    2v where v/2 rounds to 0), else v -+ 0.5, or v -+ |v|/4 where 0.5 is lost
+    in v's rounding (|v| from about 2**53)."""
     if log:
-        return v / 2.0, min(2.0 * v, _MAX)
+        return v / 2.0 or v, min(2.0 * v, _MAX)
     if v - 0.5 < v + 0.5:
         return v - 0.5, v + 0.5
     return max(v - 0.25 * abs(v), -_MAX), min(v + 0.25 * abs(v), _MAX)
@@ -81,6 +84,8 @@ def polyline_chart(
 
     x_lo, x_hi = min(xs), max(xs)
     y_lo, y_hi = min(ys), max(ys)
+    if x_hi - x_lo == math.inf or y_hi - y_lo == math.inf:
+        raise DomainError("chart data must span less than the largest double")
     if y_hi == y_lo:  # flat series still needs a visible band
         y_lo, y_hi = _widen(y_lo, False)
     if x_hi == x_lo:

@@ -251,6 +251,27 @@ class TestSweep:
         if load == "1e17":
             assert x == pytest.approx(left + float(frame.get("width")) / 2, abs=0.01)
 
+    @pytest.mark.parametrize("load", ["5e-324", "1e-323"])
+    def test_single_point_log_figure_at_the_smallest_loads(self, tmp_path, capsys, load):
+        # v/2 rounds to 0 at 5e-324, and the tick step under 1e-323 did:
+        # ValueError and ZeroDivisionError, exit 1. The band is v/2 (or v)
+        # to 2v, and the ticks step by the finest spacing of the doubles
+        path = tmp_path / "figure.svg"
+        code, _, err = run_cli(capsys, "sweep", "--regime", "hw", "--beta", "1", "--from", load,
+                               "--points", "1", "--log-x", "--format", "svg", "--out", str(path))
+        assert code == 0, err
+        root = ET.parse(path).getroot()
+        svg = "{http://www.w3.org/2000/svg}"
+        (polyline,) = root.findall(f".//{svg}polyline")
+        x, y = map(float, polyline.get("points").split(","))
+        frame = root.findall(f"{svg}rect")[-1]
+        left, top = float(frame.get("x")), float(frame.get("y"))
+        assert left <= x <= left + float(frame.get("width"))
+        assert top <= y <= top + float(frame.get("height"))
+        ticks = [float(t.text) for t in root.findall(f"{svg}text")
+                 if t.get("text-anchor") == "middle" and t.get("font-size") == "11"]
+        assert len(ticks) >= 2 and min(ticks) > 0.0
+
     def test_svg_is_valid_svg_11(self, tmp_path, capsys):
         path = tmp_path / "figure.svg"
         code, _, _ = run_cli(
@@ -519,6 +540,21 @@ class TestChart:
         xs, ys = [1.0, 2.0], [0.5, 0.4]
         (xs if axis == "x" else ys)[1] = bad
         with pytest.raises(DomainError, match="finite"):
+            polyline_chart(xs, ys, title="t", x_label="x", y_label="y")
+
+    def test_linear_span_of_the_finest_spacing(self):
+        # span/5 rounded to 0, and log10(0) raised ValueError
+        chart = polyline_chart([0.0, 5e-324], [0.5, 0.4], title="t", x_label="x", y_label="y")
+        ticks = [line.rsplit(">", 2)[-2].split("<")[0] for line in chart.splitlines()
+                 if 'text-anchor="middle" font-family="monospace" font-size="11"' in line]
+        assert ticks == ["0", "4.94066e-324"]
+
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    def test_span_past_the_largest_double_is_domain_error(self, axis):
+        # max - min overflowed to inf: OverflowError from the tick step
+        xs, ys = [1.0, 2.0], [0.5, 0.4]
+        (xs if axis == "x" else ys)[:] = [-sys.float_info.max, sys.float_info.max]
+        with pytest.raises(DomainError, match="largest double"):
             polyline_chart(xs, ys, title="t", x_label="x", y_label="y")
 
     def test_flat_series_keeps_its_half_unit_band(self):
