@@ -722,15 +722,24 @@ class TestRealStaffingLevel:
 
     def test_quadratures_per_call(self, monkeypatch):
         # one quadrature, at the gamma route's root d_g, which the answer
-        # a + d_g keeps; targets near 1 put the root within tol/2 of d = 0
+        # a + d_g keeps
         calls = self._count_quadratures(monkeypatch)
-        for a in (0.5, 1.0, 7.0, 9.0, 50.0, 400.0, 3e3, 1e4, 2e4, 1e5):
-            for epsilon in (1e-3, 0.01, 0.05, 0.2, 0.5, 1.0 - 2.0**-53):
+        for a in (1.0, 7.0, 50.0, 400.0, 3e3, 2e4, 1e5):
+            for epsilon in (1e-3, 0.01, 0.05, 0.2, 0.5):
                 calls.clear()
                 s = real_staffing_level(a, epsilon)
                 assert len(calls) == 1 and a + calls[0] == s, (a, epsilon, calls)
                 c = erlang_c_slack(calls[0], a).value
                 assert c == pytest.approx(epsilon, rel=1e-6), (a, epsilon, c)
+
+    def test_one_quadrature_where_the_lower_end_is_zero(self, monkeypatch):
+        # the root lies within tol/2 of d = 0, where C(a, a) = 1 is known;
+        # the certificate still takes its one quadrature at the root
+        calls = self._count_quadratures(monkeypatch)
+        for a in (0.5, 9.0, 1e4):
+            calls.clear()
+            s = real_staffing_level(a, 1.0 - 2.0**-53)
+            assert len(calls) == 1 and a + calls[0] == s, (a, calls)
 
     def test_quadratures_from_the_refined_start(self, monkeypatch):
         # the root lies within 0.5/sqrt(a) of d_ref = beta*sqrt(a) +
